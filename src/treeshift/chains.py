@@ -65,10 +65,6 @@ def frac_from_str(text: str) -> Fraction:
     return f
 
 
-def frac_to_str(f: Fraction) -> str:
-    return str(f)
-
-
 # ---------------------------------------------------------------------------
 # the spec itself
 # ---------------------------------------------------------------------------
@@ -310,62 +306,6 @@ def enumerate_cylinders(
     yield from rec(0, ONE)
 
 
-# ---------------------------------------------------------------------------
-# restrictions to generator directions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZKernel:
-    """A stationary two-sided chain law: alphabet, marginal and kernel."""
-
-    alphabet: tuple
-    pi: tuple[Fraction, ...]
-    transitions: Matrix
-
-    @property
-    def size(self) -> int:
-        return len(self.alphabet)
-
-
-def restriction(spec: MarkovSpec, gen: int) -> ZKernel:
-    """The law of the symbol sequence read along one generator direction."""
-    if not 0 <= gen < spec.rank:
-        raise InputError(f"generator index {gen} out of range")
-    return ZKernel(spec.alphabet, spec.pi, spec.kernels[gen])
-
-
-def assemble(parts: Mapping[str, ZKernel]) -> MarkovSpec:
-    """Rebuild a spec from one stationary chain per generator.
-
-    All parts must share the alphabet and the marginal; the result restricts
-    back to exactly the given chains.
-    """
-    names = sorted(parts.keys(), key=_generator_sort_key)
-    if not names:
-        raise InputError("no restriction chains given")
-    first = parts[names[0]]
-    for name in names:
-        zk = parts[name]
-        if zk.alphabet != first.alphabet:
-            raise InputError(f"alphabet mismatch between {names[0]} and {name}")
-        if zk.pi != first.pi:
-            raise InputError(f"stationary distribution mismatch between {names[0]} and {name}")
-    return MarkovSpec(
-        tuple(names),
-        first.alphabet,
-        first.pi,
-        tuple(parts[name].transitions for name in names),
-    )
-
-
-def _generator_sort_key(name: str) -> int:
-    m = re.match(r"^s([1-9][0-9]*)$", name)
-    if not m:
-        raise InputError(f"generator names must be s1, s2, ...; got {name!r}")
-    return int(m.group(1))
-
-
 def bernoulli_spec(alphabet, pi: Sequence[Fraction], rank: int = 2) -> MarkovSpec:
     """The product measure with the given marginal: every kernel row equals pi."""
     pi = tuple(Fraction(x) for x in pi)
@@ -401,7 +341,7 @@ class SampledTree:
 
     def __init__(self, spec: MarkovSpec, seed: int):
         self.spec = spec
-        self.seed = int(seed)
+        self.seed = _hash_key(seed, "seed")
         self._memo: dict[Word, int] = {}
 
     def _unit(self, w: Word) -> Fraction:
@@ -436,10 +376,18 @@ def _draw(row: Sequence[Fraction], u: Fraction) -> int:
     return len(row) - 1  # u == 1 cannot happen; guard for rounding-free exactness
 
 
+def _hash_key(value: int, what: str) -> int:
+    """value as an int, checked to fit the hash's 8-byte unsigned encoding."""
+    value = int(value)
+    if not 0 <= value < _UNIT_DEN:
+        raise InputError(f"{what} {value} outside [0, 2**64)")
+    return value
+
+
 def derive_seed(seed: int, index: int) -> int:
     digest = hashlib.blake2b(
-        index.to_bytes(8, "big", signed=False),
-        key=int(seed).to_bytes(8, "big", signed=False),
+        _hash_key(index, "index").to_bytes(8, "big", signed=False),
+        key=_hash_key(seed, "seed").to_bytes(8, "big", signed=False),
         digest_size=8,
     ).digest()
     return int.from_bytes(digest, "big")
@@ -477,9 +425,9 @@ def spec_to_json(spec: MarkovSpec) -> dict:
     return {
         "generators": list(spec.generators),
         "alphabet": list(spec.alphabet),
-        "pi": {str(sym): frac_to_str(spec.pi[i]) for i, sym in enumerate(spec.alphabet)},
+        "pi": {str(sym): str(spec.pi[i]) for i, sym in enumerate(spec.alphabet)},
         "kernels": {
-            name: [[frac_to_str(x) for x in row] for row in spec.kernels[gi]]
+            name: [[str(x) for x in row] for row in spec.kernels[gi]]
             for gi, name in enumerate(spec.generators)
         },
     }

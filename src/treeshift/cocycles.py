@@ -96,9 +96,6 @@ class Shifted:
     def __getitem__(self, h: Word) -> int:
         return self.base[multiply(h, self.offset)]
 
-    def shift(self, w: Word) -> "Shifted":
-        return Shifted(self.base, multiply(w, self.offset))
-
 
 class CocycleTable:
     """Memoized cocycle words w(., x) for one fixed configuration.

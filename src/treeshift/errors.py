@@ -1,8 +1,4 @@
-"""Exception types shared across the package.
-
-The CLI maps these onto exit codes: input/schema problems exit 2,
-verification failures exit 1.
-"""
+"""Exception types shared across the package."""
 
 
 class TreeshiftError(Exception):
@@ -44,7 +40,3 @@ class BudgetError(TreeshiftError):
 class ParamsError(TreeshiftError):
     """Slide parameters are inconsistent with the chain spec."""
 
-
-class OracleError(TreeshiftError):
-    """An orbit-equivalence oracle is unusable (unbounded lookahead,
-    ambiguous window, or undefined at a required point)."""

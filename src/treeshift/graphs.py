@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
-from .chains import MarkovSpec, ZKernel, reverse_kernel
+from .chains import MarkovSpec, reverse_kernel
 
 
 @dataclass(frozen=True)
@@ -291,22 +291,3 @@ def special_sets(spec: MarkovSpec, gen: int, a: int) -> SpecialSets:
         side1=frozenset(v for v in cls if color[v] == 1),
     )
 
-
-def zkernel_graph(zk: ZKernel) -> TransitionGraph:
-    """Support graph of a stationary two-sided chain."""
-    n = zk.size
-    edges = frozenset(
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if zk.pi[a] * zk.transitions[a][b] > 0
-    )
-    return TransitionGraph(n, edges)
-
-
-def zkernel_ergodic_free(zk: ZKernel) -> tuple[bool, bool]:
-    g = zkernel_graph(zk)
-    part = classes(g)
-    ergodic = len(part.classes) == 1
-    free = not any(is_periodic_class(g, c) for c in part.classes)
-    return ergodic, free

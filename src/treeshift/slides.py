@@ -9,8 +9,10 @@ current symbol, and the symbol at the branch distance ahead in the u
 direction, so the rule has window radius n_max + 2 where n_max is the
 largest branch distance among slide targets.
 
-The pushforward kernel along t is computed exactly by enumerating the
-decision window; everything else about the measure is unchanged.
+The pushforward kernel along t is the exact law of (x_e, x_{w(t,x)}), a
+function of a finite window, computed by the shared window engine of
+cocycles.window_marginal; a slide whose windows exceed that engine's budget
+raises BudgetError.  Everything else about the measure is unchanged.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .chains import (
     SampledTree,
     cylinder_measure,
     derive_seed,
-    enumerate_cylinders,
-    frac_to_str,
     require_valid,
 )
 from .cocycles import (
@@ -162,59 +162,30 @@ def rule_from_params(params: SlideParams) -> RewriteRule:
 
 
 def slide_rule(spec: MarkovSpec, params: SlideParams) -> RewriteRule:
-    """Validate the parameters against the spec, then build the rule."""
-    if params.rank != spec.rank:
-        raise ParamsError("rank mismatch between slide parameters and spec")
-    if params.edges:
-        g = support_edges(spec, params.u)
-        if not params.edges <= g.edges or not is_special(g, params.edges):
-            raise ParamsError("slide edge set is not special for the u-restriction")
+    """Validate the parameters against the spec, then build the rule.
+
+    The parameters must be exactly what build_slide_params derives from the
+    spec for the same u, t and edge set (rank and branch data included)."""
+    if params != build_slide_params(spec, params.u, params.t, params.edges):
+        raise ParamsError("slide parameters do not match the spec")
     return rule_from_params(params)
 
 
-def _decision_domain(params: SlideParams) -> LeftConnectedSet:
-    u = Letter(params.u, 1)
-    t = Letter(params.t, 1)
-    words = [IDENTITY, single(t), Word((u.inverse(), t))]
-    for k in range(1, params.n_max + 2):
-        words.append(Word((u,) * k + (t,)))
-    return LeftConnectedSet(words)
-
-
-class _DictWindow:
-    __slots__ = ("values",)
-
-    def __init__(self, values: dict):
-        self.values = values
-
-    def __getitem__(self, w: Word) -> int:
-        from .errors import MissingCoordinate
-
-        try:
-            return self.values[w]
-        except KeyError:
-            raise MissingCoordinate(w) from None
-
-
 def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
-    """The recoded measure, as a spec: kernels off t unchanged, the t kernel
-    recomputed exactly by enumerating the slide's decision window."""
+    """The recoded measure, as a spec: kernels off t unchanged; the t kernel
+    is the exact law of x_{w(t,x)} given x_e, from the joint law of
+    (x_e, x_{w(t,x)}) that window_marginal computes.
+
+    Raises BudgetError when the slide's windows exceed window_marginal's
+    default budget."""
     rule = slide_rule(spec, params)
     if not params.edges:
         return spec
     t = Letter(params.t, 1)
-    domain = _decision_domain(params)
+    law = window_marginal(spec, lambda win: (win[IDENTITY], win[rule.letter_image(t, win)]))
     n = spec.size
-    mass = [[ZERO] * n for _ in range(n)]
-    for values, weight in enumerate_cylinders(spec, domain):
-        assign = dict(zip(domain.words, values))
-        img = rule.letter_image(t, _DictWindow(assign))
-        mass[assign[IDENTITY]][assign[img]] += weight
-    for a in range(n):
-        if sum(mass[a]) != spec.pi[a]:
-            raise TreeshiftError("pushforward window enumeration lost mass")
     q: Matrix = tuple(
-        tuple(mass[a][b] / spec.pi[a] for b in range(n)) for a in range(n)
+        tuple(law.get((a, b), ZERO) / spec.pi[a] for b in range(n)) for a in range(n)
     )
     return require_valid(spec.with_kernel(params.t, q))
 
@@ -251,7 +222,7 @@ class SlideReport:
             "support_contains_slid_edges": self.support_contains_slid_edges,
             "endpoints_aperiodic": self.endpoints_aperiodic,
             "all_ok": self.all_ok,
-            "q_t": [[frac_to_str(x) for x in row] for row in self.q_t],
+            "q_t": [[str(x) for x in row] for row in self.q_t],
         }
 
 

@@ -76,13 +76,6 @@ class Word:
     def __invert__(self) -> "Word":
         return inverse(self)
 
-    def __pow__(self, n: int) -> "Word":
-        base = self if n >= 0 else inverse(self)
-        out = IDENTITY
-        for _ in range(abs(n)):
-            out = multiply(base, out)
-        return out
-
     @property
     def is_identity(self) -> bool:
         return not self.letters

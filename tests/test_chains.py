@@ -11,18 +11,14 @@ from treeshift.chains import (
     Configuration,
     MarkovSpec,
     SampledTree,
-    ZKernel,
-    assemble,
     bernoulli_spec,
     cylinder_measure,
     derive_seed,
     empirical_cylinder,
     enumerate_cylinders,
     frac_from_str,
-    frac_to_str,
     kernel_for_letter,
     make_spec,
-    restriction,
     reverse_kernel,
     sample_ball,
     spec_from_json,
@@ -51,7 +47,7 @@ class TestFractions:
 
     @given(st.fractions(min_value=0, max_value=10))
     def test_round_trip(self, f):
-        assert frac_from_str(frac_to_str(f)) == f
+        assert frac_from_str(str(f)) == f
 
 
 class TestValidate:
@@ -192,32 +188,29 @@ class TestCylinderMeasure:
 
 
 class TestRestrictionAssemble:
-    def test_restriction_fields(self, m1):
-        zk = restriction(m1, 1)
-        assert zk.pi == (H, H)
-        assert zk.transitions == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
-
     def test_three_step_cylinder_matches(self, m1):
-        zk = restriction(m1, 0)
         path = [0, 1, 0]
-        chain_prob = zk.pi[path[0]] * zk.transitions[0][1] * zk.transitions[1][0]
+        k = m1.kernels[0]
+        chain_prob = m1.pi[path[0]] * k[0][1] * k[1][0]
         phi = Configuration({IDENTITY: 0, W("s1"): 1, W("s1.s1"): 0})
         assert chain_prob == cylinder_measure(m1, phi) == Fraction(1, 8)
 
-    def test_assemble_round_trip(self, m1):
-        parts = {name: restriction(m1, gi) for gi, name in enumerate(m1.generators)}
-        assert assemble(parts) == m1
 
-    def test_assemble_from_scratch(self, m1):
-        iid = ZKernel((0, 1), (H, H), ((H, H), (H, H)))
-        swap = ZKernel((0, 1), (H, H), ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
-        assert assemble({"s1": iid, "s2": swap}) == m1
-
-    def test_assemble_mismatch(self):
-        a = ZKernel((0, 1), (H, H), ((H, H), (H, H)))
-        b = ZKernel((0, 1), (Fraction(1, 3), Fraction(2, 3)), ((H, H), (H, H)))
+class TestSeedRange:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: SampledTree(spec, -1)[IDENTITY],
+            lambda spec: SampledTree(spec, 2**64)[IDENTITY],
+            lambda spec: derive_seed(1, -1),
+            lambda spec: derive_seed(-1, 0),
+            lambda spec: sample_ball(spec, 1, -5),
+        ],
+        ids=["tree-negative", "tree-2**64", "derive-index", "derive-seed", "sample-ball"],
+    )
+    def test_out_of_range_rejected(self, m1, call):
         with pytest.raises(InputError):
-            assemble({"s1": a, "s2": b})
+            call(m1)
 
 
 class TestBernoulliSpec:

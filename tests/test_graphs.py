@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bfs_components, oracle_classify, oracle_support
-from treeshift.chains import bernoulli_spec, make_spec, restriction
+from treeshift.chains import bernoulli_spec, make_spec
 from treeshift.errors import InputError
 from treeshift.graphs import (
     BranchData,
@@ -18,9 +18,8 @@ from treeshift.graphs import (
     is_special,
     special_sets,
     support_edges,
-    zkernel_ergodic_free,
 )
-from treeshift.randspec import random_properly_ergodic_spec, random_spec
+from treeshift.randspec import random_spec
 
 H = Fraction(1, 2)
 
@@ -245,16 +244,3 @@ class TestSpecialSets:
             assert out.e1 | out.e2 == out.tree
             assert len(out.tree) == len(cls) - 1
 
-
-class TestZKernelCriteria:
-    def test_m1_restrictions(self, m1):
-        assert zkernel_ergodic_free(restriction(m1, 0)) == (True, True)
-        assert zkernel_ergodic_free(restriction(m1, 1)) == (True, False)
-
-    def test_random_matches_spec_level(self):
-        for seed in range(6):
-            spec = random_properly_ergodic_spec(seed, size=seed % 3 + 2)
-            c = classify(spec)
-            for gi, rep in enumerate(c.per_generator):
-                zk = restriction(spec, gi)
-                assert zkernel_ergodic_free(zk) == (rep.ergodic, rep.free)

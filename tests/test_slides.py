@@ -1,6 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_pushforward_kernel
 from treeshift.chains import (
@@ -9,13 +12,20 @@ from treeshift.chains import (
     bernoulli_spec,
     cylinder_measure,
     derive_seed,
-    restriction,
+    make_spec,
     validate,
 )
 from treeshift.cocycles import cocycle
 from treeshift.errors import InputError, ParamsError
-from treeshift.graphs import BranchData, classify
-from treeshift.randspec import random_properly_ergodic_spec
+from treeshift.graphs import (
+    BranchData,
+    classes,
+    classify,
+    is_periodic_class,
+    special_sets,
+    support_edges,
+)
+from treeshift.randspec import random_properly_ergodic_spec, random_spec
 from treeshift.slides import (
     SlideParams,
     build_slide_params,
@@ -132,6 +142,20 @@ class TestSlideRule:
         with pytest.raises(ParamsError):
             rule.letter_image(Letter(1, 1), Configuration(window))
 
+    def test_params_not_built_from_spec_rejected(self, m3, m3_slide):
+        wrong_branch = ((1, BranchData(n=2, path=(1, 0, 1), eta=2)),)
+        for bad in (
+            dataclasses.replace(m3_slide, branch=wrong_branch),
+            dataclasses.replace(m3_slide, t=0),
+            dataclasses.replace(m3_slide, t=7),
+        ):
+            with pytest.raises(ParamsError):
+                slide_rule(m3, bad)
+            with pytest.raises(ParamsError):
+                pushforward(m3, bad)
+            with pytest.raises(ParamsError):
+                verify_slide(m3, bad, samples=1)
+
 
 class TestPushforward:
     def test_m1_exact_kernel(self, m1, m1_slide):
@@ -146,14 +170,60 @@ class TestPushforward:
             rho = pushforward(spec, params)
             assert rho.kernels[params.t] == oracle_pushforward_kernel(spec, params)
 
+    @given(
+        st.sampled_from(["mixed", "sparse", "proper"]),
+        st.integers(0, 10**6),
+        st.integers(2, 3),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_matches_oracle_on_random_specs(self, kind, seed, size):
+        if kind == "proper":
+            spec = random_properly_ergodic_spec(seed, size)
+        else:
+            spec = random_spec(seed, size, style=kind)
+        for u in range(spec.rank):
+            g = support_edges(spec, u)
+            for cls in classes(g).classes:
+                if is_periodic_class(g, cls):
+                    continue
+                sets = special_sets(spec, u, min(cls))
+                for edges in (sets.e1, sets.e2):
+                    if not edges:
+                        continue
+                    for t in range(spec.rank):
+                        if t == u:
+                            continue
+                        params = build_slide_params(spec, u, t, edges)
+                        rho = pushforward(spec, params)
+                        assert rho.kernels[t] == oracle_pushforward_kernel(spec, params)
+
+    @pytest.mark.parametrize("edges", [{(1, 0)}, {(2, 0)}, {(1, 0), (2, 0)}])
+    @pytest.mark.parametrize(
+        "p_t",
+        [
+            [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+            [[Fraction(1, 3)] * 3] * 3,
+            [[H, H, 0], [0, H, H], [H, 0, H]],
+        ],
+    )
+    def test_matches_oracle_at_branch_distance_two(self, edges, p_t):
+        # symbol 0 has a single u-successor, so the branch vertex is one
+        # step further and the rule reads u^2 t and u^3 t
+        p_u = [[0, 1, 0], [H, 0, H], [H, 0, H]]
+        spec = make_spec(["s1", "s2"], [0, 1, 2], [Fraction(1, 3)] * 3, [p_u, p_t])
+        params = build_slide_params(spec, 0, 1, edges)
+        assert params.n_max == 2
+        assert pushforward(spec, params).kernels[1] == oracle_pushforward_kernel(spec, params)
+
     def test_restrictions_preserved(self, m1, m1_slide, m3, m3_slide):
         for spec, params in [(m1, m1_slide), (m3, m3_slide)]:
             rho = pushforward(spec, params)
-            assert restriction(rho, 0) == restriction(spec, 0)
+            assert rho.pi == spec.pi
+            assert rho.kernels[0] == spec.kernels[0]
         # product kernels along t make the slide measure-trivial; the swap
         # kernel of m1 genuinely changes
         assert pushforward(m3, m3_slide) == m3
-        assert restriction(pushforward(m1, m1_slide), 1) != restriction(m1, 1)
+        assert pushforward(m1, m1_slide).kernels[1] != m1.kernels[1]
 
     def test_monte_carlo_within_four_sigma(self, m1, m1_slide):
         rho = pushforward(m1, m1_slide)

@@ -89,12 +89,6 @@ class TestGroupLaw:
         w = reduce(seq)
         assert multiply(w, inverse(w)) == IDENTITY
 
-    def test_pow(self):
-        u = single(s1)
-        assert u**3 == Word([s1, s1, s1])
-        assert u**-2 == Word([s1i, s1i])
-        assert u**0 == IDENTITY
-
 
 class TestParent:
     def test_drops_leftmost(self):
