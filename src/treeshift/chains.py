@@ -272,13 +272,18 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
 
 
 def enumerate_cylinders(
-    spec: MarkovSpec, domain: LeftConnectedSet, positive_only: bool = True
+    spec: MarkovSpec,
+    domain: LeftConnectedSet,
+    positive_only: bool = True,
+    *,
+    max_windows: int = 500_000,
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield (values, measure) for configurations on the domain, parents-first.
 
     Values follow the domain's canonical order.  With positive_only the
     depth-first sweep prunes zero-probability branches, so the yielded
-    measures sum to exactly 1.
+    measures sum to exactly 1.  Raises BudgetError instead of yielding more
+    than max_windows configurations.
     """
     words = domain.words
     parent_pos = [0] * len(words)
@@ -290,9 +295,14 @@ def enumerate_cylinders(
         kernels[i] = kernel_for_letter(spec, edge_letter(w))
     n = spec.size
     values = [0] * len(words)
+    yielded = 0
 
     def rec(i: int, weight: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+        nonlocal yielded
         if i == len(words):
+            yielded += 1
+            if yielded > max_windows:
+                raise BudgetError(f"more than {max_windows} cylinders on the domain")
             yield tuple(values), weight
             return
         row = spec.pi if i == 0 else kernels[i][values[parent_pos[i]]]
@@ -373,7 +383,8 @@ def _draw(row: Sequence[Fraction], u: Fraction) -> int:
         acc += p
         if u < acc:
             return b
-    return len(row) - 1  # u == 1 cannot happen; guard for rounding-free exactness
+    # a valid row sums to exactly 1 and u < 1, so only a broken row gets here
+    raise SpecInvalidError([f"row sums to {acc}, not 1: variate {u} not covered"])
 
 
 def _hash_key(value: int, what: str) -> int:

@@ -9,10 +9,11 @@ current symbol, and the symbol at the branch distance ahead in the u
 direction, so the rule has window radius n_max + 2 where n_max is the
 largest branch distance among slide targets.
 
-The pushforward kernel along t is the exact law of (x_e, x_{w(t,x)}), a
-function of a finite window, computed by the shared window engine of
-cocycles.window_marginal; a slide whose windows exceed that engine's budget
-raises BudgetError.  Everything else about the measure is unchanged.
+The pushforward changes only the kernel along t.  The rule decides where a
+t-step goes by reading the u-line through t (the symbols at u^k t), which
+given x_t is a stationary Markov chain independent of x_e; so the new kernel
+factors as q_t = P_t M with M(c, .) the law of the destination symbol given
+x_t = c (sum-product on the tree), at a cost polynomial in the alphabet size.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .chains import (
     cylinder_measure,
     derive_seed,
     require_valid,
+    reverse_kernel,
 )
 from .cocycles import (
     CocycleTable,
@@ -54,6 +56,7 @@ from .graphs import (
 from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, inverse, single
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -173,21 +176,46 @@ def slide_rule(spec: MarkovSpec, params: SlideParams) -> RewriteRule:
 
 def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
     """The recoded measure, as a spec: kernels off t unchanged; the t kernel
-    is the exact law of x_{w(t,x)} given x_e, from the joint law of
-    (x_e, x_{w(t,x)}) that window_marginal computes.
+    is the exact law of x_{w(t,x)} given x_e.
 
-    Raises BudgetError when the slide's windows exceed window_marginal's
-    default budget."""
-    rule = slide_rule(spec, params)
+    With h(b) = P_u^{n_b}(b, eta_b) the probability that the flag's branch
+    test passes from target b, and M(c, .) the law of the destination symbol
+    given x_t = c:
+      down: for (a, c) in E, M(c, a) += R_u(c, a) h(c)  (the step moves to u^-1 t)
+      up:   for (c, d) in E, M(c, d) += P_u(c, d) h(d)  (the step moves to u t)
+      stay: M(c, c) += 1 - (mass moved from c)
+    and q_t = P_t M.  The cost is polynomial in the alphabet size; no window
+    is enumerated and the rewrite rule is never evaluated."""
+    slide_rule(spec, params)
     if not params.edges:
         return spec
-    t = Letter(params.t, 1)
-    law = window_marginal(spec, lambda win: (win[IDENTITY], win[rule.letter_image(t, win)]))
     n = spec.size
+    p_u = spec.kernels[params.u]
+    r_u = reverse_kernel(spec, params.u)
+    h = {b: _power_entry(p_u, b, data.n, data.eta) for b, data in params.branch}
+    # special sets have disjoint sources and targets: the rule's conflict branch is unreachable
+    m = [[ZERO] * n for _ in range(n)]
+    for a, b in params.edges:
+        m[b][a] += r_u[b][a] * h[b]
+        m[a][b] += p_u[a][b] * h[b]
+    for c in range(n):
+        m[c][c] += 1 - sum(m[c])
     q: Matrix = tuple(
-        tuple(law.get((a, b), ZERO) / spec.pi[a] for b in range(n)) for a in range(n)
+        tuple(
+            sum((p * m[c][b] for c, p in enumerate(row) if p and m[c][b]), ZERO)
+            for b in range(n)
+        )
+        for row in spec.kernels[params.t]
     )
     return require_valid(spec.with_kernel(params.t, q))
+
+
+def _power_entry(k: Matrix, a: int, steps: int, b: int) -> Fraction:
+    """k^steps(a, b), by row-vector steps from the unit row of a."""
+    row = [ONE if c == a else ZERO for c in range(len(k))]
+    for _ in range(steps):
+        row = [sum((x * k[c][d] for c, x in enumerate(row) if x), ZERO) for d in range(len(k))]
+    return row[b]
 
 
 # ---------------------------------------------------------------------------

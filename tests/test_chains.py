@@ -11,6 +11,7 @@ from treeshift.chains import (
     Configuration,
     MarkovSpec,
     SampledTree,
+    _draw,
     bernoulli_spec,
     cylinder_measure,
     derive_seed,
@@ -26,7 +27,13 @@ from treeshift.chains import (
     translate_configuration,
     validate,
 )
-from treeshift.errors import DomainError, InputError, MissingCoordinate
+from treeshift.errors import (
+    BudgetError,
+    DomainError,
+    InputError,
+    MissingCoordinate,
+    SpecInvalidError,
+)
 from treeshift.randspec import random_spec
 from treeshift.words import IDENTITY, Letter, Word, ball, word_from_str
 
@@ -186,6 +193,15 @@ class TestCylinderMeasure:
         total = sum(w for _, w in enumerate_cylinders(spec, ball(2, 1)))
         assert total == 1
 
+    def test_enumeration_budget(self, m1):
+        # ball(2, 1) has 5 words, so m1 has 2^5 configurations on it
+        assert len(list(enumerate_cylinders(m1, ball(2, 1), False, max_windows=32))) == 32
+        with pytest.raises(BudgetError):
+            list(enumerate_cylinders(m1, ball(2, 1), False, max_windows=31))
+        # up to 3^17 positive cylinders: stops at the budget instead
+        with pytest.raises(BudgetError):
+            list(enumerate_cylinders(random_spec(3, 3, 2), ball(2, 2), max_windows=1000))
+
 
 class TestRestrictionAssemble:
     def test_three_step_cylinder_matches(self, m1):
@@ -247,6 +263,10 @@ class TestSampling:
         for w in ball(2, 2):
             fresh[w]
         assert fresh[deep] == v
+
+    def test_draw_rejects_row_not_summing_to_one(self):
+        with pytest.raises(SpecInvalidError, match="3/4"):
+            _draw((Fraction(1, 4), Fraction(1, 2)), Fraction(7, 8))
 
     def test_empirical_trivial(self, m1):
         samples = [sample_ball(m1, 1, derive_seed(5, i)) for i in range(20)]

@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_pushforward_kernel
@@ -15,7 +15,7 @@ from treeshift.chains import (
     make_spec,
     validate,
 )
-from treeshift.cocycles import cocycle
+from treeshift.cocycles import cocycle, window_marginal
 from treeshift.errors import InputError, ParamsError
 from treeshift.graphs import (
     BranchData,
@@ -215,6 +215,29 @@ class TestPushforward:
         assert params.n_max == 2
         assert pushforward(spec, params).kernels[1] == oracle_pushforward_kernel(spec, params)
 
+    @pytest.mark.parametrize("edges", [{(2, 0)}, {(3, 0)}, {(2, 0), (3, 0)}])
+    @pytest.mark.parametrize(
+        "p_t", [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], [[Q14] * 4] * 4]
+    )
+    def test_matches_window_engine_at_branch_distance_three(self, edges, p_t):
+        # symbols 0 and 1 each have a single u-successor, so the branch test
+        # from 0 reads u^3 t, beyond the oracle's window budget
+        p_u = [[0, 1, 0, 0], [0, 0, 1, 0], [H, 0, 0, H], [H, 0, 0, H]]
+        spec = make_spec(["s1", "s2"], [0, 1, 2, 3], [Q14] * 4, [p_u, p_t])
+        params = build_slide_params(spec, 0, 1, edges)
+        assert params.n_max == 3
+        assert pushforward(spec, params).kernels[1] == window_engine_kernel(spec, params)
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_matches_window_engine_on_rank_three_slides(self, i):
+        spec = random_properly_ergodic_spec(1000 + i, 6, 3)
+        _, slides = generator_ergodic_pipeline(spec)
+        assert slides
+        for params in slides:
+            rho = pushforward(spec, params)
+            assert rho.kernels[params.t] == window_engine_kernel(spec, params)
+            spec = rho
+
     def test_restrictions_preserved(self, m1, m1_slide, m3, m3_slide):
         for spec, params in [(m1, m1_slide), (m3, m3_slide)]:
             rho = pushforward(spec, params)
@@ -243,6 +266,19 @@ class TestPushforward:
                 q = rho.kernels[1][a][b]
                 est = Fraction(counts.get((a, b), 0), totals[a])
                 assert (est - q) ** 2 * totals[a] <= 16 * q * (1 - q)
+
+
+def window_engine_kernel(spec, params):
+    """The t kernel as the law of (x_e, x_{w(t,x)}) over every positive
+    window of the rule, divided by pi: the rewrite rule evaluated window by
+    window, independent of the factorised pushforward."""
+    rule = slide_rule(spec, params)
+    t = Letter(params.t, 1)
+    law = window_marginal(spec, lambda w: (w[IDENTITY], w[rule.letter_image(t, w)]))
+    n = spec.size
+    return tuple(
+        tuple(law.get((a, b), Fraction(0)) / spec.pi[a] for b in range(n)) for a in range(n)
+    )
 
 
 class TestVerifySlide:
@@ -331,6 +367,20 @@ class TestPipeline:
         out, slides = generator_ergodic_pipeline(spec)
         c = classify(out)
         assert c.generator_ergodic
+        assert out.pi == spec.pi
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_specs_reach_generator_ergodic(self, seed, size, rank, style):
+        spec = random_spec(seed, size, rank, style=style)
+        assume(classify(spec).properly_ergodic)
+        out, _ = generator_ergodic_pipeline(spec)
+        assert classify(out).generator_ergodic
         assert out.pi == spec.pi
 
 
