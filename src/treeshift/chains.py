@@ -41,6 +41,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_MAX_CYLINDERS = 500_000  # enumerate_cylinders budget, as the window engine's
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +276,13 @@ def enumerate_cylinders(
     spec: MarkovSpec,
     domain: LeftConnectedSet,
     positive_only: bool = True,
-    *,
-    max_windows: int = 500_000,
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield (values, measure) for configurations on the domain, parents-first.
 
     Values follow the domain's canonical order.  With positive_only the
     depth-first sweep prunes zero-probability branches, so the yielded
     measures sum to exactly 1.  Raises BudgetError instead of yielding more
-    than max_windows configurations.
+    than _MAX_CYLINDERS configurations.
     """
     words = domain.words
     parent_pos = [0] * len(words)
@@ -301,8 +300,8 @@ def enumerate_cylinders(
         nonlocal yielded
         if i == len(words):
             yielded += 1
-            if yielded > max_windows:
-                raise BudgetError(f"more than {max_windows} cylinders on the domain")
+            if yielded > _MAX_CYLINDERS:
+                raise BudgetError(f"more than {_MAX_CYLINDERS} cylinders on the domain")
             yield tuple(values), weight
             return
         row = spec.pi if i == 0 else kernels[i][values[parent_pos[i]]]

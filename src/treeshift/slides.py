@@ -56,7 +56,6 @@ from .graphs import (
 from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, inverse, single
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,8 @@ def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
     is the exact law of x_{w(t,x)} given x_e.
 
     With h(b) = P_u^{n_b}(b, eta_b) the probability that the flag's branch
-    test passes from target b, and M(c, .) the law of the destination symbol
+    test passes from target b (one kernel entry, since the u-walk from b to
+    the branch vertex is deterministic), and M(c, .) the law of the destination symbol
     given x_t = c:
       down: for (a, c) in E, M(c, a) += R_u(c, a) h(c)  (the step moves to u^-1 t)
       up:   for (c, d) in E, M(c, d) += P_u(c, d) h(d)  (the step moves to u t)
@@ -192,7 +192,8 @@ def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
     n = spec.size
     p_u = spec.kernels[params.u]
     r_u = reverse_kernel(spec, params.u)
-    h = {b: _power_entry(p_u, b, data.n, data.eta) for b, data in params.branch}
+    # branch data is minimal: the u-walk from b reaches path[-2] with probability 1
+    h = {b: p_u[data.path[-2]][data.eta] for b, data in params.branch}
     # special sets have disjoint sources and targets: the rule's conflict branch is unreachable
     m = [[ZERO] * n for _ in range(n)]
     for a, b in params.edges:
@@ -208,14 +209,6 @@ def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
         for row in spec.kernels[params.t]
     )
     return require_valid(spec.with_kernel(params.t, q))
-
-
-def _power_entry(k: Matrix, a: int, steps: int, b: int) -> Fraction:
-    """k^steps(a, b), by row-vector steps from the unit row of a."""
-    row = [ONE if c == a else ZERO for c in range(len(k))]
-    for _ in range(steps):
-        row = [sum((x * k[c][d] for c, x in enumerate(row) if x), ZERO) for d in range(len(k))]
-    return row[b]
 
 
 # ---------------------------------------------------------------------------

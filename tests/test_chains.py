@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_marginal, left_connected_subsets, marginal_table
+from treeshift import chains
 from treeshift.chains import (
     Configuration,
     MarkovSpec,
@@ -193,14 +194,17 @@ class TestCylinderMeasure:
         total = sum(w for _, w in enumerate_cylinders(spec, ball(2, 1)))
         assert total == 1
 
-    def test_enumeration_budget(self, m1):
+    def test_enumeration_budget(self, m1, monkeypatch):
         # ball(2, 1) has 5 words, so m1 has 2^5 configurations on it
-        assert len(list(enumerate_cylinders(m1, ball(2, 1), False, max_windows=32))) == 32
+        monkeypatch.setattr(chains, "_MAX_CYLINDERS", 32)
+        assert len(list(enumerate_cylinders(m1, ball(2, 1), False))) == 32
+        monkeypatch.setattr(chains, "_MAX_CYLINDERS", 31)
         with pytest.raises(BudgetError):
-            list(enumerate_cylinders(m1, ball(2, 1), False, max_windows=31))
+            list(enumerate_cylinders(m1, ball(2, 1), False))
         # up to 3^17 positive cylinders: stops at the budget instead
+        monkeypatch.setattr(chains, "_MAX_CYLINDERS", 1000)
         with pytest.raises(BudgetError):
-            list(enumerate_cylinders(random_spec(3, 3, 2), ball(2, 2), max_windows=1000))
+            list(enumerate_cylinders(random_spec(3, 3, 2), ball(2, 2)))
 
 
 class TestRestrictionAssemble:
