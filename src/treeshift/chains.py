@@ -7,32 +7,30 @@ A^F whose cylinder probabilities this module evaluates exactly.
 
 Symbols are addressed by their index in the alphabet everywhere below;
 configurations map group elements (Word) to symbol indices.
+
+Each spec keeps lookup tables on its own instance, each entry built on first
+use: the kernel and the support edges along every letter s_i^{+-1}, and the
+integer draw thresholds of every kernel row and of pi.  Cylinder measures,
+window scans and samplers read them, so no hot path hashes the spec.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, Mapping, Sequence
 
-from .errors import (
-    BudgetError,
-    DomainError,
-    InputError,
-    MissingCoordinate,
-    SpecInvalidError,
-)
+from .errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
 from .words import (
-    IDENTITY,
     LeftConnectedSet,
     Letter,
     Word,
     ball,
     edge_letter,
-    multiply,
     parent,
     word_to_str,
 )
@@ -102,6 +100,50 @@ class MarkovSpec:
         ks = list(self.kernels)
         ks[gen] = kernel
         return MarkovSpec(self.generators, self.alphabet, self.pi, tuple(ks))
+
+    def __reduce__(self):  # copies and pickles carry the fields, not the tables
+        return MarkovSpec, (self.generators, self.alphabet, self.pi, self.kernels)
+
+    @cached_property
+    def letter_kernels(self) -> Mapping[Letter, Matrix]:
+        """Kernel along each letter: P_i for s_i, reverse_kernel(spec, i) for s_i^-1."""
+        return _LetterTable(
+            self.rank, lambda l: self.kernels[l.gen] if l.sign > 0 else reverse_kernel(self, l.gen)
+        )
+
+    @cached_property
+    def letter_thresholds(self) -> Mapping[Letter, tuple[tuple[int, ...], ...]]:
+        return _LetterTable(self.rank, lambda l: tuple(map(_thresholds, self.letter_kernels[l])))
+
+    @cached_property
+    def pi_thresholds(self) -> tuple[int, ...]:
+        return _thresholds(self.pi)
+
+    @cached_property
+    def letter_support(self) -> Mapping[Letter, frozenset[tuple[int, int]]]:
+        """Edges (a, b) with positive two-point mass pi(a) K(a, b) along each letter."""
+
+        def edges(l: Letter) -> frozenset[tuple[int, int]]:
+            k = self.letter_kernels[l]
+            return frozenset(
+                (a, b) for a, row in enumerate(k) for b, p in enumerate(row) if self.pi[a] * p > 0
+            )
+
+        return _LetterTable(self.rank, edges)
+
+
+class _LetterTable(dict):
+    """letter -> make(letter), built on first lookup; a letter outside the
+    rank raises InputError."""
+
+    def __init__(self, rank: int, make):
+        self.rank, self.make = rank, make
+
+    def __missing__(self, l: Letter):
+        if not 0 <= l.gen < self.rank:
+            raise InputError(f"letter {l.name} outside rank {self.rank}")
+        self[l] = value = self.make(l)
+        return value
 
 
 def make_spec(generators, alphabet, pi, kernels) -> MarkovSpec:
@@ -185,11 +227,7 @@ def reverse_kernel(spec: MarkovSpec, gen: int) -> Matrix:
 
 def kernel_for_letter(spec: MarkovSpec, letter: Letter) -> Matrix:
     """Transition kernel along a tree edge labelled by the given letter."""
-    if not 0 <= letter.gen < spec.rank:
-        raise InputError(f"letter {letter.name} outside rank {spec.rank}")
-    if letter.sign > 0:
-        return spec.kernels[letter.gen]
-    return reverse_kernel(spec, letter.gen)
+    return spec.letter_kernels[letter]
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +281,6 @@ class Configuration:
         return f"Configuration({{{body}}})"
 
 
-def translate_configuration(phi: Configuration, h: Word) -> Configuration:
-    """The configuration psi on (domain)h^-1 with psi(d h^-1) = phi(d).
-
-    For h in the domain the new domain again contains the identity and stays
-    left-connected, so shift invariance of cylinder measures can be tested.
-    """
-    hinv = ~h
-    return Configuration({multiply(d, hinv): v for d, v in phi.items()})
-
-
 def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
     """Exact measure of the cylinder {x : x_g = phi(g) on the domain}.
 
@@ -260,13 +288,13 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
     contributes one kernel factor along its tree edge, using the reversed
     kernel when the edge letter is an inverse generator.
     """
+    kernels = spec.letter_kernels
     total = ONE
     for w in phi.domain:
         if w.is_identity:
             total *= spec.pi[phi[w]]
         else:
-            k = kernel_for_letter(spec, edge_letter(w))
-            total *= k[phi[parent(w)]][phi[w]]
+            total *= kernels[edge_letter(w)][phi[parent(w)]][phi[w]]
         if total == 0:
             return ZERO
     return total
@@ -291,7 +319,7 @@ def enumerate_cylinders(
         if i == 0:
             continue
         parent_pos[i] = words.index(parent(w))
-        kernels[i] = kernel_for_letter(spec, edge_letter(w))
+        kernels[i] = spec.letter_kernels[edge_letter(w)]
     n = spec.size
     values = [0] * len(words)
     yielded = 0
@@ -340,23 +368,27 @@ _UNIT_DEN = 1 << 64
 class SampledTree:
     """A lazy configuration drawn from the spec, defined on the whole group.
 
-    The value at g is a function of (seed, g) alone: the uniform variate used
-    at g is derived by hashing the serialized word with a keyed blake2b, and
-    the symbol is drawn from the kernel row of g's parent value.  Lookups
-    therefore do not depend on evaluation order and never miss.
+    The value at g is a function of (seed, g) alone: a variate k in [0, 2^64)
+    is derived by hashing the serialized word with a keyed blake2b, and the
+    symbol is the first b with k / 2^64 < S_b, S_b the running sums of the
+    kernel row of g's parent value (of pi at the identity).  Lookups
+    therefore do not depend on evaluation order and never miss.  The draw
+    bisects the spec's integer thresholds ceil(S_b 2^64) instead of comparing
+    Fractions; for integer k, k < ceil(S_b 2^64) iff k / 2^64 < S_b, so it
+    picks the same symbol.
     """
 
-    __slots__ = ("spec", "seed", "_memo")
+    __slots__ = ("spec", "seed", "_key", "_memo")
 
     def __init__(self, spec: MarkovSpec, seed: int):
         self.spec = spec
         self.seed = _hash_key(seed, "seed")
+        self._key = self.seed.to_bytes(8, "big", signed=False)
         self._memo: dict[Word, int] = {}
 
-    def _unit(self, w: Word) -> Fraction:
-        key = self.seed.to_bytes(8, "big", signed=False)
-        digest = hashlib.blake2b(word_to_str(w).encode(), key=key, digest_size=8).digest()
-        return Fraction(int.from_bytes(digest, "big"), _UNIT_DEN)
+    def _variate(self, w: Word) -> int:
+        digest = hashlib.blake2b(word_to_str(w).encode(), key=self._key, digest_size=8).digest()
+        return int.from_bytes(digest, "big")
 
     def __getitem__(self, w: Word) -> int:
         memo = self._memo
@@ -368,22 +400,37 @@ class SampledTree:
         while v not in memo and not v.is_identity:
             chain.append(v)
             v = parent(v)
-        if v.is_identity and v not in memo:
-            memo[v] = _draw(self.spec.pi, self._unit(v))
+        spec = self.spec
+        if v not in memo:
+            memo[v] = _draw(spec.pi, spec.pi_thresholds, self._variate(v))
+        value = memo[v]
+        kernels, thresholds = spec.letter_kernels, spec.letter_thresholds
         for g in reversed(chain):
-            row = kernel_for_letter(self.spec, edge_letter(g))[memo[parent(g)]]
-            memo[g] = _draw(row, self._unit(g))
-        return memo[w]
+            l = edge_letter(g)
+            value = memo[g] = _draw(kernels[l][value], thresholds[l][value], self._variate(g))
+        return value
 
 
-def _draw(row: Sequence[Fraction], u: Fraction) -> int:
-    acc = ZERO
-    for b, p in enumerate(row):
+def _thresholds(row: Sequence[Fraction]) -> tuple[int, ...]:
+    """ceil(S_b 2^64) for the running sums S_b of row, kept nondecreasing (a
+    running max) so that bisection finds the first b with k below it."""
+    out, acc, top = [], ZERO, 0
+    for p in row:
         acc += p
-        if u < acc:
-            return b
-    # a valid row sums to exactly 1 and u < 1, so only a broken row gets here
-    raise SpecInvalidError([f"row sums to {acc}, not 1: variate {u} not covered"])
+        top = max(top, -(-acc.numerator * _UNIT_DEN // acc.denominator))
+        out.append(top)
+    return tuple(out)
+
+
+def _draw(row: Sequence[Fraction], thresholds: Sequence[int], k: int) -> int:
+    """The first b with k < thresholds[b]: the symbol the variate k / 2^64 picks from row."""
+    b = bisect_right(thresholds, k)
+    if b == len(thresholds):
+        # a valid row's last threshold is 2^64 > k, so only a broken row gets here
+        raise SpecInvalidError(
+            [f"row sums to {sum(row)}, not 1: variate {Fraction(k, _UNIT_DEN)} not covered"]
+        )
+    return b
 
 
 def _hash_key(value: int, what: str) -> int:
@@ -410,20 +457,6 @@ def sample_ball(
     dom = ball(spec.rank, radius, budget=budget)
     tree = SampledTree(spec, seed)
     return Configuration({w: tree[w] for w in dom})
-
-
-def empirical_cylinder(samples: Sequence, phi: Configuration) -> float:
-    """Fraction of samples agreeing with phi on its whole domain."""
-    if not samples:
-        raise InputError("no samples given")
-    hits = 0
-    for x in samples:
-        try:
-            ok = all(x[w] == v for w, v in phi.items())
-        except MissingCoordinate as exc:
-            raise InputError(f"sample not defined on {exc.word}") from None
-        hits += ok
-    return hits / len(samples)
 
 
 # ---------------------------------------------------------------------------

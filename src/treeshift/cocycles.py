@@ -19,15 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
-from .chains import (
-    Configuration,
-    MarkovSpec,
-    SampledTree,
-    derive_seed,
-    kernel_for_letter,
-)
+from .chains import MarkovSpec, SampledTree, derive_seed
 from .errors import BudgetError, InputError, MissingCoordinate
 from .words import (
     IDENTITY,
@@ -133,14 +127,6 @@ def cocycle(rule: RewriteRule, g: Word, x) -> Word:
     return CocycleTable(rule, x).omega(g)
 
 
-def act(rule: RewriteRule, g: Word, x: Configuration) -> Configuration:
-    """The rewritten action g * x = w(g, x) . x, materialized on the translate
-    of x's domain (which must still contain the identity)."""
-    w = cocycle(rule, g, x)
-    winv = inverse(w)
-    return Configuration({multiply(d, winv): v for d, v in x.items()})
-
-
 class RecodedView:
     """The recoding (Omega x)_h = x_{w(h, x)}, as a lazy configuration."""
 
@@ -155,13 +141,6 @@ class RecodedView:
         if h not in memo:
             memo[h] = self.table.base[self.table.omega(h)]
         return memo[h]
-
-
-def recode(rule: RewriteRule, x, target_radius: int) -> Configuration:
-    """Materialize the recoding on ball(target_radius); raises
-    MissingCoordinate when x does not carry the needed coordinates."""
-    view = RecodedView(rule, x)
-    return Configuration({h: view[h] for h in ball(rule.rank, target_radius)})
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +190,7 @@ def scan_positive_windows(
     """
     state = {"count": 0, "total": Fraction(0), "ok": True}
     failures: list = []
+    kernels = spec.letter_kernels
 
     def run(assign: dict, weight: Fraction):
         try:
@@ -234,10 +214,7 @@ def scan_positive_windows(
                     run(assign, w)
                     return
                 h = path[i]
-                if h.is_identity:
-                    row = spec.pi
-                else:
-                    row = kernel_for_letter(spec, edge_letter(h))[assign[parent(h)]]
+                row = spec.pi if h.is_identity else kernels[edge_letter(h)][assign[parent(h)]]
                 for b, p in enumerate(row):
                     if p == 0:
                         continue

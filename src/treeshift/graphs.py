@@ -12,10 +12,11 @@ construction: branch points, spanning trees and their bipartitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import InputError
-from .chains import MarkovSpec, reverse_kernel
+from .chains import MarkovSpec
+from .words import Letter
 
 
 @dataclass(frozen=True)
@@ -23,17 +24,27 @@ class TransitionGraph:
     size: int
     edges: frozenset[tuple[int, int]]
 
+    @cached_property
+    def _adjacency(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+        """Sorted out- and in-neighbours of every vertex, built on the first query."""
+        outs: dict[int, list[int]] = {}
+        ins: dict[int, list[int]] = {}
+        for a, b in sorted(self.edges):
+            outs.setdefault(a, []).append(b)
+            ins.setdefault(b, []).append(a)
+        return tuple({v: tuple(ws) for v, ws in adj.items()} for adj in (outs, ins))
+
     def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(b for (a, b) in self.edges if a == v))
+        return self._adjacency[0].get(v, ())
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(a for (a, b) in self.edges if b == v))
+        return self._adjacency[1].get(v, ())
 
     def out_degree(self, v: int) -> int:
-        return sum(1 for (a, _) in self.edges if a == v)
+        return len(self.out_neighbors(v))
 
     def in_degree(self, v: int) -> int:
-        return sum(1 for (_, b) in self.edges if b == v)
+        return len(self.in_neighbors(v))
 
 
 @dataclass(frozen=True)
@@ -46,13 +57,9 @@ class ClassPartition:
 
 def support_edges(spec: MarkovSpec, gen: int, sign: int = 1) -> TransitionGraph:
     """Edges (a, b) with positive two-point mass pi(a) K(a, b) along the
-    given direction; sign -1 uses the reversed kernel."""
-    k = spec.kernels[gen] if sign > 0 else reverse_kernel(spec, gen)
-    n = spec.size
-    edges = frozenset(
-        (a, b) for a in range(n) for b in range(n) if spec.pi[a] * k[a][b] > 0
-    )
-    return TransitionGraph(n, edges)
+    given direction; sign -1 uses the reversed kernel.  The edge set is the
+    spec's table entry, computed once per spec and direction."""
+    return TransitionGraph(spec.size, spec.letter_support[Letter(gen, sign)])
 
 
 def classes(g: TransitionGraph) -> ClassPartition:

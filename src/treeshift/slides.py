@@ -30,8 +30,8 @@ from .chains import (
     SampledTree,
     cylinder_measure,
     derive_seed,
+    kernel_for_letter,
     require_valid,
-    reverse_kernel,
 )
 from .cocycles import (
     CocycleTable,
@@ -56,6 +56,7 @@ from .graphs import (
 from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, inverse, single
 
 ZERO = Fraction(0)
+_MAX_WINDOWS = 500_000  # window budget of each Markov-check scan in verify_slide
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
         return spec
     n = spec.size
     p_u = spec.kernels[params.u]
-    r_u = reverse_kernel(spec, params.u)
+    r_u = kernel_for_letter(spec, Letter(params.u, -1))
     # branch data is minimal: the u-walk from b reaches path[-2] with probability 1
     h = {b: p_u[data.path[-2]][data.eta] for b, data in params.branch}
     # special sets have disjoint sources and targets: the rule's conflict branch is unreachable
@@ -267,7 +268,6 @@ def verify_slide(
     candidate: MarkovSpec | None = None,
     seed: int = 2024,
     samples: int = 25,
-    max_windows: int = 500_000,
 ) -> SlideReport:
     """Check the slide's claims against the given spec.
 
@@ -301,7 +301,7 @@ def verify_slide(
             view = RecodedView(rule, win)
             return tuple(view[g] for g in words)
 
-        marginal = window_marginal(spec, fn, max_windows=max_windows)
+        marginal = window_marginal(spec, fn, max_windows=_MAX_WINDOWS)
         for values in itertools.product(range(spec.size), repeat=len(words)):
             expected = cylinder_measure(candidate, Configuration(dict(zip(words, values))))
             if marginal.get(values, ZERO) != expected:

@@ -93,6 +93,14 @@ class Word:
         return word_to_str(self)
 
 
+def _word(letters: tuple[Letter, ...]) -> Word:
+    """Word(letters) without the reducedness check, for tuples reduced by construction."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "_hash", hash(letters))
+    return w
+
+
 IDENTITY = Word()
 
 
@@ -119,18 +127,18 @@ def multiply(w1: Word, w2: Word) -> Word:
     while i > 0 and j < len(b) and a[i - 1].gen == b[j].gen and a[i - 1].sign == -b[j].sign:
         i -= 1
         j += 1
-    return Word(a[:i] + b[j:])
+    return _word(a[:i] + b[j:])
 
 
 def inverse(w: Word) -> Word:
-    return Word(tuple(l.inverse() for l in reversed(w.letters)))
+    return _word(tuple(l.inverse() for l in reversed(w.letters)))
 
 
 def parent(g: Word) -> Word:
     """The neighbor of g on the geodesic to the identity (leftmost letter dropped)."""
     if g.is_identity:
         raise InputError("identity has no parent")
-    return Word(g.letters[1:])
+    return _word(g.letters[1:])
 
 
 def edge_letter(g: Word) -> Letter:
@@ -162,7 +170,7 @@ def ball(rank: int, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> "LeftConn
             for l in alphabet:
                 if l == blocked:
                     continue
-                nxt.append(Word((l,) + h.letters))
+                nxt.append(_word((l,) + h.letters))
         out.extend(nxt)
         frontier = nxt
     return LeftConnectedSet(out)
@@ -173,33 +181,6 @@ def ball_size(rank: int, radius: int) -> int:
         return 1
     q = 2 * rank - 1
     return 1 + 2 * rank * (q**radius - 1) // (q - 1) if q > 1 else 1 + 2 * radius
-
-
-def is_left_connected(words: Iterable[Word]) -> bool:
-    """True iff the set induces a connected subgraph of the left-Cayley tree.
-
-    In a tree two words are adjacent exactly when one is the parent of the
-    other, so connectivity reduces to union-find over parent links.
-    """
-    elems = set(words)
-    if len(elems) <= 1:
-        return True
-    idx = {w: i for i, w in enumerate(elems)}
-    uf = list(range(len(elems)))
-
-    def find(i):
-        while uf[i] != i:
-            uf[i] = uf[uf[i]]
-            i = uf[i]
-        return i
-
-    for w in elems:
-        if not w.is_identity:
-            p = parent(w)
-            if p in idx:
-                uf[find(idx[w])] = find(idx[p])
-    root = find(0)
-    return all(find(i) == root for i in range(len(elems)))
 
 
 class LeftConnectedSet:

@@ -7,8 +7,10 @@ explicit products, BFS) without going through the code paths under test.
 import itertools
 from fractions import Fraction
 
-from treeshift.chains import MarkovSpec
-from treeshift.words import Word, edge_letter, parent
+from treeshift.chains import Configuration, MarkovSpec
+from treeshift.cocycles import RecodedView, RewriteRule, cocycle
+from treeshift.errors import InputError, MissingCoordinate, SpecInvalidError
+from treeshift.words import Word, ball, edge_letter, inverse, multiply, parent
 
 
 def full_config_prob(spec: MarkovSpec, words, values) -> Fraction:
@@ -101,6 +103,91 @@ def left_connected_subsets(domain, max_size=None):
     return results
 
 
+def is_left_connected(words) -> bool:
+    """True iff the set induces a connected subgraph of the left-Cayley tree.
+
+    In a tree two words are adjacent exactly when one is the parent of the
+    other, so connectivity reduces to union-find over parent links.
+    """
+    elems = set(words)
+    if len(elems) <= 1:
+        return True
+    idx = {w: i for i, w in enumerate(elems)}
+    uf = list(range(len(elems)))
+
+    def find(i):
+        while uf[i] != i:
+            uf[i] = uf[uf[i]]
+            i = uf[i]
+        return i
+
+    for w in elems:
+        if not w.is_identity:
+            p = parent(w)
+            if p in idx:
+                uf[find(idx[w])] = find(idx[p])
+    root = find(0)
+    return all(find(i) == root for i in range(len(elems)))
+
+
+def oracle_draw(row, u: Fraction) -> int:
+    """The first symbol b whose running sum of row exceeds the variate u.
+
+    The sampler's original rule, in exact Fraction arithmetic; a variate the
+    row does not cover (a row summing to less than 1) raises SpecInvalidError.
+    """
+    acc = Fraction(0)
+    for b, p in enumerate(row):
+        acc += p
+        if u < acc:
+            return b
+    raise SpecInvalidError([f"row sums to {acc}, not 1: variate {u} not covered"])
+
+
+# ---------------------------------------------------------------------------
+# materialized configurations: translates, rewritten actions, recodings
+# ---------------------------------------------------------------------------
+
+
+def translate_configuration(phi: Configuration, h: Word) -> Configuration:
+    """The configuration psi on (domain)h^-1 with psi(d h^-1) = phi(d).
+
+    For h in the domain the new domain again contains the identity and stays
+    left-connected, so shift invariance of cylinder measures can be tested.
+    """
+    hinv = ~h
+    return Configuration({multiply(d, hinv): v for d, v in phi.items()})
+
+
+def empirical_cylinder(samples, phi: Configuration) -> float:
+    """Fraction of samples agreeing with phi on its whole domain."""
+    if not samples:
+        raise InputError("no samples given")
+    hits = 0
+    for x in samples:
+        try:
+            ok = all(x[w] == v for w, v in phi.items())
+        except MissingCoordinate as exc:
+            raise InputError(f"sample not defined on {exc.word}") from None
+        hits += ok
+    return hits / len(samples)
+
+
+def act(rule: RewriteRule, g: Word, x: Configuration) -> Configuration:
+    """The rewritten action g * x = w(g, x) . x, materialized on the translate
+    of x's domain (which must still contain the identity)."""
+    w = cocycle(rule, g, x)
+    winv = inverse(w)
+    return Configuration({multiply(d, winv): v for d, v in x.items()})
+
+
+def recode(rule: RewriteRule, x, target_radius: int) -> Configuration:
+    """Materialize the recoding on ball(target_radius); raises
+    MissingCoordinate when x does not carry the needed coordinates."""
+    view = RecodedView(rule, x)
+    return Configuration({h: view[h] for h in ball(rule.rank, target_radius)})
+
+
 # ---------------------------------------------------------------------------
 # classification oracle: BFS components plus explicit degree counting
 # ---------------------------------------------------------------------------
@@ -185,7 +272,6 @@ def oracle_pushforward_kernel(spec, params):
     the recoded symbol is read through the generic cocycle engine, not the
     production decision-window shortcut.
     """
-    from treeshift.cocycles import cocycle
     from treeshift.slides import rule_from_params
     from treeshift.words import IDENTITY, Letter, Word, single
 

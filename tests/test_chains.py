@@ -1,22 +1,31 @@
+import hashlib
 import itertools
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_marginal, left_connected_subsets, marginal_table
+from oracles import (
+    brute_marginal,
+    empirical_cylinder,
+    left_connected_subsets,
+    marginal_table,
+    oracle_draw,
+    translate_configuration,
+)
 from treeshift import chains
 from treeshift.chains import (
     Configuration,
     MarkovSpec,
     SampledTree,
     _draw,
+    _thresholds,
     bernoulli_spec,
     cylinder_measure,
     derive_seed,
-    empirical_cylinder,
     enumerate_cylinders,
     frac_from_str,
     kernel_for_letter,
@@ -25,7 +34,6 @@ from treeshift.chains import (
     sample_ball,
     spec_from_json,
     spec_to_json,
-    translate_configuration,
     validate,
 )
 from treeshift.errors import (
@@ -35,8 +43,9 @@ from treeshift.errors import (
     MissingCoordinate,
     SpecInvalidError,
 )
+from treeshift.cocycles import window_marginal
 from treeshift.randspec import random_spec
-from treeshift.words import IDENTITY, Letter, Word, ball, word_from_str
+from treeshift.words import IDENTITY, Letter, ball, edge_letter, parent, word_from_str
 
 H = Fraction(1, 2)
 W = word_from_str
@@ -269,8 +278,54 @@ class TestSampling:
         assert fresh[deep] == v
 
     def test_draw_rejects_row_not_summing_to_one(self):
+        row = (Fraction(1, 4), Fraction(1, 2))
         with pytest.raises(SpecInvalidError, match="3/4"):
-            _draw((Fraction(1, 4), Fraction(1, 2)), Fraction(7, 8))
+            _draw(row, _thresholds(row), 7 << 61)  # the variate 7/8
+
+    @given(
+        st.lists(
+            st.one_of(st.just(Fraction(0)), st.fractions(0, 1, max_denominator=10**6)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.booleans(),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=300)
+    def test_threshold_draw_matches_fraction_draw(self, raw, normalise, k):
+        total = sum(raw)
+        row = tuple(p / total for p in raw) if normalise and total else tuple(raw)
+        thresholds = _thresholds(row)
+        boundaries = {t + d for t in thresholds for d in (-1, 0)}
+        for v in sorted({k} | {v for v in boundaries if 0 <= v < 2**64}):
+            try:
+                expected = oracle_draw(row, Fraction(v, 2**64))
+            except SpecInvalidError as exc:
+                with pytest.raises(SpecInvalidError) as got:
+                    _draw(row, thresholds, v)
+                assert got.value.args == exc.args
+            else:
+                assert _draw(row, thresholds, v) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_samples_match_fraction_draw(self, seed):
+        """Every sampled value is the Fraction draw from the parent's row,
+        with the row (reversed inline for inverse letters) and the variate
+        recomputed from first principles."""
+        spec = random_spec(seed, 3, 3, style="sparse" if seed % 2 else "mixed")
+        tree = SampledTree(spec, seed)
+        key = seed.to_bytes(8, "big")
+        pi = spec.pi
+        for w in ball(3, 3):
+            digest = hashlib.blake2b(str(w).encode(), key=key, digest_size=8).digest()
+            u = Fraction(int.from_bytes(digest, "big"), 2**64)
+            if w.is_identity:
+                row = pi
+            else:
+                a, l = tree[parent(w)], edge_letter(w)
+                k = spec.kernels[l.gen]
+                row = k[a] if l.sign > 0 else [pi[b] * k[b][a] / pi[a] for b in range(3)]
+            assert tree[w] == oracle_draw(row, u)
 
     def test_empirical_trivial(self, m1):
         samples = [sample_ball(m1, 1, derive_seed(5, i)) for i in range(20)]
@@ -289,6 +344,31 @@ class TestSampling:
         p = Fraction(1, 4)
         # exact binomial four-sigma bound: (hits/n - p)^2 <= 16 p(1-p)/n
         assert (Fraction(hits, n) - p) ** 2 <= 16 * p * (1 - p) / n
+
+
+class TestSpecTables:
+    def test_spec_hashed_at_most_rank_times(self, monkeypatch):
+        """Sampling and window scans read the spec's own tables: only building
+        the reversed kernels (one reverse_kernel call per generator) hashes it."""
+        spec = random_spec(7, 3, 3)
+        hashes = []
+        original = MarkovSpec.__hash__
+        monkeypatch.setattr(MarkovSpec, "__hash__", lambda self: hashes.append(1) or original(self))
+        sample_ball(spec, 4, 11)
+        window_marginal(spec, lambda x: (x[W("s1^-1")], x[W("s2^-1.s3^-1")], x[W("s3.s1")]))
+        assert len(hashes) <= spec.rank
+
+    def test_spec_pickles_after_tables_built(self, m3):
+        sample_ball(m3, 2, 1)
+        again = pickle.loads(pickle.dumps(m3))
+        assert again == m3 and "letter_kernels" not in vars(again)
+        assert sample_ball(again, 2, 1) == sample_ball(m3, 2, 1)
+
+    def test_tables_match_direct_computation(self, m3):
+        assert m3.letter_kernels[Letter(0, 1)] == m3.kernels[0]
+        assert m3.letter_kernels[Letter(1, -1)] == reverse_kernel(m3, 1)
+        with pytest.raises(InputError):
+            m3.letter_thresholds[Letter(2, -1)]
 
 
 class TestJson:

@@ -2,20 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import act, recode
 from treeshift.chains import Configuration, SampledTree, derive_seed, sample_ball
 from treeshift.cocycles import (
     CocycleTable,
     RecodedView,
     RewriteRule,
     Shifted,
-    act,
     check_inverse_pair,
     check_involution,
     check_past_preservation,
     cocycle,
     dependency_radius,
     identity_rule,
-    recode,
     scan_positive_windows,
     window_marginal,
 )

@@ -44,6 +44,28 @@ class TestSupportEdges:
         rev = support_edges(m3, 0, sign=-1).edges
         assert rev == {(b, a) for a, b in fwd}
 
+    def test_served_once_per_direction(self):
+        spec = random_spec(5, 4, 3, style="sparse")
+        for gen in range(3):
+            fwd = support_edges(spec, gen).edges
+            assert fwd == oracle_support(spec, gen)
+            assert support_edges(spec, gen).edges is fwd
+            assert support_edges(spec, gen, sign=-1).edges == {(b, a) for a, b in fwd}
+        with pytest.raises(InputError):
+            support_edges(spec, 3)
+
+
+class TestTransitionGraph:
+    @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40))
+    @settings(max_examples=60)
+    def test_adjacency_matches_edge_scan(self, edges):
+        g = graph(8, edges)
+        for v in range(-1, 9):
+            outs = tuple(sorted(b for a, b in edges if a == v))
+            ins = tuple(sorted(a for a, b in edges if b == v))
+            assert (g.out_neighbors(v), g.in_neighbors(v)) == (outs, ins)
+            assert (g.out_degree(v), g.in_degree(v)) == (len(outs), len(ins))
+
 
 class TestClasses:
     def test_single_edge(self):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_left_connected
 from treeshift.errors import BudgetError, InputError
 from treeshift.words import (
     IDENTITY,
@@ -15,7 +16,6 @@ from treeshift.words import (
     edge_letter,
     in_past,
     inverse,
-    is_left_connected,
     letters_of_rank,
     multiply,
     parent,
@@ -88,6 +88,24 @@ class TestGroupLaw:
     def test_right_inverse(self, seq):
         w = reduce(seq)
         assert multiply(w, inverse(w)) == IDENTITY
+
+    @given(seqs_st, seqs_st, st.integers(1, 3), st.integers(0, 3))
+    @settings(max_examples=50)
+    def test_unchecked_words_equal_reduced(self, a, b, rank, radius):
+        """multiply, parent, inverse and ball skip the reducedness check; each
+        word they return equals, and hashes like, reduce of its letters."""
+
+        def same(w, letters):
+            r = reduce(letters)
+            assert w == r and hash(w) == hash(r)
+
+        w1, w2 = reduce(a), reduce(b)
+        same(multiply(w1, w2), w1.letters + w2.letters)
+        same(inverse(w1), [l.inverse() for l in reversed(w1.letters)])
+        if not w1.is_identity:
+            same(parent(w1), w1.letters[1:])
+        for w in ball(rank, radius):
+            same(w, w.letters)
 
 
 class TestParent:
