@@ -10,8 +10,9 @@ configurations map group elements (Word) to symbol indices.
 
 Each spec keeps lookup tables on its own instance, each entry built on first
 use: the kernel and the support edges along every letter s_i^{+-1}, and the
-integer draw thresholds of every kernel row and of pi.  Cylinder measures,
-window scans and samplers read them, so no hot path hashes the spec.
+integer draw thresholds of every kernel row and of pi.  The tables are keyed
+by letter code (see words) and also serve Letter keys.  Cylinder measures,
+window scans and samplers read them by code, so no hot path hashes the spec.
 """
 
 from __future__ import annotations
@@ -25,15 +26,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
-from .words import (
-    LeftConnectedSet,
-    Letter,
-    Word,
-    ball,
-    edge_letter,
-    parent,
-    word_to_str,
-)
+from .words import LeftConnectedSet, Letter, Word, ball, letter_code, parent, word_to_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -105,26 +98,26 @@ class MarkovSpec:
         return MarkovSpec, (self.generators, self.alphabet, self.pi, self.kernels)
 
     @cached_property
-    def letter_kernels(self) -> Mapping[Letter, Matrix]:
+    def letter_kernels(self) -> Mapping[Letter | int, Matrix]:
         """Kernel along each letter: P_i for s_i, reverse_kernel(spec, i) for s_i^-1."""
         return _LetterTable(
-            self.rank, lambda l: self.kernels[l.gen] if l.sign > 0 else reverse_kernel(self, l.gen)
+            self.rank, lambda c: reverse_kernel(self, c >> 1) if c & 1 else self.kernels[c >> 1]
         )
 
     @cached_property
-    def letter_thresholds(self) -> Mapping[Letter, tuple[tuple[int, ...], ...]]:
-        return _LetterTable(self.rank, lambda l: tuple(map(_thresholds, self.letter_kernels[l])))
+    def letter_thresholds(self) -> Mapping[Letter | int, tuple[tuple[int, ...], ...]]:
+        return _LetterTable(self.rank, lambda c: tuple(map(_thresholds, self.letter_kernels[c])))
 
     @cached_property
     def pi_thresholds(self) -> tuple[int, ...]:
         return _thresholds(self.pi)
 
     @cached_property
-    def letter_support(self) -> Mapping[Letter, frozenset[tuple[int, int]]]:
+    def letter_support(self) -> Mapping[Letter | int, frozenset[tuple[int, int]]]:
         """Edges (a, b) with positive two-point mass pi(a) K(a, b) along each letter."""
 
-        def edges(l: Letter) -> frozenset[tuple[int, int]]:
-            k = self.letter_kernels[l]
+        def edges(c: int) -> frozenset[tuple[int, int]]:
+            k = self.letter_kernels[c]
             return frozenset(
                 (a, b) for a, row in enumerate(k) for b, p in enumerate(row) if self.pi[a] * p > 0
             )
@@ -133,16 +126,21 @@ class MarkovSpec:
 
 
 class _LetterTable(dict):
-    """letter -> make(letter), built on first lookup; a letter outside the
-    rank raises InputError."""
+    """letter code -> make(code), built on first lookup.  A Letter key is
+    served from its code's entry; a letter outside the rank raises InputError."""
 
     def __init__(self, rank: int, make):
         self.rank, self.make = rank, make
 
-    def __missing__(self, l: Letter):
-        if not 0 <= l.gen < self.rank:
-            raise InputError(f"letter {l.name} outside rank {self.rank}")
-        self[l] = value = self.make(l)
+    def __missing__(self, key):
+        if isinstance(key, tuple):
+            value = self[letter_code(key)]
+        elif 0 <= key < 2 * self.rank:
+            value = self.make(key)
+        else:
+            name = Letter(key >> 1, -1 if key & 1 else 1).name
+            raise InputError(f"letter {name} outside rank {self.rank}")
+        self[key] = value
         return value
 
 
@@ -245,6 +243,14 @@ class Configuration:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_values", dict(assignment))
 
+    @classmethod
+    def _on(cls, domain: LeftConnectedSet, values: dict) -> "Configuration":
+        """The configuration with the given values on a domain already built, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_values", values)
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("Configuration is immutable")
 
@@ -291,10 +297,10 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
     kernels = spec.letter_kernels
     total = ONE
     for w in phi.domain:
-        if w.is_identity:
+        if not w:
             total *= spec.pi[phi[w]]
         else:
-            total *= kernels[edge_letter(w)][phi[parent(w)]][phi[w]]
+            total *= kernels[w[0]][phi[parent(w)]][phi[w]]
         if total == 0:
             return ZERO
     return total
@@ -315,11 +321,9 @@ def enumerate_cylinders(
     words = domain.words
     parent_pos = [0] * len(words)
     kernels: list[Matrix | None] = [None] * len(words)
-    for i, w in enumerate(words):
-        if i == 0:
-            continue
+    for i, w in enumerate(words[1:], 1):
         parent_pos[i] = words.index(parent(w))
-        kernels[i] = spec.letter_kernels[edge_letter(w)]
+        kernels[i] = spec.letter_kernels[w[0]]
     n = spec.size
     values = [0] * len(words)
     yielded = 0
@@ -397,7 +401,7 @@ class SampledTree:
         # materialize the geodesic to the closest memoized ancestor
         chain = []
         v = w
-        while v not in memo and not v.is_identity:
+        while v not in memo and v:
             chain.append(v)
             v = parent(v)
         spec = self.spec
@@ -406,7 +410,7 @@ class SampledTree:
         value = memo[v]
         kernels, thresholds = spec.letter_kernels, spec.letter_thresholds
         for g in reversed(chain):
-            l = edge_letter(g)
+            l = g[0]
             value = memo[g] = _draw(kernels[l][value], thresholds[l][value], self._variate(g))
         return value
 
@@ -456,7 +460,7 @@ def sample_ball(
     """One exact sample of the chain restricted to the ball of given radius."""
     dom = ball(spec.rank, radius, budget=budget)
     tree = SampledTree(spec, seed)
-    return Configuration({w: tree[w] for w in dom})
+    return Configuration._on(dom, {w: tree[w] for w in dom})
 
 
 # ---------------------------------------------------------------------------

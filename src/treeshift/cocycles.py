@@ -23,18 +23,8 @@ from typing import Callable
 
 from .chains import MarkovSpec, SampledTree, derive_seed
 from .errors import BudgetError, InputError, MissingCoordinate
-from .words import (
-    IDENTITY,
-    Letter,
-    Word,
-    ball,
-    edge_letter,
-    in_past,
-    inverse,
-    multiply,
-    parent,
-    single,
-)
+from .words import IDENTITY, Letter, Word, ball, edge_letter, in_past, inverse, multiply
+from .words import parent, single
 
 
 @dataclass(frozen=True)
@@ -108,18 +98,15 @@ class CocycleTable:
 
     def omega(self, g: Word) -> Word:
         words = self._words
-        if g in words:
-            return words[g]
         chain = []
-        v = g
-        while v not in words:
-            chain.append(v)
-            v = parent(v)
+        while g not in words:
+            chain.append(g)
+            g = parent(g)
+        prior = words[g]
         for h in reversed(chain):
-            prior = words[parent(h)]
             img = self.rule.letter_image(edge_letter(h), Shifted(self.base, prior))
-            words[h] = multiply(img, prior)
-        return words[g]
+            prior = words[h] = multiply(img, prior)
+        return prior
 
 
 def cocycle(rule: RewriteRule, g: Word, x) -> Word:
@@ -201,10 +188,10 @@ def scan_positive_windows(
                 raise InputError("window function missed an assigned coordinate")
             path = []
             v = g
-            while v not in assign and not v.is_identity:
+            while v not in assign and v:
                 path.append(v)
                 v = parent(v)
-            if v.is_identity and v not in assign:
+            if not v and v not in assign:
                 path.append(v)
             if len(assign) + len(path) > max_coords:
                 raise BudgetError(f"window grew beyond {max_coords} coordinates")
@@ -214,7 +201,7 @@ def scan_positive_windows(
                     run(assign, w)
                     return
                 h = path[i]
-                row = spec.pi if h.is_identity else kernels[edge_letter(h)][assign[parent(h)]]
+                row = kernels[h[0]][assign[parent(h)]] if h else spec.pi
                 for b, p in enumerate(row):
                     if p == 0:
                         continue

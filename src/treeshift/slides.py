@@ -18,9 +18,9 @@ x_t = c (sum-product on the tree), at a cost polynomial in the alphabet size.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .chains import (
@@ -28,8 +28,8 @@ from .chains import (
     MarkovSpec,
     Matrix,
     SampledTree,
-    cylinder_measure,
     derive_seed,
+    enumerate_cylinders,
     kernel_for_letter,
     require_valid,
 )
@@ -69,20 +69,20 @@ class SlideParams:
     edges: frozenset[tuple[int, int]]
     branch: tuple[tuple[int, BranchData], ...]  # per slide-edge target, sorted
 
-    def branch_of(self, b: int) -> BranchData:
-        for key, data in self.branch:
-            if key == b:
-                return data
-        raise InputError(f"no branch data for symbol index {b}")
-
     @property
     def n_max(self) -> int:
         return max((data.n for _, data in self.branch), default=0)
 
-    @property
+    @cached_property
     def flagged(self) -> frozenset[tuple[int, int, int]]:
         eta = dict(self.branch)
         return frozenset((a, b, eta[b].eta) for a, b in self.edges)
+
+    @cached_property
+    def _flag_reads(self) -> tuple[Word, dict[int, Word]]:
+        """The words the flag reads: u^-1, and u^n for each target of branch distance n."""
+        u = Letter(self.u, 1)
+        return single(u.inverse()), {b: Word((u,) * data.n) for b, data in self.branch}
 
 
 def build_slide_params(
@@ -109,13 +109,12 @@ def build_slide_params(
 def flag_triple(params: SlideParams, x):
     """The local detector: (x_{u^-1}, x_e, x_{u^n}) with n the branch distance
     of x_e, defined when (x_{u^-1}, x_e) is a slide edge; None otherwise."""
-    u = Letter(params.u, 1)
-    a = x[single(u.inverse())]
+    back, ahead = params._flag_reads
+    a = x[back]
     b = x[IDENTITY]
     if (a, b) not in params.edges:
         return None
-    n = params.branch_of(b).n
-    return (a, b, x[Word((u,) * n)])
+    return (a, b, x[ahead[b]])
 
 
 def _hits(params: SlideParams, x) -> bool:
@@ -129,10 +128,9 @@ def rule_from_params(params: SlideParams) -> RewriteRule:
         return identity_rule(params.rank)
     u = Letter(params.u, 1)
     t = Letter(params.t, 1)
-    w_t = single(t)
-    w_ut = Word((u, t))
-    w_uinv_t = Word((u.inverse(), t))
-    w_u = single(u)
+    w_t, w_u = single(t), single(u)
+    w_ut, w_uinv_t = Word((u, t)), Word((u.inverse(), t))
+    back_ut, back_uinv_t, back_t = inverse(w_ut), inverse(w_uinv_t), single(t.inverse())
 
     def rewrite(l: Letter, x) -> Word:
         if l == t:
@@ -150,10 +148,10 @@ def rule_from_params(params: SlideParams) -> RewriteRule:
         if up and down:
             raise ParamsError("conflicting slide conditions: edge set is not special")
         if up:
-            return inverse(w_ut)
+            return back_ut
         if down:
-            return inverse(w_uinv_t)
-        return single(t.inverse())
+            return back_uinv_t
+        return back_t
 
     return RewriteRule(
         rank=params.rank,
@@ -302,8 +300,7 @@ def verify_slide(
             return tuple(view[g] for g in words)
 
         marginal = window_marginal(spec, fn, max_windows=_MAX_WINDOWS)
-        for values in itertools.product(range(spec.size), repeat=len(words)):
-            expected = cylinder_measure(candidate, Configuration(dict(zip(words, values))))
+        for values, expected in enumerate_cylinders(candidate, domain, positive_only=False):
             if marginal.get(values, ZERO) != expected:
                 markov_ok = False
                 break
@@ -417,7 +414,8 @@ def replay(
     view = x
     for params in slides:
         view = RecodedView(rule_from_params(params), view)
-    return Configuration({h: view[h] for h in ball(rank, radius)})
+    dom = ball(rank, radius)
+    return Configuration._on(dom, {h: view[h] for h in dom})
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,24 @@ identity (the "parent" of g) is obtained by deleting the *leftmost* letter,
 and the tree hanging below the vertex s consists of the reduced words whose
 *rightmost* letter is s.
 
+A Word is a tuple of int letter codes: s_i is 2i and s_i^-1 is 2i + 1
+(generators counted from 0).  The inverse of code c is c ^ 1, and int order
+is the canonical letter order s1, s1^-1, s2, ..., so words are built, hashed,
+compared and sorted by tuple operations.  The Letter NamedTuple is the public
+type at the boundary: Word(...), .letters, edge_letter, single, reduce,
+in_past and letters_of_rank take or give Letters, converted through caches
+indexed by code, so no Letter is allocated per lookup.
+
 Words serialize as '.'-joined tokens "s1", "s2^-1", ...; the identity is "e".
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache, partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, DomainError, InputError
 
 DEFAULT_BALL_BUDGET = 500_000
 
@@ -36,39 +45,38 @@ class Letter(NamedTuple):
         return (self.gen, 0 if self.sign > 0 else 1)
 
 
+def letter_code(l: Letter) -> int:
+    """The int a Word stores for the letter: 2 gen, plus 1 for an inverse."""
+    return 2 * l.gen + (l.sign < 0)
+
+
+_letter = cache(lambda c: Letter(c >> 1, -1 if c & 1 else 1))  # code -> Letter
+_name = cache(lambda c: _letter(c).name)  # code -> token
+
+
 def letters_of_rank(rank: int) -> tuple[Letter, ...]:
     """All 2*rank letters in the canonical order s1, s1^-1, s2, ..."""
-    out = []
-    for i in range(rank):
-        out.append(Letter(i, 1))
-        out.append(Letter(i, -1))
-    return tuple(out)
+    return tuple(map(_letter, range(2 * rank)))
 
 
-class Word:
-    """An immutable reduced word; the empty word is the identity."""
+class Word(tuple):
+    """An immutable reduced word of letter codes; the empty word is the identity.
 
-    __slots__ = ("letters", "_hash")
+    Word(letters) takes Letters and checks reducedness; .letters gives them back."""
 
-    def __init__(self, letters: Sequence[Letter] = ()):
-        letters = tuple(letters)
-        for a, b in zip(letters, letters[1:]):
-            if a.gen == b.gen and a.sign == -b.sign:
-                raise InputError(f"word not reduced at {a.name}.{b.name}")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash(letters))
+    __slots__ = ()
 
-    def __setattr__(self, *a):
-        raise AttributeError("Word is immutable")
+    def __new__(cls, letters: Iterable[Letter] = ()):
+        return tuple.__new__(cls, map(letter_code, letters))
 
-    def __len__(self) -> int:
-        return len(self.letters)
+    def __init__(self, letters: Iterable[Letter] = ()):
+        for a, b in zip(self, self[1:]):
+            if a ^ b == 1:
+                raise InputError(f"word not reduced at {_name(a)}.{_name(b)}")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(map(_letter, self))
 
     def __mul__(self, other: "Word") -> "Word":
         return multiply(self, other)
@@ -78,13 +86,23 @@ class Word:
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self
 
     def sort_key(self):
-        return (len(self.letters), tuple(l.sort_key() for l in self.letters))
+        """(length, codes): the canonical (length, lexicographic) order."""
+        return (len(self), tuple(self))
 
     def __lt__(self, other: "Word") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self.sort_key() < Word.sort_key(other)
+
+    def __gt__(self, other: "Word") -> bool:
+        return self.sort_key() > Word.sort_key(other)
+
+    def __le__(self, other: "Word") -> bool:
+        return self.sort_key() <= Word.sort_key(other)
+
+    def __ge__(self, other: "Word") -> bool:
+        return self.sort_key() >= Word.sort_key(other)
 
     def __repr__(self) -> str:
         return f"Word({word_to_str(self)!r})"
@@ -93,87 +111,78 @@ class Word:
         return word_to_str(self)
 
 
-def _word(letters: tuple[Letter, ...]) -> Word:
-    """Word(letters) without the reducedness check, for tuples reduced by construction."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
-    object.__setattr__(w, "_hash", hash(letters))
-    return w
+# Word from a tuple of codes without the reducedness check, for tuples reduced by construction
+_word = partial(tuple.__new__, Word)
+
+IDENTITY = _word(())
 
 
-IDENTITY = Word()
-
-
+@cache
 def single(letter: Letter) -> Word:
+    """The one-letter word, built once per letter."""
     return Word((letter,))
 
 
 def reduce(seq: Iterable[Letter]) -> Word:
     """Free reduction of an arbitrary letter sequence (stack-based)."""
-    stack: list[Letter] = []
-    for l in seq:
-        if stack and stack[-1].gen == l.gen and stack[-1].sign == -l.sign:
+    stack: list[int] = []
+    for c in map(letter_code, seq):
+        if stack and stack[-1] ^ c == 1:
             stack.pop()
         else:
-            stack.append(l)
-    return Word(stack)
+            stack.append(c)
+    return _word(stack)
 
 
 def multiply(w1: Word, w2: Word) -> Word:
     """Group product w1.w2; inputs reduced, cancellation happens at the seam."""
-    a, b = w1.letters, w2.letters
-    i = len(a)
-    j = 0
-    while i > 0 and j < len(b) and a[i - 1].gen == b[j].gen and a[i - 1].sign == -b[j].sign:
+    if not (w1 and w2):
+        return w1 or w2
+    i, j, n = len(w1), 0, len(w2)
+    while i and j < n and w1[i - 1] ^ w2[j] == 1:
         i -= 1
         j += 1
-    return _word(a[:i] + b[j:])
+    return _word(w1[:i] + w2[j:])
 
 
 def inverse(w: Word) -> Word:
-    return _word(tuple(l.inverse() for l in reversed(w.letters)))
+    return _word([c ^ 1 for c in reversed(w)])
 
 
 def parent(g: Word) -> Word:
     """The neighbor of g on the geodesic to the identity (leftmost letter dropped)."""
-    if g.is_identity:
+    if not g:
         raise InputError("identity has no parent")
-    return _word(g.letters[1:])
+    return _word(g[1:])
 
 
 def edge_letter(g: Word) -> Letter:
     """The letter l with g = l.parent(g), i.e. the label of the tree edge above g."""
-    if g.is_identity:
+    if not g:
         raise InputError("identity has no incoming tree edge")
-    return g.letters[0]
+    return _letter(g[0])
 
 
 def in_past(g: Word, s: Letter) -> bool:
     """True iff g is a nonempty reduced word whose rightmost letter is s."""
-    return bool(g.letters) and g.letters[-1] == s
+    return bool(g) and g[-1] == letter_code(s)
 
 
 def ball(rank: int, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> "LeftConnectedSet":
-    """All reduced words of length <= radius, as a LeftConnectedSet."""
+    """All reduced words of length <= radius, as a LeftConnectedSet, built in
+    canonical order: each sphere loops over the first letter, then the shorter sphere."""
     if rank < 1 or radius < 0:
         raise InputError("rank must be >= 1 and radius >= 0")
     size = ball_size(rank, radius)
     if size > budget:
         raise BudgetError(f"ball({radius}) has {size} elements, budget {budget}")
-    out = [IDENTITY]
-    frontier = [IDENTITY]
-    alphabet = letters_of_rank(rank)
+    out, frontier = [IDENTITY], [IDENTITY]
     for _ in range(radius):
-        nxt = []
-        for h in frontier:
-            blocked = h.letters[0].inverse() if h.letters else None
-            for l in alphabet:
-                if l == blocked:
-                    continue
-                nxt.append(_word((l,) + h.letters))
-        out.extend(nxt)
-        frontier = nxt
-    return LeftConnectedSet(out)
+        frontier = [
+            _word((c,) + h) for c in range(2 * rank) for h in frontier if not h or h[0] != c ^ 1
+        ]
+        out.extend(frontier)
+    return LeftConnectedSet._canonical(out)
 
 
 def ball_size(rank: int, radius: int) -> int:
@@ -195,18 +204,22 @@ class LeftConnectedSet:
 
     def __init__(self, words: Iterable[Word]):
         ordered = sorted(set(words), key=Word.sort_key)
-        index = {w: i for i, w in enumerate(ordered)}
-        if not ordered or not ordered[0].is_identity:
-            from .errors import DomainError
-
+        if not ordered or ordered[0]:
             raise DomainError("left-connected set must contain the identity")
+        index = {w: i for i, w in enumerate(ordered)}
         for w in ordered[1:]:
             if parent(w) not in index:
-                from .errors import DomainError
-
                 raise DomainError(f"set is not left-connected: {w} lacks its parent")
         object.__setattr__(self, "words", tuple(ordered))
         object.__setattr__(self, "_index", index)
+
+    @classmethod
+    def _canonical(cls, ordered: Sequence[Word]) -> "LeftConnectedSet":
+        """The set of words already in canonical order and parent-closed, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "words", tuple(ordered))
+        object.__setattr__(self, "_index", {w: i for i, w in enumerate(ordered)})
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("LeftConnectedSet is immutable")
@@ -234,9 +247,7 @@ _TOKEN = re.compile(r"^s([1-9][0-9]*)(\^-1)?$")
 
 
 def word_to_str(w: Word) -> str:
-    if w.is_identity:
-        return "e"
-    return ".".join(l.name for l in w.letters)
+    return ".".join(map(_name, w)) if w else "e"
 
 
 def word_from_str(text: str) -> Word:
@@ -248,5 +259,4 @@ def word_from_str(text: str) -> Word:
         if not m:
             raise InputError(f"bad word token {token!r}")
         letters.append(Letter(int(m.group(1)) - 1, -1 if m.group(2) else 1))
-    w = Word(letters)  # raises on unreduced input
-    return w
+    return Word(letters)  # raises on unreduced input

@@ -103,6 +103,12 @@ def left_connected_subsets(domain, max_size=None):
     return results
 
 
+def oracle_word_key(w: Word):
+    """The canonical (length, lexicographic) word order, computed from Letters:
+    generator first, then s_i before s_i^-1."""
+    return (len(w.letters), tuple((l.gen, 0 if l.sign > 0 else 1) for l in w.letters))
+
+
 def is_left_connected(words) -> bool:
     """True iff the set induces a connected subgraph of the left-Cayley tree.
 

@@ -45,10 +45,16 @@ from treeshift.errors import (
 )
 from treeshift.cocycles import window_marginal
 from treeshift.randspec import random_spec
-from treeshift.words import IDENTITY, Letter, ball, edge_letter, parent, word_from_str
+from treeshift.words import IDENTITY, Letter, Word, ball, edge_letter, parent, word_from_str
 
 H = Fraction(1, 2)
 W = word_from_str
+
+
+def sampler_bytes(w) -> bytes:
+    """The bytes the sampler hashes for a word, built from its Letters."""
+    tokens = [f"s{l.gen + 1}" + ("^-1" if l.sign < 0 else "") for l in w.letters]
+    return (".".join(tokens) or "e").encode()
 
 
 class TestFractions:
@@ -203,6 +209,20 @@ class TestCylinderMeasure:
         total = sum(w for _, w in enumerate_cylinders(spec, ball(2, 1)))
         assert total == 1
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_sweep_matches_cylinder_measures(self, seed):
+        """enumerate_cylinders(positive_only=False) yields every value tuple in
+        itertools.product order, each with its cylinder_measure."""
+        spec = random_spec(seed, 3, 3, style="sparse" if seed % 2 else "mixed")
+        doms = [["e"], ["e", "s3^-1"], ["e", "s2", "s1.s2"], ["e", "s2", "s1^-1.s2"]]
+        for words in doms:
+            dom = Configuration({W(w): 0 for w in words}).domain
+            expected = [
+                (values, cylinder_measure(spec, Configuration(dict(zip(dom.words, values)))))
+                for values in itertools.product(range(spec.size), repeat=len(dom))
+            ]
+            assert list(enumerate_cylinders(spec, dom, positive_only=False)) == expected
+
     def test_enumeration_budget(self, m1, monkeypatch):
         # ball(2, 1) has 5 words, so m1 has 2^5 configurations on it
         monkeypatch.setattr(chains, "_MAX_CYLINDERS", 32)
@@ -317,7 +337,7 @@ class TestSampling:
         key = seed.to_bytes(8, "big")
         pi = spec.pi
         for w in ball(3, 3):
-            digest = hashlib.blake2b(str(w).encode(), key=key, digest_size=8).digest()
+            digest = hashlib.blake2b(sampler_bytes(w), key=key, digest_size=8).digest()
             u = Fraction(int.from_bytes(digest, "big"), 2**64)
             if w.is_identity:
                 row = pi
@@ -326,6 +346,24 @@ class TestSampling:
                 k = spec.kernels[l.gen]
                 row = k[a] if l.sign > 0 else [pi[b] * k[b][a] / pi[a] for b in range(3)]
             assert tree[w] == oracle_draw(row, u)
+
+    def test_sampler_bytes_pinned(self):
+        words = {
+            "e": IDENTITY,
+            "s1": Word([Letter(0, 1)]),
+            "s2^-1.s1": Word([Letter(1, -1), Letter(0, 1)]),
+            "s3.s3.s1^-1": Word([Letter(2, 1), Letter(2, 1), Letter(0, -1)]),
+            "s12^-1": Word([Letter(11, -1)]),
+        }
+        for text, w in words.items():
+            assert sampler_bytes(w) == text.encode()
+            assert str(w) == text
+
+    def test_sample_ball_is_the_checked_configuration(self, m3):
+        phi = sample_ball(m3, 3, 7)
+        again = Configuration(dict(phi.items()))
+        assert phi == again and phi.domain == again.domain == ball(m3.rank, 3)
+        assert list(phi.items()) == list(again.items())
 
     def test_empirical_trivial(self, m1):
         samples = [sample_ball(m1, 1, derive_seed(5, i)) for i in range(20)]

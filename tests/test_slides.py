@@ -328,6 +328,17 @@ class TestVerifySlide:
         report = verify_slide(m3, m3_slide, candidate=corrupted, samples=4)
         assert not report.markov_factorization
 
+    def test_dropped_transition_caught(self, m3, m3_slide):
+        """A candidate that gives a reachable transition measure 0 (rows left
+        unnormalised) fails: cylinders of candidate measure 0 are compared too."""
+        rho = pushforward(m3, m3_slide)
+        k = rho.kernels[1]
+        a, b = next((a, b) for a in range(3) for b in range(3) if k[a][b] > 0)
+        row = tuple(Fraction(0) if c == b else p for c, p in enumerate(k[a]))
+        dropped = rho.with_kernel(1, k[:a] + (row,) + k[a + 1 :])
+        assert verify_slide(m3, m3_slide, candidate=rho, samples=2).markov_factorization
+        assert not verify_slide(m3, m3_slide, candidate=dropped, samples=2).markov_factorization
+
 
 class TestPipeline:
     def test_bernoulli_noop(self):
@@ -401,6 +412,12 @@ class TestReplay:
             x = SampledTree(m1, derive_seed(13, i))
             twice = replay([m1_slide, m1_slide], x, 2)
             assert all(twice[w] == x[w] for w in ball(2, 2))
+
+    def test_replay_is_the_checked_configuration(self, m1, m1_slide):
+        out = replay([m1_slide], SampledTree(m1, 3), 3)
+        again = Configuration(dict(out.items()))
+        assert out == again and out.domain == again.domain == ball(2, 3)
+        assert list(out.items()) == list(again.items())
 
     def test_pipeline_replay_roundtrip(self, m4):
         _, slides = generator_ergodic_pipeline(m4)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_left_connected
+from oracles import is_left_connected, oracle_word_key
 from treeshift.errors import BudgetError, InputError
 from treeshift.words import (
     IDENTITY,
@@ -45,6 +45,7 @@ def oracle_reduce(seq):
 
 letters_st = st.builds(Letter, st.integers(0, 2), st.sampled_from([1, -1]))
 seqs_st = st.lists(letters_st, max_size=12)
+reduced_st = seqs_st.map(oracle_reduce)
 
 
 class TestReduce:
@@ -246,3 +247,54 @@ class TestSerialization:
         for bad in ["", "s0", "x1", "s1^1", "s1..s2", "s1 .s2", "E", "s1^-1.s1"]:
             with pytest.raises(InputError):
                 word_from_str(bad)
+
+
+class TestCanonicalOrder:
+    @given(st.lists(reduced_st, max_size=12))
+    def test_sorting_matches_oracle(self, seqs):
+        words = [Word(ls) for ls in seqs]
+        expected = sorted(words, key=oracle_word_key)
+        assert sorted(words) == expected
+        assert sorted(words, key=Word.sort_key) == expected
+
+    @given(reduced_st, reduced_st)
+    def test_comparisons_match_oracle(self, a, b):
+        v, w = Word(a), Word(b)
+        kv, kw = oracle_word_key(v), oracle_word_key(w)
+        assert (v < w, v > w, v <= w, v >= w) == (kv < kw, kv > kw, kv <= kw, kv >= kw)
+        assert (v == w) == (kv == kw)
+
+    @given(st.integers(1, 3), st.integers(0, 3))
+    @settings(max_examples=30)
+    def test_ball_already_in_oracle_order(self, rank, radius):
+        """ball skips the sort and the parent checks; it equals the checked set."""
+        b = ball(rank, radius)
+        assert list(b.words) == sorted(b.words, key=oracle_word_key)
+        assert len(set(b.words)) == len(b) == ball_size(rank, radius)
+        again = LeftConnectedSet(reversed(b.words))
+        assert again == b and all(w in b for w in again)
+
+
+class TestLetterBoundary:
+    @given(reduced_st)
+    def test_letters_round_trip(self, ls):
+        w = Word(ls)
+        assert w.letters == tuple(ls)
+        assert all(type(l) is Letter for l in w.letters)
+        assert word_from_str(str(w)) == w
+        assert reduce(ls) == w and hash(reduce(ls)) == hash(w)
+
+    @given(reduced_st.filter(bool))
+    def test_edge_letter_is_a_letter(self, ls):
+        w = Word(ls)
+        assert type(edge_letter(w)) is Letter and edge_letter(w) == ls[0]
+        assert in_past(w, ls[-1]) and not in_past(w, ls[-1].inverse())
+
+    def test_letters_of_rank_are_letters(self):
+        assert letters_of_rank(2) == (s1, s1i, s2, s2i)
+        assert all(type(l) is Letter for l in letters_of_rank(3))
+        assert single(s2i).letters == (s2i,)
+
+    def test_unreduced_rejected_with_letter_names(self):
+        with pytest.raises(InputError, match=r"s2\.s2\^-1"):
+            Word([s1, s2, s2i])
