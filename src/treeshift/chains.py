@@ -13,6 +13,10 @@ use: the kernel and the support edges along every letter s_i^{+-1}, and the
 integer draw thresholds of every kernel row and of pi.  The tables are keyed
 by letter code (see words) and also serve Letter keys.  Cylinder measures,
 window scans and samplers read them by code, so no hot path hashes the spec.
+
+Exact sums run on ints: scaled puts rationals over the lcm D of their
+denominators as the integers x*D, and scaling by D > 0 keeps signs, sums and
+equalities, so a Fraction (one gcd) is built per result rather than per term.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
@@ -117,9 +123,11 @@ class MarkovSpec:
         """Edges (a, b) with positive two-point mass pi(a) K(a, b) along each letter."""
 
         def edges(c: int) -> frozenset[tuple[int, int]]:
-            k = self.letter_kernels[c]
+            # the sign of the product, without it: pi(a) > 0 and K(a, b) > 0, or both < 0
+            k, signs = self.letter_kernels[c], [(s > 0, s < 0) for s in self.pi]
             return frozenset(
-                (a, b) for a, row in enumerate(k) for b, p in enumerate(row) if self.pi[a] * p > 0
+                (a, b) for a, row in enumerate(k) for b, p in enumerate(row)
+                if (signs[a][0] and p > 0) or (signs[a][1] and p < 0)
             )
 
         return _LetterTable(self.rank, edges)
@@ -163,21 +171,42 @@ class ValidationReport:
         return not self.problems
 
 
+def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers x*D for the given rationals, and D, the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _non_rational(where: str, values) -> list[str]:
+    return [f"{where} entry {i} = {x!r} is not an int or a Fraction"
+            for i, x in enumerate(values) if not isinstance(x, (int, Fraction))]
+
+
 def validate(spec: MarkovSpec) -> ValidationReport:
-    """Check full support, normalization, row-stochasticity and stationarity."""
+    """Check entry types, full support, normalization, row-stochasticity and stationarity.
+
+    The sums are exact on ints (see scaled): with pi over D_pi and a kernel K
+    over D_K, a row sums to 1 iff its ints sum to D_K, and pi is stationary at
+    b iff sum_a pi^(a) K^(a, b) = pi^(b) D_K (both sides times D_pi D_K).  A
+    message's Fraction sum is computed only when its check fails."""
     problems = []
     n = spec.size
+    alpha = spec.alphabet
     if spec.rank < 2:
         problems.append(f"rank {spec.rank} < 2: need a non-abelian free group")
-    if len(set(spec.alphabet)) != n or n == 0:
+    if len(set(alpha)) != n or n == 0:
         problems.append("alphabet empty or has duplicate symbols")
     if len(spec.pi) != n:
         problems.append("pi length does not match alphabet")
         return ValidationReport(tuple(problems))
-    for a, p in enumerate(spec.pi):
+    bad = _non_rational("pi", spec.pi)
+    if bad:
+        return ValidationReport(tuple(problems + bad))
+    pi, d_pi = scaled(spec.pi)
+    for a, p in enumerate(pi):
         if p <= 0:
-            problems.append(f"pi({spec.alphabet[a]!r}) = {p} is not positive")
-    if sum(spec.pi) != 1:
+            problems.append(f"pi({alpha[a]!r}) = {spec.pi[a]} is not positive")
+    if sum(pi) != d_pi:
         problems.append(f"pi sums to {sum(spec.pi)}, not 1")
     if len(spec.kernels) != spec.rank:
         problems.append("kernel count does not match generator count")
@@ -187,17 +216,20 @@ def validate(spec: MarkovSpec) -> ValidationReport:
         if len(k) != n or any(len(row) != n for row in k):
             problems.append(f"kernel {name} is not {n}x{n}")
             continue
-        for a, row in enumerate(k):
+        bad = [m for a, row in enumerate(k) for m in _non_rational(f"kernel {name} row {a}", row)]
+        if bad:
+            problems += bad
+            continue
+        flat, d_k = scaled([x for row in k for x in row])
+        rows = [flat[a * n : (a + 1) * n] for a in range(n)]
+        for a, row in enumerate(rows):
             if any(x < 0 for x in row):
-                problems.append(f"kernel {name} row {spec.alphabet[a]!r} has a negative entry")
-            if sum(row) != 1:
-                problems.append(
-                    f"kernel {name} row {spec.alphabet[a]!r} sums to {sum(row)}, not 1"
-                )
-        for b in range(n):
-            mass = sum(spec.pi[a] * k[a][b] for a in range(n))
-            if mass != spec.pi[b]:
-                problems.append(f"pi is not stationary for kernel {name} at column {spec.alphabet[b]!r}")
+                problems.append(f"kernel {name} row {alpha[a]!r} has a negative entry")
+            if sum(row) != d_k:
+                problems.append(f"kernel {name} row {alpha[a]!r} sums to {sum(k[a])}, not 1")
+        for b, col in enumerate(zip(*rows)):
+            if sum(map(mul, pi, col)) != pi[b] * d_k:
+                problems.append(f"pi is not stationary for kernel {name} at column {alpha[b]!r}")
                 break
     return ValidationReport(tuple(problems))
 

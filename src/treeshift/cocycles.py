@@ -23,7 +23,7 @@ from typing import Callable
 
 from .chains import MarkovSpec, SampledTree, derive_seed
 from .errors import BudgetError, InputError, MissingCoordinate
-from .words import IDENTITY, Letter, Word, ball, edge_letter, in_past, inverse, multiply
+from .words import IDENTITY, Letter, Word, _letter, _word, ball, in_past, inverse, multiply
 from .words import parent, single
 
 
@@ -31,22 +31,23 @@ from .words import parent, single
 class RewriteRule:
     """A finite-window generator rewrite.
 
-    rewrite(letter, window) is consulted only for letters in `active`; all
-    other letters are rewritten to themselves without reading the window.
-    Outputs must be reduced words of length at most max_output_length, and
-    the rule may only inspect coordinates within ball(window_radius).
+    rewrite(letter, x, offset) is consulted only for letters in `active`; it
+    rewrites the letter at the translate offset.x, whose coordinate h is
+    x[multiply(h, offset)].  Other letters are their own images, read from no
+    coordinate.  Outputs must be reduced words of length at most
+    max_output_length, read from the translate within ball(window_radius).
     """
 
     rank: int
     window_radius: int
     max_output_length: int
     active: frozenset[Letter]
-    rewrite: Callable[[Letter, object], Word]
+    rewrite: Callable[[Letter, object, Word], Word]
 
-    def letter_image(self, letter: Letter, x) -> Word:
+    def letter_image(self, letter: Letter, x, offset: Word = IDENTITY) -> Word:
         if letter not in self.active:
             return single(letter)
-        out = self.rewrite(letter, x)
+        out = self.rewrite(letter, x, offset)
         if len(out) > self.max_output_length:
             raise InputError(
                 f"rewrite of {letter.name} has length {len(out)} > {self.max_output_length}"
@@ -55,7 +56,7 @@ class RewriteRule:
 
 
 def identity_rule(rank: int) -> RewriteRule:
-    return RewriteRule(rank, 0, 1, frozenset(), lambda l, x: single(l))
+    return RewriteRule(rank, 0, 1, frozenset(), lambda l, x, offset: single(l))
 
 
 def dependency_radius(rule: RewriteRule, r: int) -> int:
@@ -63,22 +64,6 @@ def dependency_radius(rule: RewriteRule, r: int) -> int:
     read base coordinates in ball(R).  Each letter step moves the window by
     at most max_output_length; r steps from radius window_radius suffice."""
     return r * rule.max_output_length + rule.window_radius
-
-
-class Shifted:
-    """The translated configuration (w . x)_h = x_{h w}, as a lazy view."""
-
-    __slots__ = ("base", "offset")
-
-    def __init__(self, base, offset: Word = IDENTITY):
-        if isinstance(base, Shifted):
-            offset = multiply(offset, base.offset)
-            base = base.base
-        self.base = base
-        self.offset = offset
-
-    def __getitem__(self, h: Word) -> int:
-        return self.base[multiply(h, self.offset)]
 
 
 class CocycleTable:
@@ -102,9 +87,10 @@ class CocycleTable:
         while g not in words:
             chain.append(g)
             g = parent(g)
-        prior = words[g]
+        prior, rule = words[g], self.rule
         for h in reversed(chain):
-            img = self.rule.letter_image(edge_letter(h), Shifted(self.base, prior))
+            l = _letter(h[0])  # an inactive letter is its own image, read from no coordinate
+            img = rule.letter_image(l, self.base, prior) if l in rule.active else _word(h[:1])
             prior = words[h] = multiply(img, prior)
         return prior
 
@@ -259,7 +245,7 @@ def check_involution(rule: RewriteRule, spec: MarkovSpec, **kw) -> bool:
 
         def fn(win, l=l):
             w = rule.letter_image(l, win)
-            w_back = rule.letter_image(l.inverse(), Shifted(win, w))
+            w_back = rule.letter_image(l.inverse(), win, w)
             return w_back == inverse(w)
 
         if not scan_positive_windows(spec, fn, **kw).ok:

@@ -14,30 +14,32 @@ t-step goes by reading the u-line through t (the symbols at u^k t), which
 given x_t is a stationary Markov chain independent of x_e; so the new kernel
 factors as q_t = P_t M with M(c, .) the law of the destination symbol given
 x_t = c (sum-product on the tree), at a cost polynomial in the alphabet size.
+M is the identity plus two moved entries per slide edge, taken directly, so it
+is kept sparse and the product runs on ints over one denominator (chains.scaled).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 from .chains import (
+    ONE,
     Configuration,
     MarkovSpec,
     Matrix,
     SampledTree,
     derive_seed,
     enumerate_cylinders,
-    kernel_for_letter,
     require_valid,
+    scaled,
 )
 from .cocycles import (
     CocycleTable,
     RecodedView,
     RewriteRule,
-    Shifted,
     identity_rule,
     window_marginal,
 )
@@ -53,7 +55,8 @@ from .graphs import (
     special_sets,
     support_edges,
 )
-from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, inverse, single
+from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, inverse, multiply, reduce
+from .words import single
 
 ZERO = Fraction(0)
 _MAX_WINDOWS = 500_000  # window budget of each Markov-check scan in verify_slide
@@ -78,12 +81,6 @@ class SlideParams:
         eta = dict(self.branch)
         return frozenset((a, b, eta[b].eta) for a, b in self.edges)
 
-    @cached_property
-    def _flag_reads(self) -> tuple[Word, dict[int, Word]]:
-        """The words the flag reads: u^-1, and u^n for each target of branch distance n."""
-        u = Letter(self.u, 1)
-        return single(u.inverse()), {b: Word((u,) * data.n) for b, data in self.branch}
-
 
 def build_slide_params(
     spec: MarkovSpec, u: int, t: int, edges: Iterable[tuple[int, int]]
@@ -106,52 +103,50 @@ def build_slide_params(
     return SlideParams(spec.rank, u, t, edge_set, branch)
 
 
+def _flag_reader(params: SlideParams, shift: Word):
+    """(x, offset) -> flag_triple of the translate (shift offset).x, read in the
+    same order; the read words (u^-1 shift, shift, u^n shift) are built once."""
+    u = Letter(params.u, 1)
+    back = multiply(single(u.inverse()), shift)
+    ahead = {b: multiply(reduce((u,) * data.n), shift) for b, data in params.branch}
+
+    def triple(x, offset: Word):
+        a = x[multiply(back, offset)]
+        b = x[multiply(shift, offset)]
+        if (a, b) not in params.edges:
+            return None
+        return (a, b, x[multiply(ahead[b], offset)])
+
+    return triple
+
+
 def flag_triple(params: SlideParams, x):
     """The local detector: (x_{u^-1}, x_e, x_{u^n}) with n the branch distance
     of x_e, defined when (x_{u^-1}, x_e) is a slide edge; None otherwise."""
-    back, ahead = params._flag_reads
-    a = x[back]
-    b = x[IDENTITY]
-    if (a, b) not in params.edges:
-        return None
-    return (a, b, x[ahead[b]])
-
-
-def _hits(params: SlideParams, x) -> bool:
-    triple = flag_triple(params, x)
-    return triple is not None and triple in params.flagged
+    return _flag_reader(params, IDENTITY)(x, IDENTITY)
 
 
 def rule_from_params(params: SlideParams) -> RewriteRule:
     """The slide's rewrite rule, reconstructed from the parameters alone."""
     if not params.edges:
         return identity_rule(params.rank)
-    u = Letter(params.u, 1)
-    t = Letter(params.t, 1)
-    w_t, w_u = single(t), single(u)
-    w_ut, w_uinv_t = Word((u, t)), Word((u.inverse(), t))
-    back_ut, back_uinv_t, back_t = inverse(w_ut), inverse(w_uinv_t), single(t.inverse())
+    u, t = Letter(params.u, 1), Letter(params.t, 1)
+    w_t, w_ut, w_uinv_t = single(t), Word((u, t)), Word((u.inverse(), t))
+    flagged, reader = params.flagged, partial(_flag_reader, params)
+    # per active letter: the flag tests moving it up and down, then its up, down and stay
+    # images; t moves up when ut.x is flagged, down when t.x is; t^-1 undoes them (x, u.x)
+    moves = {
+        t: (reader(w_ut), reader(w_t), w_ut, w_uinv_t, w_t),
+        t.inverse(): (reader(IDENTITY), reader(single(u)), *map(inverse, (w_ut, w_uinv_t, w_t))),
+    }
 
-    def rewrite(l: Letter, x) -> Word:
-        if l == t:
-            up = _hits(params, Shifted(x, w_ut))
-            down = _hits(params, Shifted(x, w_t))
-            if up and down:
-                raise ParamsError("conflicting slide conditions: edge set is not special")
-            if up:
-                return w_ut
-            if down:
-                return w_uinv_t
-            return w_t
-        up = _hits(params, x)
-        down = _hits(params, Shifted(x, w_u))
+    def rewrite(l: Letter, x, offset: Word) -> Word:
+        up_test, down_test, up_word, down_word, stay_word = moves[l]
+        up = up_test(x, offset) in flagged
+        down = down_test(x, offset) in flagged
         if up and down:
             raise ParamsError("conflicting slide conditions: edge set is not special")
-        if up:
-            return back_ut
-        if down:
-            return back_uinv_t
-        return back_t
+        return up_word if up else down_word if down else stay_word
 
     return RewriteRule(
         rank=params.rank,
@@ -162,14 +157,17 @@ def rule_from_params(params: SlideParams) -> RewriteRule:
     )
 
 
-def slide_rule(spec: MarkovSpec, params: SlideParams) -> RewriteRule:
-    """Validate the parameters against the spec, then build the rule.
-
-    The parameters must be exactly what build_slide_params derives from the
-    spec for the same u, t and edge set (rank and branch data included)."""
+def _checked(spec: MarkovSpec, params: SlideParams) -> SlideParams:
+    """The parameters, which must be exactly what build_slide_params derives from
+    the spec for the same u, t and edge set (rank and branch data included)."""
     if params != build_slide_params(spec, params.u, params.t, params.edges):
         raise ParamsError("slide parameters do not match the spec")
-    return rule_from_params(params)
+    return params
+
+
+def slide_rule(spec: MarkovSpec, params: SlideParams) -> RewriteRule:
+    """Validate the parameters against the spec (see _checked), then build the rule."""
+    return rule_from_params(_checked(spec, params))
 
 
 def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
@@ -182,30 +180,35 @@ def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
     given x_t = c:
       down: for (a, c) in E, M(c, a) += R_u(c, a) h(c)  (the step moves to u^-1 t)
       up:   for (c, d) in E, M(c, d) += P_u(c, d) h(d)  (the step moves to u t)
-      stay: M(c, c) += 1 - (mass moved from c)
-    and q_t = P_t M.  The cost is polynomial in the alphabet size; no window
-    is enumerated and the rewrite rule is never evaluated."""
-    slide_rule(spec, params)
+      stay: M(c, c) = 1 - (mass moved from c)
+    and q_t = P_t M, with R_u(c, a) = pi(a) P_u(a, c) / pi(c) taken for these
+    entries alone.  M is kept sparse (its diagonal, and per column the moved
+    entries); each q_t entry is one Fraction of an int sum over D_t D_M (see
+    chains.scaled).  No window is enumerated and no rewrite rule is built."""
+    _checked(spec, params)
     if not params.edges:
         return spec
     n = spec.size
-    p_u = spec.kernels[params.u]
-    r_u = kernel_for_letter(spec, Letter(params.u, -1))
+    pi, p_u = spec.pi, spec.kernels[params.u]
     # branch data is minimal: the u-walk from b reaches path[-2] with probability 1
     h = {b: p_u[data.path[-2]][data.eta] for b, data in params.branch}
     # special sets have disjoint sources and targets: the rule's conflict branch is unreachable
-    m = [[ZERO] * n for _ in range(n)]
-    for a, b in params.edges:
-        m[b][a] += r_u[b][a] * h[b]
-        m[a][b] += p_u[a][b] * h[b]
-    for c in range(n):
-        m[c][c] += 1 - sum(m[c])
+    stay, moved = [ONE] * n, []  # M's diagonal, and its entries (c, d, M(c, d)) off it
+    for a, b in params.edges:  # down: M(b, a) += R_u(b, a) h(b); up: M(a, b) += P_u(a, b) h(b)
+        moved += ((b, a, pi[a] * p_u[a][b] / pi[b] * h[b]), (a, b, p_u[a][b] * h[b]))
+    for c, _, x in moved:
+        stay[c] -= x
+    m_int, d_m = scaled(stay + [x for _, _, x in moved])
+    columns = [[] for _ in range(n)]  # a repeated (c, d) stays two terms, so it adds up
+    for (c, d, _), x in zip(moved, m_int[n:]):
+        columns[d].append((c, x))
+    p_t, d_t = scaled([p for row in spec.kernels[params.t] for p in row])
     q: Matrix = tuple(
         tuple(
-            sum((p * m[c][b] for c, p in enumerate(row) if p and m[c][b]), ZERO)
-            for b in range(n)
+            Fraction(row[d] * m_int[d] + sum(row[c] * x for c, x in columns[d]), d_t * d_m)
+            for d in range(n)
         )
-        for row in spec.kernels[params.t]
+        for row in (p_t[a * n : (a + 1) * n] for a in range(n))
     )
     return require_valid(spec.with_kernel(params.t, q))
 
@@ -306,15 +309,9 @@ def verify_slide(
                 break
 
     q = candidate.kernels[params.t]
-    rho_graph = TransitionGraph(
-        spec.size,
-        frozenset(
-            (a, b)
-            for a in range(spec.size)
-            for b in range(spec.size)
-            if spec.pi[a] * q[a][b] > 0
-        ),
-    )
+    # the edges with pi(a) q(a, b) > 0, from the spec's edge table like every support graph
+    rho = spec.with_kernel(params.t, q)
+    rho_graph = TransitionGraph(spec.size, rho.letter_support[Letter(params.t, 1)])
     mu_t = support_edges(spec, params.t)
     support_ok = mu_t.edges <= rho_graph.edges
     for a, b in params.edges:

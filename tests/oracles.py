@@ -7,7 +7,7 @@ explicit products, BFS) without going through the code paths under test.
 import itertools
 from fractions import Fraction
 
-from treeshift.chains import Configuration, MarkovSpec
+from treeshift.chains import Configuration, MarkovSpec, ValidationReport
 from treeshift.cocycles import RecodedView, RewriteRule, cocycle
 from treeshift.errors import InputError, MissingCoordinate, SpecInvalidError
 from treeshift.words import Word, ball, edge_letter, inverse, multiply, parent
@@ -179,6 +179,19 @@ def empirical_cylinder(samples, phi: Configuration) -> float:
     return hits / len(samples)
 
 
+class Shifted:
+    """The translated configuration (w . x)_h = x_{h w}, as a lazy view."""
+
+    __slots__ = ("base", "offset")
+
+    def __init__(self, base, offset: Word):
+        self.base = base
+        self.offset = offset
+
+    def __getitem__(self, h: Word) -> int:
+        return self.base[multiply(h, self.offset)]
+
+
 def act(rule: RewriteRule, g: Word, x: Configuration) -> Configuration:
     """The rewritten action g * x = w(g, x) . x, materialized on the translate
     of x's domain (which must still contain the identity)."""
@@ -300,4 +313,72 @@ def oracle_pushforward_kernel(spec, params):
         mass[window[IDENTITY]][window[target]] += p
     return tuple(
         tuple(mass[a][b] / spec.pi[a] for b in range(n)) for a in range(n)
+    )
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic one Fraction operation per term: validation and the
+# pushforward product as they were written before the integer-scaled sums
+# ---------------------------------------------------------------------------
+
+
+def oracle_validate(spec: MarkovSpec) -> ValidationReport:
+    """Check full support, normalization, row-stochasticity and stationarity."""
+    problems = []
+    n = spec.size
+    if spec.rank < 2:
+        problems.append(f"rank {spec.rank} < 2: need a non-abelian free group")
+    if len(set(spec.alphabet)) != n or n == 0:
+        problems.append("alphabet empty or has duplicate symbols")
+    if len(spec.pi) != n:
+        problems.append("pi length does not match alphabet")
+        return ValidationReport(tuple(problems))
+    for a, p in enumerate(spec.pi):
+        if p <= 0:
+            problems.append(f"pi({spec.alphabet[a]!r}) = {p} is not positive")
+    if sum(spec.pi) != 1:
+        problems.append(f"pi sums to {sum(spec.pi)}, not 1")
+    if len(spec.kernels) != spec.rank:
+        problems.append("kernel count does not match generator count")
+        return ValidationReport(tuple(problems))
+    for gi, k in enumerate(spec.kernels):
+        name = spec.generators[gi]
+        if len(k) != n or any(len(row) != n for row in k):
+            problems.append(f"kernel {name} is not {n}x{n}")
+            continue
+        for a, row in enumerate(k):
+            if any(x < 0 for x in row):
+                problems.append(f"kernel {name} row {spec.alphabet[a]!r} has a negative entry")
+            if sum(row) != 1:
+                problems.append(
+                    f"kernel {name} row {spec.alphabet[a]!r} sums to {sum(row)}, not 1"
+                )
+        for b in range(n):
+            mass = sum(spec.pi[a] * k[a][b] for a in range(n))
+            if mass != spec.pi[b]:
+                problems.append(f"pi is not stationary for kernel {name} at column {spec.alphabet[b]!r}")
+                break
+    return ValidationReport(tuple(problems))
+
+
+def oracle_dense_pushforward(spec: MarkovSpec, params):
+    """The slid t kernel q_t = P_t M with M dense, one Fraction product and
+    sum per term; the reversed u kernel R_u is computed inline, in full."""
+    n = spec.size
+    zero = Fraction(0)
+    p_u = spec.kernels[params.u]
+    r_u = [[spec.pi[b] * p_u[b][a] / spec.pi[a] for b in range(n)] for a in range(n)]
+    h = {b: p_u[data.path[-2]][data.eta] for b, data in params.branch}
+    m = [[zero] * n for _ in range(n)]
+    for a, b in params.edges:
+        m[b][a] += r_u[b][a] * h[b]
+        m[a][b] += p_u[a][b] * h[b]
+    for c in range(n):
+        m[c][c] += 1 - sum(m[c])
+    return tuple(
+        tuple(
+            sum((p * m[c][b] for c, p in enumerate(row) if p and m[c][b]), zero)
+            for b in range(n)
+        )
+        for row in spec.kernels[params.t]
     )

@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import act, recode
+from oracles import Shifted, act, recode
 from treeshift.chains import Configuration, SampledTree, derive_seed, sample_ball
 from treeshift.cocycles import (
     CocycleTable,
     RecodedView,
     RewriteRule,
-    Shifted,
     check_inverse_pair,
     check_involution,
     check_past_preservation,
@@ -197,7 +196,7 @@ class TestInvolution:
         assert check_involution(m1_rule, m1)
 
     def test_broken_rule(self, m1):
-        def rewrite(l, x):
+        def rewrite(l, x, offset):
             return W("s1.s2") if l == U else single(l)
 
         rule = RewriteRule(2, 0, 2, frozenset({U, U.inverse()}), rewrite)
