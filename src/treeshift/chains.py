@@ -9,7 +9,7 @@ Symbols are addressed by their index in the alphabet everywhere below;
 configurations map group elements (Word) to symbol indices.
 
 Each spec keeps lookup tables on its own instance, each entry built on first
-use: the kernel and the support edges along every letter s_i^{+-1}, and the
+use: the kernel and the support graph along every letter s_i^{+-1}, and the
 integer draw thresholds of every kernel row and of pi.  The tables are keyed
 by letter code (see words) and also serve Letter keys.  Cylinder measures,
 window scans and samplers read them by code, so no hot path hashes the spec.
@@ -32,6 +32,7 @@ from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
+from .graphs import TransitionGraph
 from .words import LeftConnectedSet, Letter, Word, ball, letter_code, parent, word_to_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -119,18 +120,19 @@ class MarkovSpec:
         return _thresholds(self.pi)
 
     @cached_property
-    def letter_support(self) -> Mapping[Letter | int, frozenset[tuple[int, int]]]:
-        """Edges (a, b) with positive two-point mass pi(a) K(a, b) along each letter."""
+    def letter_support(self) -> Mapping[Letter | int, TransitionGraph]:
+        """Support graph along each letter: the edges (a, b) with positive
+        two-point mass pi(a) K(a, b)."""
 
-        def edges(c: int) -> frozenset[tuple[int, int]]:
+        def graph(c: int) -> TransitionGraph:
             # the sign of the product, without it: pi(a) > 0 and K(a, b) > 0, or both < 0
             k, signs = self.letter_kernels[c], [(s > 0, s < 0) for s in self.pi]
-            return frozenset(
+            return TransitionGraph(self.size, frozenset(
                 (a, b) for a, row in enumerate(k) for b, p in enumerate(row)
                 if (signs[a][0] and p > 0) or (signs[a][1] and p < 0)
-            )
+            ))
 
-        return _LetterTable(self.rank, edges)
+        return _LetterTable(self.rank, graph)
 
 
 class _LetterTable(dict):

@@ -1,22 +1,28 @@
 """Support graphs of generator restrictions and what they decide.
 
-For each generator s the directed graph on the alphabet with an edge (a, b)
-whenever the two-point cylinder {x_e = a, x_s = b} has positive measure
-controls the restriction's dynamics: the restriction is ergodic exactly when
-the graph is connected (as an undirected graph) across the whole alphabet,
-and essentially free exactly when no component is a single directed cycle.
-This module also extracts the combinatorial data consumed by the edge-slide
-construction: branch points, spanning trees and their bipartitions.
+For each direction s^{+-1} the directed graph on the alphabet with an edge
+(a, b) whenever the two-point cylinder {x_e = a, x_s = b} has positive
+measure controls the restriction's dynamics: the restriction is ergodic
+exactly when the graph is connected (as an undirected graph) across the whole
+alphabet, and essentially free exactly when no class is a single directed
+cycle.  Each spec builds this graph once per direction (MarkovSpec.
+letter_support), and the graph derives its adjacency, classes and periodic
+flags once each, on first use.  This module also extracts the combinatorial
+data consumed by the edge-slide construction: branch points, spanning trees
+and their bipartitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .chains import MarkovSpec
 from .words import Letter
+
+if TYPE_CHECKING:
+    from .chains import MarkovSpec
 
 
 @dataclass(frozen=True)
@@ -40,55 +46,53 @@ class TransitionGraph:
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[1].get(v, ())
 
-    def out_degree(self, v: int) -> int:
-        return len(self.out_neighbors(v))
+    @cached_property
+    def classes(self) -> tuple[frozenset[int], ...]:
+        """Connected components ignoring edge direction (union-find), ordered
+        by smallest vertex."""
+        uf = list(range(self.size))
 
-    def in_degree(self, v: int) -> int:
-        return len(self.in_neighbors(v))
+        def find(i: int) -> int:
+            while uf[i] != i:
+                uf[i] = uf[uf[i]]
+                i = uf[i]
+            return i
 
+        for a, b in self.edges:
+            uf[find(a)] = find(b)
+        roots: dict[int, list[int]] = {}
+        for v in range(self.size):
+            roots.setdefault(find(v), []).append(v)
+        return tuple(frozenset(vs) for vs in sorted(roots.values(), key=lambda vs: vs[0]))
 
-@dataclass(frozen=True)
-class ClassPartition:
-    """Partition of the alphabet into components of the undirected support."""
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        """Index in classes of every vertex's class."""
+        class_of = [0] * self.size
+        for ci, cls in enumerate(self.classes):
+            for v in cls:
+                class_of[v] = ci
+        return tuple(class_of)
 
-    classes: tuple[frozenset[int], ...]
-    class_of: tuple[int, ...]
+    @cached_property
+    def periodic(self) -> tuple[bool, ...]:
+        """Per class: every vertex has in- and out-degree exactly 1, i.e. the
+        class is a single deterministic cycle."""
+        return tuple(
+            all(len(self.out_neighbors(v)) == 1 == len(self.in_neighbors(v)) for v in cls)
+            for cls in self.classes
+        )
+
+    def aperiodic(self, v: int) -> bool:
+        """Whether v's class is not a single deterministic cycle."""
+        return not self.periodic[self.class_of[v]]
 
 
 def support_edges(spec: MarkovSpec, gen: int, sign: int = 1) -> TransitionGraph:
-    """Edges (a, b) with positive two-point mass pi(a) K(a, b) along the
-    given direction; sign -1 uses the reversed kernel.  The edge set is the
-    spec's table entry, computed once per spec and direction."""
-    return TransitionGraph(spec.size, spec.letter_support[Letter(gen, sign)])
-
-
-def classes(g: TransitionGraph) -> ClassPartition:
-    """Connected components, ignoring edge direction (union-find)."""
-    uf = list(range(g.size))
-
-    def find(i: int) -> int:
-        while uf[i] != i:
-            uf[i] = uf[uf[i]]
-            i = uf[i]
-        return i
-
-    for a, b in g.edges:
-        uf[find(a)] = find(b)
-    roots: dict[int, list[int]] = {}
-    for v in range(g.size):
-        roots.setdefault(find(v), []).append(v)
-    ordered = sorted(roots.values(), key=lambda vs: vs[0])
-    class_of = [0] * g.size
-    for ci, vs in enumerate(ordered):
-        for v in vs:
-            class_of[v] = ci
-    return ClassPartition(tuple(frozenset(vs) for vs in ordered), tuple(class_of))
-
-
-def is_periodic_class(g: TransitionGraph, cls: frozenset[int]) -> bool:
-    """True iff every vertex of the class has in- and out-degree exactly 1,
-    i.e. the class is a single deterministic cycle."""
-    return all(g.out_degree(v) == 1 and g.in_degree(v) == 1 for v in cls)
+    """The support graph along the given direction: edges (a, b) with
+    positive two-point mass pi(a) K(a, b); sign -1 uses the reversed kernel.
+    The graph is the spec's table entry, built once per spec and direction."""
+    return spec.letter_support[Letter(gen, sign)]
 
 
 @dataclass(frozen=True)
@@ -144,15 +148,13 @@ def classify(spec: MarkovSpec) -> Classification:
     for gi, name in enumerate(spec.generators):
         g = support_edges(spec, gi)
         union_edges |= g.edges
-        part = classes(g)
-        periodic = tuple(is_periodic_class(g, c) for c in part.classes)
-        ergodic = len(part.classes) == 1
-        free = not any(periodic)
-        if not all(periodic):
+        ergodic = len(g.classes) == 1
+        free = not any(g.periodic)
+        if not all(g.periodic):
             some_aperiodic = True
-        reports.append(GeneratorReport(name, ergodic, free, part.classes, periodic))
+        reports.append(GeneratorReport(name, ergodic, free, g.classes, g.periodic))
     union = TransitionGraph(spec.size, frozenset(union_edges))
-    globally_ergodic = len(classes(union).classes) == 1
+    globally_ergodic = len(union.classes) == 1
     return Classification(
         tuple(reports),
         globally_ergodic,
@@ -182,7 +184,7 @@ def branch_data(g: TransitionGraph, b: int) -> BranchData:
     out-neighbor.  Exists whenever b's class is aperiodic in a graph whose
     vertices all have positive in- and out-degree; misuse raises.
     """
-    if g.out_degree(b) == 0:
+    if not g.out_neighbors(b):
         raise InputError(f"vertex {b} has no outgoing support edge")
     # BFS over lex-minimal paths: level k holds the lex-smallest path of
     # length k to each reachable vertex.
@@ -191,7 +193,7 @@ def branch_data(g: TransitionGraph, b: int) -> BranchData:
     for _ in range(g.size + 1):
         # n = len(path to branch vertex) + 1; scan frontier in path order
         candidates = [
-            (best[v], v) for v in frontier if g.out_degree(v) >= 2
+            (best[v], v) for v in frontier if len(g.out_neighbors(v)) >= 2
         ]
         if candidates:
             prefix, branch_vertex = min(candidates)
@@ -229,12 +231,7 @@ def is_special(g: TransitionGraph, edge_set) -> bool:
     targets = {b for _, b in edge_set}
     if sources & targets:
         return False
-    part = classes(g)
-    for v in sources | targets:
-        cls = part.classes[part.class_of[v]]
-        if is_periodic_class(g, cls):
-            return False
-    return True
+    return all(g.aperiodic(v) for v in sources | targets)
 
 
 @dataclass(frozen=True)
@@ -257,24 +254,20 @@ def special_sets(spec: MarkovSpec, gen: int, a: int) -> SpecialSets:
     edge cross the two sides, so each oriented half has disjoint sources and
     targets.
     """
+    if not 0 <= a < spec.size:
+        raise InputError(f"symbol index {a} outside alphabet of size {spec.size}")
     g = support_edges(spec, gen)
-    part = classes(g)
-    cls = sorted(part.classes[part.class_of[a]])
-    if is_periodic_class(g, frozenset(cls)):
+    if not g.aperiodic(a):
         raise InputError(f"class of {a} along {spec.generators[gen]} is periodic")
-    undirected = {v: set() for v in cls}
-    for x, y in g.edges:
-        if x in undirected and y in undirected and x != y:
-            undirected[x].add(y)
-            undirected[y].add(x)
-    root = cls[0]
+    cls = g.classes[g.class_of[a]]
+    root = min(cls)
     color = {root: 0}
     tree_pairs = []
     frontier = [root]
     while frontier:
         nxt = []
         for v in sorted(frontier):
-            for w in sorted(undirected[v]):
+            for w in sorted({*g.out_neighbors(v), *g.in_neighbors(v)}):
                 if w not in color:
                     color[w] = 1 - color[v]
                     tree_pairs.append((v, w))

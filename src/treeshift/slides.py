@@ -46,11 +46,8 @@ from .cocycles import (
 from .errors import InputError, ParamsError, TreeshiftError
 from .graphs import (
     BranchData,
-    TransitionGraph,
     branch_data,
-    classes,
     classify,
-    is_periodic_class,
     is_special,
     special_sets,
     support_edges,
@@ -309,26 +306,18 @@ def verify_slide(
                 break
 
     q = candidate.kernels[params.t]
-    # the edges with pi(a) q(a, b) > 0, from the spec's edge table like every support graph
-    rho = spec.with_kernel(params.t, q)
-    rho_graph = TransitionGraph(spec.size, rho.letter_support[Letter(params.t, 1)])
+    rho_graph = support_edges(spec.with_kernel(params.t, q), params.t)
     mu_t = support_edges(spec, params.t)
     support_ok = mu_t.edges <= rho_graph.edges
     for a, b in params.edges:
         for alpha in mu_t.in_neighbors(a):
             if (alpha, b) not in rho_graph.edges:
                 support_ok = False
-    part = classes(rho_graph)
     for a, b in params.edges | mu_t.edges:
-        if part.class_of[a] != part.class_of[b]:
+        if rho_graph.class_of[a] != rho_graph.class_of[b]:
             support_ok = False
 
-    aperiodic_ok = True
-    for a, b in params.edges:
-        for v in (a, b):
-            cls = part.classes[part.class_of[v]]
-            if is_periodic_class(rho_graph, cls):
-                aperiodic_ok = False
+    aperiodic_ok = all(rho_graph.aperiodic(v) for edge in params.edges for v in edge)
 
     return SlideReport(double_ok, orbit_ok, markov_ok, support_ok, aperiodic_ok, q)
 
@@ -342,10 +331,8 @@ def _aperiodic_witness(spec: MarkovSpec) -> tuple[int, int]:
     """Smallest (generator, symbol) whose restriction class is aperiodic."""
     for gi in range(spec.rank):
         g = support_edges(spec, gi)
-        part = classes(g)
         for a in range(spec.size):
-            cls = part.classes[part.class_of[a]]
-            if not is_periodic_class(g, cls):
+            if g.aperiodic(a):
                 return gi, a
     raise InputError("no aperiodic restriction class: chain is not properly ergodic")
 
@@ -442,5 +429,8 @@ def params_from_json(spec: MarkovSpec, obj) -> SlideParams:
         raise InputError("slide params must be an object with u, t, E")
     u = spec.generator_index(obj["u"])
     t = spec.generator_index(obj["t"])
-    edges = [(spec.symbol_index(a), spec.symbol_index(b)) for a, b in obj["E"]]
+    pairs = obj["E"]
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise InputError("slide params E must be a list of [a, b] symbol pairs")
+    edges = [(spec.symbol_index(a), spec.symbol_index(b)) for a, b in pairs]
     return build_slide_params(spec, u, t, edges)

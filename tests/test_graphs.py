@@ -12,14 +12,12 @@ from treeshift.graphs import (
     BranchData,
     TransitionGraph,
     branch_data,
-    classes,
     classify,
-    is_periodic_class,
     is_special,
     special_sets,
     support_edges,
 )
-from treeshift.randspec import random_spec
+from treeshift.randspec import random_properly_ergodic_spec, random_spec
 
 H = Fraction(1, 2)
 
@@ -50,6 +48,10 @@ class TestSupportEdges:
             fwd = support_edges(spec, gen).edges
             assert fwd == oracle_support(spec, gen)
             assert support_edges(spec, gen).edges is fwd
+            for sign in (1, -1):  # the graph and its answers are built once
+                g = support_edges(spec, gen, sign)
+                assert support_edges(spec, gen, sign) is g
+                assert g.classes is g.classes
             assert support_edges(spec, gen, sign=-1).edges == {(b, a) for a, b in fwd}
         with pytest.raises(InputError):
             support_edges(spec, 3)
@@ -64,45 +66,56 @@ class TestTransitionGraph:
             outs = tuple(sorted(b for a, b in edges if a == v))
             ins = tuple(sorted(a for a, b in edges if b == v))
             assert (g.out_neighbors(v), g.in_neighbors(v)) == (outs, ins)
-            assert (g.out_degree(v), g.in_degree(v)) == (len(outs), len(ins))
 
 
 class TestClasses:
     def test_single_edge(self):
-        part = classes(graph(3, {(0, 1)}))
-        assert part.classes == (frozenset({0, 1}), frozenset({2}))
-        assert part.class_of == (0, 0, 1)
+        g = graph(3, {(0, 1)})
+        assert g.classes == (frozenset({0, 1}), frozenset({2}))
+        assert g.class_of == (0, 0, 1)
 
     def test_complete(self):
-        part = classes(graph(3, {(a, b) for a in range(3) for b in range(3)}))
-        assert len(part.classes) == 1
+        g = graph(3, {(a, b) for a in range(3) for b in range(3)})
+        assert len(g.classes) == 1
 
     @given(st.sets(st.tuples(st.integers(0, 49), st.integers(0, 49)), max_size=120))
     @settings(max_examples=40)
     def test_matches_bfs_oracle(self, edges):
-        part = classes(graph(50, edges))
-        assert sorted(part.classes, key=min) == sorted(
-            bfs_components(50, edges), key=min
-        )
+        g = graph(50, edges)
+        components = bfs_components(50, edges)
+        assert sorted(g.classes, key=min) == sorted(components, key=min)
+        # a class is periodic iff each of its vertices has one out- and one in-edge
+        cycle_like = {
+            v for v in range(50)
+            if sum(a == v for a, _ in edges) == 1 == sum(b == v for _, b in edges)
+        }
+        assert g.periodic == tuple(c <= cycle_like for c in g.classes)
+        assert all(g.aperiodic(v) == (not c <= cycle_like) for c in components for v in c)
 
 
 class TestPeriodicity:
     def test_swap_cycle_periodic(self):
         g = graph(2, {(0, 1), (1, 0)})
-        assert is_periodic_class(g, frozenset({0, 1}))
+        assert g.classes == (frozenset({0, 1}),) and g.periodic == (True,)
 
     def test_complete_with_loops_aperiodic(self):
         g = graph(2, {(0, 0), (0, 1), (1, 0), (1, 1)})
-        assert not is_periodic_class(g, frozenset({0, 1}))
+        assert g.classes == (frozenset({0, 1}),) and g.periodic == (False,)
 
     def test_cycle_with_chord_aperiodic(self):
         g = graph(3, {(0, 1), (1, 2), (2, 0), (1, 0)})
-        assert not is_periodic_class(g, frozenset({0, 1, 2}))
+        assert g.classes == (frozenset({0, 1, 2}),) and g.periodic == (False,)
+
+    def test_degree_one_on_one_side_only_aperiodic(self):
+        # out-degree 1 everywhere but in-degree 2 at vertex 1, then the reverse
+        for edges in ({(0, 1), (1, 2), (2, 1)}, {(1, 0), (2, 1), (1, 2)}):
+            g = graph(3, edges)
+            assert g.classes == (frozenset({0, 1, 2}),) and g.periodic == (False,)
 
     def test_singleton_with_loop_periodic(self):
         # a loop gives in- and out-degree exactly 1
         g = graph(2, {(0, 0), (1, 1)})
-        assert is_periodic_class(g, frozenset({0}))
+        assert g.classes[0] == frozenset({0}) and g.periodic[0]
 
 
 class TestClassify:
@@ -200,10 +213,8 @@ class TestBranchData:
         for seed in range(10):
             spec = random_spec(seed, size=5, style="sparse")
             g = support_edges(spec, 1)
-            part = classes(g)
             for b in range(5):
-                cls = part.classes[part.class_of[b]]
-                if is_periodic_class(g, cls):
+                if not g.aperiodic(b):
                     continue
                 assert branch_data(g, b).n <= 5
 
@@ -242,6 +253,11 @@ class TestSpecialSets:
         with pytest.raises(InputError):
             special_sets(m1, 1, 0)
 
+    @pytest.mark.parametrize("a", [-1, 9])
+    def test_symbol_out_of_range_rejected(self, a):
+        with pytest.raises(InputError):
+            special_sets(random_properly_ergodic_spec(1, 4, 2), 0, a)
+
     def test_four_vertex_tree_size(self):
         spec = bernoulli_spec([0, 1, 2, 3], [Fraction(1, 4)] * 4)
         out = special_sets(spec, 0, 0)
@@ -255,11 +271,10 @@ class TestSpecialSets:
     def test_halves_are_special(self, seed):
         spec = random_spec(seed, size=seed % 5 + 2, style="mixed")
         g = support_edges(spec, 0)
-        part = classes(g)
         for a in range(spec.size):
-            cls = part.classes[part.class_of[a]]
-            if is_periodic_class(g, cls):
+            if not g.aperiodic(a):
                 continue
+            cls = g.classes[g.class_of[a]]
             out = special_sets(spec, 0, a)
             assert is_special(g, out.e1)
             assert is_special(g, out.e2)

@@ -154,7 +154,7 @@ class TestLetterSupportSign:
         pi, kernel = entries
         k = tuple(map(tuple, kernel))
         spec = MarkovSpec(("s1", "s2"), tuple(range(len(pi))), tuple(pi), (k, k))
-        assert spec.letter_support[Letter(0, 1)] == oracle_support(spec, 0)
+        assert spec.letter_support[Letter(0, 1)].edges == oracle_support(spec, 0)
 
 
 class TestPushforwardMatchesDenseProduct:

@@ -19,9 +19,7 @@ from treeshift.cocycles import cocycle, window_marginal
 from treeshift.errors import InputError, ParamsError
 from treeshift.graphs import (
     BranchData,
-    classes,
     classify,
-    is_periodic_class,
     special_sets,
     support_edges,
 )
@@ -82,6 +80,11 @@ class TestParams:
         obj = params_to_json(m3, m3_slide)
         assert obj["u"] == "s1" and obj["t"] == "s2" and obj["E"] == [[0, 1]]
         assert params_from_json(m3, {"u": "s1", "t": "s2", "E": [[0, 1]]}) == m3_slide
+
+    @pytest.mark.parametrize("pairs", [5, [[0]], [[0, 1, 2]]])
+    def test_json_bad_edge_shape_rejected(self, m3, pairs):
+        with pytest.raises(InputError):
+            params_from_json(m3, {"u": "s1", "t": "s2", "E": pairs})
 
 
 class TestFlagTriple:
@@ -183,8 +186,8 @@ class TestPushforward:
             spec = random_spec(seed, size, style=kind)
         for u in range(spec.rank):
             g = support_edges(spec, u)
-            for cls in classes(g).classes:
-                if is_periodic_class(g, cls):
+            for cls, periodic in zip(g.classes, g.periodic):
+                if periodic:
                     continue
                 sets = special_sets(spec, u, min(cls))
                 for edges in (sets.e1, sets.e2):
