@@ -14,6 +14,11 @@ integer draw thresholds of every kernel row and of pi.  The tables are keyed
 by letter code (see words) and also serve Letter keys.  Cylinder measures,
 window scans and samplers read them by code, so no hot path hashes the spec.
 
+The exact engine lives here too: scan_positive_windows enumerates the
+positive-measure windows that a window function reads, depth first, under one
+window budget (_MAX_WINDOWS).  window_marginal is the law it collects, and
+enumerate_cylinders is its form on a fixed domain.
+
 Exact sums run on ints: scaled puts rationals over the lcm D of their
 denominators as the integers x*D, and scaling by D > 0 keeps signs, sums and
 equalities, so a Fraction (one gcd) is built per result rather than per term.
@@ -39,7 +44,9 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_MAX_CYLINDERS = 500_000  # enumerate_cylinders budget, as the window engine's
+_MAX_WINDOWS = 500_000  # windows of one scan_positive_windows call
+_MAX_COORDS = 400  # coordinates of one window
+_MAX_SAMPLE_BALL = 200_000  # words of one sample_ball
 
 
 # ---------------------------------------------------------------------------
@@ -340,45 +347,121 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
     return total
 
 
-def enumerate_cylinders(
-    spec: MarkovSpec,
-    domain: LeftConnectedSet,
-    positive_only: bool = True,
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Yield (values, measure) for configurations on the domain, parents-first.
+# ---------------------------------------------------------------------------
+# the exact engine: demand-driven enumeration of positive-measure windows
+# ---------------------------------------------------------------------------
 
-    Values follow the domain's canonical order.  With positive_only the
-    depth-first sweep prunes zero-probability branches, so the yielded
-    measures sum to exactly 1.  Raises BudgetError instead of yielding more
-    than _MAX_CYLINDERS configurations.
+
+class _Probe:
+    __slots__ = ("assign",)
+
+    def __init__(self, assign: dict):
+        self.assign = assign
+
+    def __getitem__(self, w: Word) -> int:
+        try:
+            return self.assign[w]
+        except KeyError:
+            raise MissingCoordinate(w) from None
+
+
+@dataclass
+class WindowScan:
+    windows: int
+    law: dict  # {value of fn: total weight of the windows giving it}
+    failures: tuple  # up to five (window, value) pairs with a falsy value
+
+    @property
+    def ok(self) -> bool:
+        """Whether every value was truthy."""
+        return all(self.law)
+
+    @property
+    def total_weight(self) -> Fraction:
+        return sum(self.law.values(), ZERO)
+
+
+def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
+    """Run fn against every minimal positive-measure window it can observe.
+
+    fn receives a partial configuration and must be a deterministic function
+    of the coordinates it reads, with hashable values; a read outside the
+    current assignment branches the enumeration over all extensions of
+    positive probability along the geodesic to the assigned region, depth
+    first in symbol order.  The enumerated windows are prefix-free and cover
+    the space, so their weights sum to exactly 1.  Raises BudgetError beyond
+    _MAX_WINDOWS windows or a window of more than _MAX_COORDS coordinates.
+    """
+    law: dict = {}
+    failures: list = []
+    windows = 0
+    kernels = spec.letter_kernels
+
+    def run(assign: dict, weight: Fraction):
+        nonlocal windows
+        try:
+            value = fn(_Probe(assign))
+        except MissingCoordinate as miss:
+            g = miss.word
+            if g in assign:
+                raise InputError("window function missed an assigned coordinate")
+            path = []
+            v = g
+            while v not in assign and v:
+                path.append(v)
+                v = parent(v)
+            if not v and v not in assign:
+                path.append(v)
+            if len(assign) + len(path) > _MAX_COORDS:
+                raise BudgetError(f"window grew beyond {_MAX_COORDS} coordinates")
+
+            def fill(i: int, w: Fraction):
+                if i < 0:
+                    run(assign, w)
+                    return
+                h = path[i]
+                row = kernels[h[0]][assign[parent(h)]] if h else spec.pi
+                for b, p in enumerate(row):
+                    if p == 0:
+                        continue
+                    assign[h] = b
+                    fill(i - 1, w * p)
+                    del assign[h]
+
+            fill(len(path) - 1, weight)
+            return
+        windows += 1
+        if windows > _MAX_WINDOWS:
+            raise BudgetError(f"more than {_MAX_WINDOWS} positive windows")
+        law[value] = law.get(value, ZERO) + weight
+        if not value and len(failures) < 5:
+            failures.append((dict(assign), value))
+
+    run({}, ONE)
+    return WindowScan(windows, law, tuple(failures))
+
+
+def window_marginal(spec: MarkovSpec, fn) -> dict:
+    """Exact law of fn's value over the chain: {value: probability}."""
+    scan = scan_positive_windows(spec, fn)
+    if scan.total_weight != 1:
+        raise InputError("window enumeration did not cover the space")
+    return scan.law
+
+
+def enumerate_cylinders(
+    spec: MarkovSpec, domain: LeftConnectedSet
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Yield (values, measure) for the positive-measure configurations on the domain.
+
+    Values follow the domain's canonical order.  This is the window scan on
+    a fixed domain: its window function reads the words in canonical order,
+    parents first, so each window is one cylinder, zero-probability branches
+    are pruned, and the pairs come depth first in symbol order.  For a valid
+    spec the measures sum to exactly 1; the spec is not checked.
     """
     words = domain.words
-    parent_pos = [0] * len(words)
-    kernels: list[Matrix | None] = [None] * len(words)
-    for i, w in enumerate(words[1:], 1):
-        parent_pos[i] = words.index(parent(w))
-        kernels[i] = spec.letter_kernels[w[0]]
-    n = spec.size
-    values = [0] * len(words)
-    yielded = 0
-
-    def rec(i: int, weight: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        nonlocal yielded
-        if i == len(words):
-            yielded += 1
-            if yielded > _MAX_CYLINDERS:
-                raise BudgetError(f"more than {_MAX_CYLINDERS} cylinders on the domain")
-            yield tuple(values), weight
-            return
-        row = spec.pi if i == 0 else kernels[i][values[parent_pos[i]]]
-        for b in range(n):
-            f = row[b]
-            if positive_only and f == 0:
-                continue
-            values[i] = b
-            yield from rec(i + 1, weight * f)
-
-    yield from rec(0, ONE)
+    yield from scan_positive_windows(spec, lambda x: tuple(x[w] for w in words)).law.items()
 
 
 def bernoulli_spec(alphabet, pi: Sequence[Fraction], rank: int = 2) -> MarkovSpec:
@@ -488,11 +571,9 @@ def derive_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def sample_ball(
-    spec: MarkovSpec, radius: int, seed: int, budget: int = 200_000
-) -> Configuration:
+def sample_ball(spec: MarkovSpec, radius: int, seed: int) -> Configuration:
     """One exact sample of the chain restricted to the ball of given radius."""
-    dom = ball(spec.rank, radius, budget=budget)
+    dom = ball(spec.rank, radius, budget=_MAX_SAMPLE_BALL)
     tree = SampledTree(spec, seed)
     return Configuration._on(dom, {w: tree[w] for w in dom})
 

@@ -11,18 +11,17 @@ letter images extend to a cocycle w(g, x) with
 and the recoding (Omega x)_h = x_{w(h, x)} intertwines the rewritten action
 with the plain shift.  Everything here is evaluated lazily against partial
 configurations: a lookup outside the available domain raises
-MissingCoordinate, which the demand-driven window enumerator below uses to
-extend exactly the coordinates a check actually reads.
+MissingCoordinate, which the window scan of chains (scan_positive_windows)
+uses to extend exactly the coordinates a check actually reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
-from .chains import MarkovSpec, SampledTree, derive_seed
-from .errors import BudgetError, InputError, MissingCoordinate
+from .chains import MarkovSpec, SampledTree, derive_seed, scan_positive_windows
+from .errors import InputError
 from .words import IDENTITY, Letter, Word, _letter, _word, ball, in_past, inverse, multiply
 from .words import parent, single
 
@@ -117,115 +116,6 @@ class RecodedView:
 
 
 # ---------------------------------------------------------------------------
-# demand-driven enumeration of positive-measure windows
-# ---------------------------------------------------------------------------
-
-
-class _Probe:
-    __slots__ = ("assign",)
-
-    def __init__(self, assign: dict):
-        self.assign = assign
-
-    def __getitem__(self, w: Word) -> int:
-        try:
-            return self.assign[w]
-        except KeyError:
-            raise MissingCoordinate(w) from None
-
-
-@dataclass
-class WindowScan:
-    ok: bool
-    windows: int
-    total_weight: Fraction
-    failures: tuple
-
-
-def scan_positive_windows(
-    spec: MarkovSpec,
-    fn,
-    *,
-    on_window=None,
-    max_windows: int = 500_000,
-    max_coords: int = 400,
-) -> WindowScan:
-    """Run fn against every minimal positive-measure window it can observe.
-
-    fn receives a partial configuration and must be a deterministic function
-    of the coordinates it reads; a read outside the current assignment
-    branches the enumeration over all extensions of positive probability
-    along the geodesic to the assigned region.  The enumerated windows are
-    prefix-free and cover the space, so their weights sum to exactly 1.
-
-    fn's return value is passed to on_window(assignment, value, weight); the
-    scan's ok flag records whether every value was truthy.
-    """
-    state = {"count": 0, "total": Fraction(0), "ok": True}
-    failures: list = []
-    kernels = spec.letter_kernels
-
-    def run(assign: dict, weight: Fraction):
-        try:
-            value = fn(_Probe(assign))
-        except MissingCoordinate as miss:
-            g = miss.word
-            if g in assign:
-                raise InputError("window function missed an assigned coordinate")
-            path = []
-            v = g
-            while v not in assign and v:
-                path.append(v)
-                v = parent(v)
-            if not v and v not in assign:
-                path.append(v)
-            if len(assign) + len(path) > max_coords:
-                raise BudgetError(f"window grew beyond {max_coords} coordinates")
-
-            def fill(i: int, w: Fraction):
-                if i < 0:
-                    run(assign, w)
-                    return
-                h = path[i]
-                row = kernels[h[0]][assign[parent(h)]] if h else spec.pi
-                for b, p in enumerate(row):
-                    if p == 0:
-                        continue
-                    assign[h] = b
-                    fill(i - 1, w * p)
-                    del assign[h]
-
-            fill(len(path) - 1, weight)
-            return
-        state["count"] += 1
-        if state["count"] > max_windows:
-            raise BudgetError(f"more than {max_windows} positive windows")
-        state["total"] += weight
-        if not value:
-            state["ok"] = False
-            if len(failures) < 5:
-                failures.append((dict(assign), value))
-        if on_window is not None:
-            on_window(dict(assign), value, weight)
-
-    run({}, Fraction(1))
-    return WindowScan(state["ok"], state["count"], state["total"], tuple(failures))
-
-
-def window_marginal(spec: MarkovSpec, fn, **kw) -> dict:
-    """Exact law of fn's value over the chain: {value: probability}."""
-    out: dict = {}
-
-    def collect(assign, value, weight):
-        out[value] = out.get(value, Fraction(0)) + weight
-
-    scan = scan_positive_windows(spec, fn, on_window=collect, **kw)
-    if scan.total_weight != 1:
-        raise InputError("window enumeration did not cover the space")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # rule-level checks
 # ---------------------------------------------------------------------------
 
@@ -238,7 +128,7 @@ def _checked_letters(rule: RewriteRule) -> list[Letter]:
     return sorted(seen, key=Letter.sort_key)
 
 
-def check_involution(rule: RewriteRule, spec: MarkovSpec, **kw) -> bool:
+def check_involution(rule: RewriteRule, spec: MarkovSpec) -> bool:
     """Whether rewriting a letter and then its inverse from the moved
     configuration always returns the inverse word, on every positive window."""
     for l in _checked_letters(rule):
@@ -248,14 +138,12 @@ def check_involution(rule: RewriteRule, spec: MarkovSpec, **kw) -> bool:
             w_back = rule.letter_image(l.inverse(), win, w)
             return w_back == inverse(w)
 
-        if not scan_positive_windows(spec, fn, **kw).ok:
+        if not scan_positive_windows(spec, fn).ok:
             return False
     return True
 
 
-def check_past_preservation(
-    rule: RewriteRule, spec: MarkovSpec, s: Letter, r: int, **kw
-) -> bool:
+def check_past_preservation(rule: RewriteRule, spec: MarkovSpec, s: Letter, r: int) -> bool:
     """Whether g and w(g, x) always lie on the same side of the past of s,
     for all |g| <= r and all positive windows."""
     for g in ball(rule.rank, r):
@@ -266,7 +154,7 @@ def check_past_preservation(
             table = CocycleTable(rule, win)
             return in_past(g, s) == in_past(table.omega(g), s)
 
-        if not scan_positive_windows(spec, fn, **kw).ok:
+        if not scan_positive_windows(spec, fn).ok:
             return False
     return True
 
@@ -279,7 +167,6 @@ def check_inverse_pair(
     *,
     samples: int = 20,
     seed: int = 0,
-    **kw,
 ) -> bool:
     """Whether the two rules invert each other: w(w_hat(l, Omega x), x) = l on
     every positive window, and the composed recodings restore sampled
@@ -295,7 +182,7 @@ def check_inverse_pair(
             w_hat = cocycle(rule_hat, single(l), recoded)
             return cocycle(rule, w_hat, win) == single(l)
 
-        if not scan_positive_windows(spec, fn, **kw).ok:
+        if not scan_positive_windows(spec, fn).ok:
             return False
     for i in range(samples):
         x = SampledTree(spec, derive_seed(seed, i))

@@ -46,7 +46,10 @@ class Letter(NamedTuple):
 
 
 def letter_code(l: Letter) -> int:
-    """The int a Word stores for the letter: 2 gen, plus 1 for an inverse."""
+    """The int a Word stores for the letter: 2 gen, plus 1 for an inverse.
+    Raises InputError for anything but a Letter with gen >= 0 and sign +-1."""
+    if not (isinstance(l, Letter) and isinstance(l.gen, int) and l.gen >= 0 and l.sign in (1, -1)):
+        raise InputError(f"not a letter: {l!r}")
     return 2 * l.gen + (l.sign < 0)
 
 

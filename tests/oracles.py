@@ -6,11 +6,19 @@ explicit products, BFS) without going through the code paths under test.
 
 import itertools
 from fractions import Fraction
+from typing import Iterator
 
-from treeshift.chains import Configuration, MarkovSpec, ValidationReport
+from treeshift.chains import (
+    ONE,
+    Configuration,
+    MarkovSpec,
+    Matrix,
+    ValidationReport,
+    window_marginal,
+)
 from treeshift.cocycles import RecodedView, RewriteRule, cocycle
-from treeshift.errors import InputError, MissingCoordinate, SpecInvalidError
-from treeshift.words import Word, ball, edge_letter, inverse, multiply, parent
+from treeshift.errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
+from treeshift.words import LeftConnectedSet, Word, ball, edge_letter, inverse, multiply, parent
 
 
 def full_config_prob(spec: MarkovSpec, words, values) -> Fraction:
@@ -382,3 +390,74 @@ def oracle_dense_pushforward(spec: MarkovSpec, params):
         )
         for row in spec.kernels[params.t]
     )
+
+
+# ---------------------------------------------------------------------------
+# cylinder sweeps before the window scan ran them: the depth-first enumerator
+# with a full-sweep mode, and verify_slide's Markov check on top of it
+# ---------------------------------------------------------------------------
+
+_MAX_CYLINDERS = 500_000
+
+
+def oracle_enumerate_cylinders(
+    spec: MarkovSpec,
+    domain: LeftConnectedSet,
+    positive_only: bool = True,
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Yield (values, measure) for configurations on the domain, parents-first.
+
+    Values follow the domain's canonical order.  With positive_only the
+    depth-first sweep prunes zero-probability branches, so the yielded
+    measures sum to exactly 1.  Raises BudgetError instead of yielding more
+    than _MAX_CYLINDERS configurations.
+    """
+    words = domain.words
+    parent_pos = [0] * len(words)
+    kernels: list[Matrix | None] = [None] * len(words)
+    for i, w in enumerate(words[1:], 1):
+        parent_pos[i] = words.index(parent(w))
+        kernels[i] = spec.letter_kernels[w[0]]
+    n = spec.size
+    values = [0] * len(words)
+    yielded = 0
+
+    def rec(i: int, weight: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+        nonlocal yielded
+        if i == len(words):
+            yielded += 1
+            if yielded > _MAX_CYLINDERS:
+                raise BudgetError(f"more than {_MAX_CYLINDERS} cylinders on the domain")
+            yield tuple(values), weight
+            return
+        row = spec.pi if i == 0 else kernels[i][values[parent_pos[i]]]
+        for b in range(n):
+            f = row[b]
+            if positive_only and f == 0:
+                continue
+            values[i] = b
+            yield from rec(i + 1, weight * f)
+
+    yield from rec(0, ONE)
+
+
+def oracle_markov_factorization(spec, params, candidate) -> bool:
+    """verify_slide's Markov check as a full sweep: on each check domain, every
+    value tuple's recoded probability (0 when no window gives it) must equal
+    the candidate's cylinder measure, zero cylinders included."""
+    from treeshift.slides import _markov_check_domains, rule_from_params
+
+    rule = rule_from_params(params)
+    ok = True
+    for domain in _markov_check_domains(spec, params):
+
+        def fn(win, words=domain.words):
+            view = RecodedView(rule, win)
+            return tuple(view[g] for g in words)
+
+        marginal = window_marginal(spec, fn)
+        for values, expected in oracle_enumerate_cylinders(candidate, domain, positive_only=False):
+            if marginal.get(values, 0) != expected:
+                ok = False
+                break
+    return ok

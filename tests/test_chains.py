@@ -14,6 +14,7 @@ from oracles import (
     left_connected_subsets,
     marginal_table,
     oracle_draw,
+    oracle_enumerate_cylinders,
     translate_configuration,
 )
 from treeshift import chains
@@ -35,6 +36,7 @@ from treeshift.chains import (
     spec_from_json,
     spec_to_json,
     validate,
+    window_marginal,
 )
 from treeshift.errors import (
     BudgetError,
@@ -43,9 +45,20 @@ from treeshift.errors import (
     MissingCoordinate,
     SpecInvalidError,
 )
-from treeshift.cocycles import window_marginal
 from treeshift.randspec import random_spec
-from treeshift.words import IDENTITY, Letter, Word, ball, edge_letter, parent, word_from_str
+from treeshift.words import (
+    IDENTITY,
+    LeftConnectedSet,
+    Letter,
+    Word,
+    ball,
+    edge_letter,
+    letters_of_rank,
+    multiply,
+    parent,
+    single,
+    word_from_str,
+)
 
 H = Fraction(1, 2)
 W = word_from_str
@@ -188,12 +201,13 @@ class TestCylinderMeasure:
     def test_additivity(self, m1):
         dom = ball(2, 1)
         child = W("s1.s1")
-        for values, weight in enumerate_cylinders(m1, dom, positive_only=False):
+        weights = dict(enumerate_cylinders(m1, dom))
+        for values in itertools.product(range(2), repeat=len(dom)):
             phi = dict(zip(dom.words, values))
             total = sum(
                 cylinder_measure(m1, Configuration({**phi, child: a})) for a in range(2)
             )
-            assert total == cylinder_measure(m1, Configuration(phi)) == weight
+            assert total == cylinder_measure(m1, Configuration(phi)) == weights.get(values, 0)
 
     def test_translation_invariance(self, m1):
         dom = ball(2, 1)
@@ -211,29 +225,49 @@ class TestCylinderMeasure:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_full_sweep_matches_cylinder_measures(self, seed):
-        """enumerate_cylinders(positive_only=False) yields every value tuple in
-        itertools.product order, each with its cylinder_measure."""
+        """enumerate_cylinders yields the value tuples of positive cylinder_measure
+        in itertools.product order, each with its measure."""
         spec = random_spec(seed, 3, 3, style="sparse" if seed % 2 else "mixed")
         doms = [["e"], ["e", "s3^-1"], ["e", "s2", "s1.s2"], ["e", "s2", "s1^-1.s2"]]
         for words in doms:
             dom = Configuration({W(w): 0 for w in words}).domain
-            expected = [
+            measures = (
                 (values, cylinder_measure(spec, Configuration(dict(zip(dom.words, values)))))
                 for values in itertools.product(range(spec.size), repeat=len(dom))
-            ]
-            assert list(enumerate_cylinders(spec, dom, positive_only=False)) == expected
+            )
+            expected = [(values, p) for values, p in measures if p > 0]
+            assert list(enumerate_cylinders(spec, dom)) == expected
 
     def test_enumeration_budget(self, m1, monkeypatch):
-        # ball(2, 1) has 5 words, so m1 has 2^5 configurations on it
-        monkeypatch.setattr(chains, "_MAX_CYLINDERS", 32)
-        assert len(list(enumerate_cylinders(m1, ball(2, 1), False))) == 32
-        monkeypatch.setattr(chains, "_MAX_CYLINDERS", 31)
+        # on ball(2, 1) only x_e and the two s1-steps branch (s2 swaps): 2^3 cylinders
+        monkeypatch.setattr(chains, "_MAX_WINDOWS", 8)
+        assert len(list(enumerate_cylinders(m1, ball(2, 1)))) == 8
+        monkeypatch.setattr(chains, "_MAX_WINDOWS", 7)
         with pytest.raises(BudgetError):
-            list(enumerate_cylinders(m1, ball(2, 1), False))
+            list(enumerate_cylinders(m1, ball(2, 1)))
         # up to 3^17 positive cylinders: stops at the budget instead
-        monkeypatch.setattr(chains, "_MAX_CYLINDERS", 1000)
+        monkeypatch.setattr(chains, "_MAX_WINDOWS", 1000)
         with pytest.raises(BudgetError):
             list(enumerate_cylinders(random_spec(3, 3, 2), ball(2, 2)))
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse"]),
+        st.lists(st.tuples(st.integers(0, 10), st.integers(0, 5)), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_positive_sweep(self, seed, size, rank, style, steps):
+        """The window scan on a fixed domain yields the old depth-first
+        positive sweep: the same pairs in the same order."""
+        spec = random_spec(seed, size, rank, style=style)
+        letters, words = letters_of_rank(rank), [IDENTITY]
+        for i, j in steps:  # l.w has parent w, or is w's parent when l cancels
+            w = multiply(single(letters[j % len(letters)]), words[i % len(words)])
+            words += [w] if w not in words else []
+        dom = LeftConnectedSet(words)
+        assert list(enumerate_cylinders(spec, dom)) == list(oracle_enumerate_cylinders(spec, dom))
 
 
 class TestRestrictionAssemble:

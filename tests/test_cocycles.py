@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 
 from oracles import Shifted, act, recode
-from treeshift.chains import Configuration, SampledTree, derive_seed, sample_ball
+from treeshift import chains
+from treeshift.chains import (
+    Configuration,
+    SampledTree,
+    derive_seed,
+    sample_ball,
+    scan_positive_windows,
+    window_marginal,
+)
 from treeshift.cocycles import (
     CocycleTable,
     RecodedView,
@@ -14,8 +22,6 @@ from treeshift.cocycles import (
     cocycle,
     dependency_radius,
     identity_rule,
-    scan_positive_windows,
-    window_marginal,
 )
 from treeshift.errors import BudgetError, MissingCoordinate
 from treeshift.slides import build_slide_params, slide_rule
@@ -170,14 +176,18 @@ class TestWindowScan:
         # swap kernel: from symbol 0 the s2 coordinate is forced, one branch
         assert scan.windows == 2 and scan.total_weight == 1
 
-    def test_budget(self, m1):
+    def test_budget(self, m1, monkeypatch):
         def fn(win):
             for w in ball(2, 2):
                 win[w]
             return True
 
+        # swap kernel along s2: only the s1-steps branch, 2^9 windows on ball(2, 2)
+        monkeypatch.setattr(chains, "_MAX_WINDOWS", 512)
+        assert scan_positive_windows(m1, fn).windows == 512
+        monkeypatch.setattr(chains, "_MAX_WINDOWS", 511)
         with pytest.raises(BudgetError):
-            scan_positive_windows(m1, fn, max_windows=10)
+            scan_positive_windows(m1, fn)
 
     def test_marginal(self, m1):
         law = window_marginal(m1, lambda win: (win[IDENTITY], win[W("s2")]))

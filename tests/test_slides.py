@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_pushforward_kernel
+from oracles import oracle_markov_factorization, oracle_pushforward_kernel
 from treeshift.chains import (
     Configuration,
     SampledTree,
@@ -14,8 +14,9 @@ from treeshift.chains import (
     derive_seed,
     make_spec,
     validate,
+    window_marginal,
 )
-from treeshift.cocycles import cocycle, window_marginal
+from treeshift.cocycles import cocycle
 from treeshift.errors import InputError, ParamsError
 from treeshift.graphs import (
     BranchData,
@@ -305,7 +306,7 @@ class TestVerifySlide:
         report = verify_slide(m1, m1_slide, samples=4)
         assert not report.markov_factorization
 
-        from treeshift.cocycles import RecodedView, window_marginal
+        from treeshift.cocycles import RecodedView
 
         rule = rule_from_params(m1_slide)
         rho = pushforward(m1, m1_slide)
@@ -341,6 +342,47 @@ class TestVerifySlide:
         dropped = rho.with_kernel(1, k[:a] + (row,) + k[a + 1 :])
         assert verify_slide(m3, m3_slide, candidate=rho, samples=2).markov_factorization
         assert not verify_slide(m3, m3_slide, candidate=dropped, samples=2).markov_factorization
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse"]),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_markov_check_matches_full_sweep_oracle(self, seed, size, rank, style, product_t):
+        """markov_factorization equals the old full-sweep comparison on every
+        pipeline slide, for the pushforward, a candidate with one t-row rotated
+        and one with a dropped transition.  A product kernel along the last
+        generator gives slides onto it that pass."""
+        spec = random_spec(seed, size, rank, style=style)
+        if product_t:
+            spec = spec.with_kernel(rank - 1, tuple(spec.pi for _ in spec.pi))
+        assume(classify(spec).properly_ergodic)
+        _, slides = generator_ergodic_pipeline(spec)
+        for params in slides:
+            rho = pushforward(spec, params)
+            for candidate in (rho, *_broken_candidates(rho, params.t)):
+                report = verify_slide(spec, params, candidate=candidate, samples=0)
+                assert report.markov_factorization == oracle_markov_factorization(
+                    spec, params, candidate
+                )
+            spec = rho
+
+
+def _broken_candidates(rho, t):
+    """rho with one t-kernel row rotated (when some row changes by it), and rho
+    with its first positive t-kernel entry set to 0."""
+    k = rho.kernels[t]
+    out = [
+        rho.with_kernel(t, k[:a] + (row[1:] + row[:1],) + k[a + 1 :])
+        for a, row in enumerate(k)
+        if row[1:] + row[:1] != row
+    ][:1]
+    a, b = next((a, b) for a, row in enumerate(k) for b, p in enumerate(row) if p > 0)
+    row = tuple(Fraction(0) if c == b else p for c, p in enumerate(k[a]))
+    return out + [rho.with_kernel(t, k[:a] + (row,) + k[a + 1 :])]
 
 
 class TestPipeline:

@@ -298,3 +298,16 @@ class TestLetterBoundary:
     def test_unreduced_rejected_with_letter_names(self):
         with pytest.raises(InputError, match=r"s2\.s2\^-1"):
             Word([s1, s2, s2i])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, 1), Letter(-1, 1), Letter(0, 0), Letter(0, 2), Letter("s1", 1), "s1", 0],
+        ids=["plain-tuple", "negative-gen", "sign-0", "sign-2", "str-gen", "str", "int"],
+    )
+    def test_malformed_letters_rejected(self, bad):
+        with pytest.raises(InputError):
+            Word([bad])
+        with pytest.raises(InputError):
+            reduce([s1, bad])
+        with pytest.raises(InputError):
+            in_past(Word([s1]), bad)
