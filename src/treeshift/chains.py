@@ -610,6 +610,8 @@ def spec_from_json(obj) -> MarkovSpec:
     alphabet = obj["alphabet"]
     if not isinstance(alphabet, list) or not alphabet:
         raise InputError("alphabet must be a nonempty list")
+    if any(isinstance(sym, (list, dict)) for sym in alphabet):
+        raise InputError("alphabet symbols must be JSON scalars, not lists or objects")
     keys = [str(sym) for sym in alphabet]
     if len(set(keys)) != len(keys):
         raise InputError("alphabet symbols collide as strings")

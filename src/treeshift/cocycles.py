@@ -174,7 +174,7 @@ def check_inverse_pair(
     letters = sorted(
         set(_checked_letters(rule)) | set(_checked_letters(rule_hat)),
         key=Letter.sort_key,
-    ) or _checked_letters(identity_rule(rule.rank))
+    )
     for l in letters:
 
         def fn(win, l=l):

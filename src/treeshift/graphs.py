@@ -8,8 +8,8 @@ alphabet, and essentially free exactly when no class is a single directed
 cycle.  Each spec builds this graph once per direction (MarkovSpec.
 letter_support), and the graph derives its adjacency, classes and periodic
 flags once each, on first use.  This module also extracts the combinatorial
-data consumed by the edge-slide construction: branch points, spanning trees
-and their bipartitions.
+data consumed by the edge-slide construction: branch points (reached by the
+forced walk along single out-edges), spanning trees and their bipartitions.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def classify(spec: MarkovSpec) -> Classification:
 
 @dataclass(frozen=True)
 class BranchData:
-    """The shortest route from a vertex to a branching alternative.
+    """The forced route from a vertex to its first branching alternative.
 
     path is (b_0, ..., b_n) with b_0 the start vertex, every step a support
     edge, and b_{n-1} the first vertex along the way with out-degree >= 2;
@@ -177,47 +177,21 @@ class BranchData:
 
 
 def branch_data(g: TransitionGraph, b: int) -> BranchData:
-    """Minimal branch data from b, with deterministic tie-breaking.
-
-    Among the minimal-length configurations the path (b_1, ..., b_n) is the
-    lexicographically smallest, then eta is the smallest remaining
-    out-neighbor.  Exists whenever b's class is aperiodic in a graph whose
-    vertices all have positive in- and out-degree; misuse raises.
-    """
-    if not g.out_neighbors(b):
-        raise InputError(f"vertex {b} has no outgoing support edge")
-    # BFS over lex-minimal paths: level k holds the lex-smallest path of
-    # length k to each reachable vertex.
-    best: dict[int, tuple[int, ...]] = {b: ()}
-    frontier = [b]
-    for _ in range(g.size + 1):
-        # n = len(path to branch vertex) + 1; scan frontier in path order
-        candidates = [
-            (best[v], v) for v in frontier if len(g.out_neighbors(v)) >= 2
-        ]
-        if candidates:
-            prefix, branch_vertex = min(candidates)
-            outs = g.out_neighbors(branch_vertex)
-            b_n = outs[0]
-            eta_choices = [w for w in outs if w != b_n]
-            return BranchData(
-                n=len(prefix) + 1,
-                path=(b,) + prefix + (b_n,),
-                eta=min(eta_choices),
+    """Branch data from b: the walk that follows the single out-edge of each
+    vertex until it reaches one with two or more, whose two smallest
+    out-neighbors are b_n and eta.  Every vertex before the branch vertex has
+    exactly one out-edge, so the route is forced.  A walk that stops at a vertex
+    without out-edges, or that closes a deterministic cycle, raises."""
+    path = [b]
+    while len(outs := g.out_neighbors(path[-1])) == 1:
+        if outs[0] in path:
+            raise InputError(
+                f"no branch vertex reachable from {b}: its class is a deterministic cycle"
             )
-        nxt: dict[int, tuple[int, ...]] = {}
-        for v in sorted(frontier, key=lambda v: best[v]):
-            for w in g.out_neighbors(v):
-                cand = best[v] + (w,)
-                if w not in best and (w not in nxt or cand < nxt[w]):
-                    nxt[w] = cand
-        if not nxt:
-            break
-        best.update(nxt)
-        frontier = list(nxt)
-    raise InputError(
-        f"no branch vertex reachable from {b}: its class is a deterministic cycle"
-    )
+        path.append(outs[0])
+    if not outs:
+        raise InputError(f"vertex {path[-1]} has no outgoing support edge")
+    return BranchData(len(path), (*path, outs[0]), outs[1])
 
 
 def is_special(g: TransitionGraph, edge_set) -> bool:

@@ -53,7 +53,7 @@ from .words import single
 
 @dataclass(frozen=True)
 class SlideParams:
-    """Everything needed to rebuild one slide's rewrite rule."""
+    """One slide: its parameters, and the rewrite rule they define (rule)."""
 
     rank: int
     u: int
@@ -69,6 +69,40 @@ class SlideParams:
     def flagged(self) -> frozenset[tuple[int, int, int]]:
         eta = dict(self.branch)
         return frozenset((a, b, eta[b].eta) for a, b in self.edges)
+
+    @cached_property
+    def rule(self) -> RewriteRule:
+        """The slide's rewrite rule, built from the parameters alone."""
+        if not self.edges:
+            return identity_rule(self.rank)
+        u, t = Letter(self.u, 1), Letter(self.t, 1)
+        w_t, w_ut, w_uinv_t = single(t), Word((u, t)), Word((u.inverse(), t))
+        flagged, reader = self.flagged, partial(_flag_reader, self)
+        # per active letter: the flag tests moving it up and down, then its up, down and stay
+        # images; t moves up when ut.x is flagged, down when t.x is; t^-1 undoes them (x, u.x)
+        moves = {
+            t: (reader(w_ut), reader(w_t), w_ut, w_uinv_t, w_t),
+            t.inverse(): (reader(IDENTITY), reader(single(u)), *map(inverse, (w_ut, w_uinv_t, w_t))),
+        }
+
+        def rewrite(l: Letter, x, offset: Word) -> Word:
+            up_test, down_test, up_word, down_word, stay_word = moves[l]
+            up = up_test(x, offset) in flagged
+            down = down_test(x, offset) in flagged
+            if up and down:
+                raise ParamsError("conflicting slide conditions: edge set is not special")
+            return up_word if up else down_word if down else stay_word
+
+        return RewriteRule(
+            rank=self.rank,
+            window_radius=self.n_max + 2,
+            max_output_length=2,
+            active=frozenset({t, t.inverse()}),
+            rewrite=rewrite,
+        )
+
+    def __reduce__(self):  # copies and pickles carry the fields, not the cached rule
+        return SlideParams, (self.rank, self.u, self.t, self.edges, self.branch)
 
 
 def build_slide_params(
@@ -115,48 +149,12 @@ def flag_triple(params: SlideParams, x):
     return _flag_reader(params, IDENTITY)(x, IDENTITY)
 
 
-def rule_from_params(params: SlideParams) -> RewriteRule:
-    """The slide's rewrite rule, reconstructed from the parameters alone."""
-    if not params.edges:
-        return identity_rule(params.rank)
-    u, t = Letter(params.u, 1), Letter(params.t, 1)
-    w_t, w_ut, w_uinv_t = single(t), Word((u, t)), Word((u.inverse(), t))
-    flagged, reader = params.flagged, partial(_flag_reader, params)
-    # per active letter: the flag tests moving it up and down, then its up, down and stay
-    # images; t moves up when ut.x is flagged, down when t.x is; t^-1 undoes them (x, u.x)
-    moves = {
-        t: (reader(w_ut), reader(w_t), w_ut, w_uinv_t, w_t),
-        t.inverse(): (reader(IDENTITY), reader(single(u)), *map(inverse, (w_ut, w_uinv_t, w_t))),
-    }
-
-    def rewrite(l: Letter, x, offset: Word) -> Word:
-        up_test, down_test, up_word, down_word, stay_word = moves[l]
-        up = up_test(x, offset) in flagged
-        down = down_test(x, offset) in flagged
-        if up and down:
-            raise ParamsError("conflicting slide conditions: edge set is not special")
-        return up_word if up else down_word if down else stay_word
-
-    return RewriteRule(
-        rank=params.rank,
-        window_radius=params.n_max + 2,
-        max_output_length=2,
-        active=frozenset({t, t.inverse()}),
-        rewrite=rewrite,
-    )
-
-
 def _checked(spec: MarkovSpec, params: SlideParams) -> SlideParams:
     """The parameters, which must be exactly what build_slide_params derives from
     the spec for the same u, t and edge set (rank and branch data included)."""
     if params != build_slide_params(spec, params.u, params.t, params.edges):
         raise ParamsError("slide parameters do not match the spec")
     return params
-
-
-def slide_rule(spec: MarkovSpec, params: SlideParams) -> RewriteRule:
-    """Validate the parameters against the spec (see _checked), then build the rule."""
-    return rule_from_params(_checked(spec, params))
 
 
 def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
@@ -179,7 +177,8 @@ def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
         return spec
     n = spec.size
     pi, p_u = spec.pi, spec.kernels[params.u]
-    # branch data is minimal: the u-walk from b reaches path[-2] with probability 1
+    # the u-walk from b to the branch vertex path[-2] is deterministic by construction
+    # (branch_data follows the single out-edge of each vertex), so it has probability 1
     h = {b: p_u[data.path[-2]][data.eta] for b, data in params.branch}
     # special sets have disjoint sources and targets: the rule's conflict branch is unreachable
     stay, moved = [ONE] * n, []  # M's diagonal, and its entries (c, d, M(c, d)) off it
@@ -256,11 +255,14 @@ def verify_slide(
     """Check the slide's claims against the given spec.
 
     candidate defaults to the exact pushforward; passing a different spec
-    lets callers test that corrupted kernels are caught.
+    with the same generators and alphabet lets callers test that corrupted
+    kernels are caught (any other candidate raises InputError).
     """
-    rule = slide_rule(spec, params)
+    rule = _checked(spec, params).rule
     if candidate is None:
         candidate = pushforward(spec, params)
+    elif (candidate.generators, candidate.alphabet) != (spec.generators, spec.alphabet):
+        raise InputError("candidate spec must have the spec's generators and alphabet")
     rank = spec.rank
 
     double_ok = True
@@ -381,7 +383,7 @@ def replay(
         rank = slides[0].rank
     view = x
     for params in slides:
-        view = RecodedView(rule_from_params(params), view)
+        view = RecodedView(params.rule, view)
     dom = ball(rank, radius)
     return Configuration._on(dom, {h: view[h] for h in dom})
 

@@ -18,6 +18,7 @@ from treeshift.chains import (
 )
 from treeshift.cocycles import RecodedView, RewriteRule, cocycle
 from treeshift.errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
+from treeshift.graphs import BranchData
 from treeshift.words import LeftConnectedSet, Word, ball, edge_letter, inverse, multiply, parent
 
 
@@ -287,6 +288,31 @@ def oracle_classify(spec: MarkovSpec) -> dict:
     }
 
 
+def oracle_branch_data(g, b):
+    """Branch data by exhaustive search: enumerate all directed paths up to
+    length |A| + 1 and pick the minimal-n configuration, then the
+    lexicographically smallest (b_1, ..., b_n), then the smallest eta.  None
+    when no branch vertex is reachable from b."""
+    frontier = [(b,)]
+    for n in range(1, g.size + 2):
+        cands = []
+        for path in frontier:
+            v = path[-1]
+            outs = g.out_neighbors(v)
+            if len(outs) >= 2:
+                for bn in outs:
+                    for eta in outs:
+                        if eta != bn:
+                            cands.append((path[1:] + (bn,), eta))
+        if cands:
+            tail, eta = min(cands)
+            return BranchData(n=n, path=(b,) + tail, eta=eta)
+        frontier = [
+            p + (w,) for p in frontier for w in g.out_neighbors(p[-1])
+        ]
+    return None
+
+
 # ---------------------------------------------------------------------------
 # pushforward oracle: enumerate a strict superset of the readable window
 # ---------------------------------------------------------------------------
@@ -299,12 +325,11 @@ def oracle_pushforward_kernel(spec, params):
     the recoded symbol is read through the generic cocycle engine, not the
     production decision-window shortcut.
     """
-    from treeshift.slides import rule_from_params
     from treeshift.words import IDENTITY, Letter, Word, single
 
     u = Letter(params.u, 1)
     t = Letter(params.t, 1)
-    rule = rule_from_params(params)
+    rule = params.rule
     words = [IDENTITY, single(t), Word((u.inverse(), t)), Word((u.inverse(), u.inverse(), t))]
     for k in range(1, params.n_max + 3):
         words.append(Word((u,) * k + (t,)))
@@ -445,9 +470,9 @@ def oracle_markov_factorization(spec, params, candidate) -> bool:
     """verify_slide's Markov check as a full sweep: on each check domain, every
     value tuple's recoded probability (0 when no window gives it) must equal
     the candidate's cylinder measure, zero cylinders included."""
-    from treeshift.slides import _markov_check_domains, rule_from_params
+    from treeshift.slides import _markov_check_domains
 
-    rule = rule_from_params(params)
+    rule = params.rule
     ok = True
     for domain in _markov_check_domains(spec, params):
 

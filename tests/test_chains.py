@@ -466,6 +466,14 @@ class TestJson:
         with pytest.raises(InputError):
             spec_from_json([1, 2])
 
+    @pytest.mark.parametrize("symbols", [[[0], [1]], [{"a": 0}, {"a": 1}], [0, [1]]])
+    def test_container_symbols_rejected(self, m1, symbols):
+        bad = dict(spec_to_json(m1))
+        bad["alphabet"] = symbols
+        bad["pi"] = {str(sym): "1/2" for sym in symbols}
+        with pytest.raises(InputError):
+            spec_from_json(bad)
+
     def test_kernel_for_letter_unknown_generator(self, m1):
         with pytest.raises(InputError):
             kernel_for_letter(m1, Letter(5, 1))

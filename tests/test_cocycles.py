@@ -24,7 +24,7 @@ from treeshift.cocycles import (
     identity_rule,
 )
 from treeshift.errors import BudgetError, MissingCoordinate
-from treeshift.slides import build_slide_params, slide_rule
+from treeshift.slides import _checked, build_slide_params
 from treeshift.words import IDENTITY, Letter, Word, ball, multiply, single, word_from_str
 
 W = word_from_str
@@ -38,7 +38,7 @@ def m1_slide(m1):
 
 @pytest.fixture
 def m1_rule(m1, m1_slide):
-    return slide_rule(m1, m1_slide)
+    return _checked(m1, m1_slide).rule
 
 
 def flagged_window():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_components, oracle_classify, oracle_support
+from oracles import bfs_components, oracle_branch_data, oracle_classify, oracle_support
 from treeshift.chains import bernoulli_spec, make_spec
 from treeshift.errors import InputError
 from treeshift.graphs import (
@@ -181,33 +181,34 @@ class TestBranchData:
             branch_data(g, 0)
 
     def test_matches_exhaustive_search(self):
-        # oracle: enumerate all directed paths up to length |A|, pick the
-        # minimal-n configuration with the spec's tie-break
         for seed in range(8):
             spec = random_spec(seed, size=4, style="mixed")
             g = support_edges(spec, 0)
             for b in range(4):
-                best = None
-                frontier = [(b,)]
-                for n in range(1, g.size + 2):
-                    cands = []
-                    for path in frontier:
-                        v = path[-1]
-                        outs = g.out_neighbors(v)
-                        if len(outs) >= 2:
-                            for bn in outs:
-                                for eta in outs:
-                                    if eta != bn:
-                                        cands.append((path[1:] + (bn,), eta))
-                    if cands:
-                        tail, eta = min(cands)
-                        best = BranchData(n=n, path=(b,) + tail, eta=eta)
-                        break
-                    frontier = [
-                        p + (w,) for p in frontier for w in g.out_neighbors(p[-1])
-                    ]
+                best = oracle_branch_data(g, b)
                 assert best is not None
                 assert branch_data(g, b) == best
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.frozensets(st.integers(0, n - 1), max_size=n), min_size=n, max_size=n),
+                st.integers(0, n - 1),
+            )
+        )
+    )
+    def test_arbitrary_graphs_match_oracle(self, outs_and_start):
+        """Arbitrary edge sets, drawn as each vertex's out-neighbours, reach
+        branch distances n > 1, which the support graphs of random specs do not."""
+        outs, b = outs_and_start
+        g = graph(len(outs), {(a, w) for a, ws in enumerate(outs) for w in ws})
+        best = oracle_branch_data(g, b)
+        if best is None:
+            with pytest.raises(InputError):
+                branch_data(g, b)
+        else:
+            assert branch_data(g, b) == best
 
     def test_bound_on_n(self):
         for seed in range(10):

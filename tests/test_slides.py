@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from treeshift.graphs import (
 from treeshift.randspec import random_properly_ergodic_spec, random_spec
 from treeshift.slides import (
     SlideParams,
+    _checked,
     build_slide_params,
     flag_triple,
     generator_ergodic_pipeline,
@@ -34,8 +36,6 @@ from treeshift.slides import (
     params_to_json,
     pushforward,
     replay,
-    rule_from_params,
-    slide_rule,
     verify_slide,
 )
 from treeshift.words import IDENTITY, Letter, Word, ball, single, word_from_str
@@ -89,6 +89,14 @@ class TestParams:
 
 
 class TestFlagTriple:
+    def test_pickles_after_rule_built(self, m3, m3_slide):
+        rule = m3_slide.rule
+        assert m3_slide.rule is rule
+        replay([m3_slide], SampledTree(m3, 0), 2)
+        again = pickle.loads(pickle.dumps(m3_slide))
+        assert again == m3_slide and "rule" not in vars(again)
+        assert replay([again], SampledTree(m3, 0), 2) == replay([m3_slide], SampledTree(m3, 0), 2)
+
     def test_flagged(self, m3_slide):
         x = Configuration({IDENTITY: 1, W("s1^-1"): 0, W("s1"): 2})
         assert flag_triple(m3_slide, x) == (0, 1, 2)
@@ -107,12 +115,12 @@ class TestFlagTriple:
 class TestSlideRule:
     def test_empty_edges_identity(self, m3):
         params = build_slide_params(m3, 0, 1, [])
-        rule = slide_rule(m3, params)
+        rule = _checked(m3, params).rule
         assert not rule.active
         assert pushforward(m3, params) == m3
 
     def test_flagged_rewrite(self, m1, m1_slide):
-        rule = slide_rule(m1, m1_slide)
+        rule = _checked(m1, m1_slide).rule
         x = Configuration(
             {IDENTITY: 1, W("s2"): 0, W("s1.s2"): 1, W("s1.s1.s2"): 1, W("s1^-1.s2"): 1}
         )
@@ -132,8 +140,8 @@ class TestSlideRule:
             ),
         )
         with pytest.raises(ParamsError):
-            slide_rule(m3, bad)
-        rule = rule_from_params(bad)
+            _checked(m3, bad).rule
+        rule = bad.rule
         window = {
             IDENTITY: 0,
             W("s2"): 1,
@@ -154,7 +162,7 @@ class TestSlideRule:
             dataclasses.replace(m3_slide, t=7),
         ):
             with pytest.raises(ParamsError):
-                slide_rule(m3, bad)
+                _checked(m3, bad).rule
             with pytest.raises(ParamsError):
                 pushforward(m3, bad)
             with pytest.raises(ParamsError):
@@ -254,7 +262,7 @@ class TestPushforward:
 
     def test_monte_carlo_within_four_sigma(self, m1, m1_slide):
         rho = pushforward(m1, m1_slide)
-        rule = rule_from_params(m1_slide)
+        rule = m1_slide.rule
         t_word = single(Letter(1, 1))
         n = 10_000
         counts = {}
@@ -276,7 +284,7 @@ def window_engine_kernel(spec, params):
     """The t kernel as the law of (x_e, x_{w(t,x)}) over every positive
     window of the rule, divided by pi: the rewrite rule evaluated window by
     window, independent of the factorised pushforward."""
-    rule = slide_rule(spec, params)
+    rule = _checked(spec, params).rule
     t = Letter(params.t, 1)
     law = window_marginal(spec, lambda w: (w[IDENTITY], w[rule.letter_image(t, w)]))
     n = spec.size
@@ -308,7 +316,7 @@ class TestVerifySlide:
 
         from treeshift.cocycles import RecodedView
 
-        rule = rule_from_params(m1_slide)
+        rule = m1_slide.rule
         rho = pushforward(m1, m1_slide)
         words = (word_from_str("e"), word_from_str("s2"), word_from_str("s1.s2"))
 
@@ -331,6 +339,16 @@ class TestVerifySlide:
         assert corrupted != rho
         report = verify_slide(m3, m3_slide, candidate=corrupted, samples=4)
         assert not report.markov_factorization
+
+    def test_candidate_of_other_shape_rejected(self):
+        spec = random_properly_ergodic_spec(1, 4, 2)
+        params = generator_ergodic_pipeline(spec)[1][0]
+        other = random_properly_ergodic_spec(2, 5, 2)
+        with pytest.raises(InputError):
+            verify_slide(spec, params, candidate=other, samples=0)
+        renamed = dataclasses.replace(spec, alphabet=tuple(range(10, 14)))
+        with pytest.raises(InputError):
+            verify_slide(spec, params, candidate=renamed, samples=0)
 
     def test_dropped_transition_caught(self, m3, m3_slide):
         """A candidate that gives a reachable transition measure 0 (rows left
