@@ -9,19 +9,22 @@ Symbols are addressed by their index in the alphabet everywhere below;
 configurations map group elements (Word) to symbol indices.
 
 Each spec keeps lookup tables on its own instance, each entry built on first
-use: the kernel and the support graph along every letter s_i^{+-1}, and the
-integer draw thresholds of every kernel row and of pi.  The tables are keyed
-by letter code (see words) and also serve Letter keys.  Cylinder measures,
-window scans and samplers read them by code, so no hot path hashes the spec.
-
-The exact engine lives here too: scan_positive_windows enumerates the
-positive-measure windows that a window function reads, depth first, under one
-window budget (_MAX_WINDOWS).  window_marginal is the law it collects, and
-enumerate_cylinders is its form on a fixed domain.
+use: the kernel, its scaled integers (see below) and the support graph along
+every letter s_i^{+-1}, and the integer draw thresholds of every kernel row
+and of pi.  The tables are keyed by letter code (see words) and also serve
+Letter keys.  Cylinder measures, window scans and samplers read them by code,
+so no hot path hashes the spec.  A spec derived by with_kernel starts with the
+entries already built for the directions it keeps.
 
 Exact sums run on ints: scaled puts rationals over the lcm D of their
 denominators as the integers x*D, and scaling by D > 0 keeps signs, sums and
 equalities, so a Fraction (one gcd) is built per result rather than per term.
+
+The exact engine lives here too: scan_positive_windows enumerates the
+positive-measure windows that a window function reads, depth first, under one
+window budget (_MAX_WINDOWS), and carries each window's weight as an int
+numerator over an int denominator.  window_marginal is the law it collects,
+and enumerate_cylinders is its form on a fixed domain.
 """
 
 from __future__ import annotations
@@ -104,9 +107,27 @@ class MarkovSpec:
             raise InputError(f"unknown generator {name!r}") from None
 
     def with_kernel(self, gen: int, kernel: Matrix) -> "MarkovSpec":
+        """The spec with the kernel along generator gen replaced.
+
+        The new spec starts with the table entries already built here for
+        every letter code c with c >> 1 != gen, and with pi's tables: they
+        read only pi and kernels that stay the same, so they are shared, not
+        copied.  gen's two letters are built afresh on first use."""
+        if not (isinstance(gen, int) and 0 <= gen < self.rank):
+            raise InputError(f"generator index {gen!r} outside rank {self.rank}")
         ks = list(self.kernels)
         ks[gen] = kernel
-        return MarkovSpec(self.generators, self.alphabet, self.pi, tuple(ks))
+        new = MarkovSpec(self.generators, self.alphabet, self.pi, tuple(ks))
+        built = self.__dict__
+        for name in _LETTER_TABLES:
+            if name in built:
+                getattr(new, name).update(
+                    (c, v) for c, v in built[name].items() if isinstance(c, int) and c >> 1 != gen
+                )
+        for name in _PI_TABLES:
+            if name in built:
+                new.__dict__[name] = built[name]
+        return new
 
     def __reduce__(self):  # copies and pickles carry the fields, not the tables
         return MarkovSpec, (self.generators, self.alphabet, self.pi, self.kernels)
@@ -123,8 +144,26 @@ class MarkovSpec:
         return _LetterTable(self.rank, lambda c: tuple(map(_thresholds, self.letter_kernels[c])))
 
     @cached_property
+    def letter_scaled(self) -> Mapping[Letter | int, tuple[tuple[tuple[int, ...], ...], int]]:
+        """(rows, D) along each letter: the kernel's entries as ints over one
+        denominator D, the lcm of all of them (see scaled)."""
+
+        def make(c: int):
+            k = self.letter_kernels[c]
+            flat, den = scaled([x for row in k for x in row])
+            it = iter(flat)
+            return tuple(tuple(next(it) for _ in row) for row in k), den
+
+        return _LetterTable(self.rank, make)
+
+    @cached_property
     def pi_thresholds(self) -> tuple[int, ...]:
         return _thresholds(self.pi)
+
+    @cached_property
+    def pi_scaled(self) -> tuple[tuple[int, ...], int]:
+        ints, den = scaled(self.pi)
+        return tuple(ints), den
 
     @cached_property
     def letter_support(self) -> Mapping[Letter | int, TransitionGraph]:
@@ -140,6 +179,10 @@ class MarkovSpec:
             ))
 
         return _LetterTable(self.rank, graph)
+
+
+_LETTER_TABLES = ("letter_kernels", "letter_thresholds", "letter_support", "letter_scaled")
+_PI_TABLES = ("pi_thresholds", "pi_scaled")
 
 
 class _LetterTable(dict):
@@ -391,13 +434,21 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     first in symbol order.  The enumerated windows are prefix-free and cover
     the space, so their weights sum to exactly 1.  Raises BudgetError beyond
     _MAX_WINDOWS windows or a window of more than _MAX_COORDS coordinates.
+
+    A window's weight is carried as ints num / den: num is the product of its
+    scaled pi and kernel entries (spec.pi_scaled, spec.letter_scaled) and den
+    the product of their denominators D, one per coordinate.  The law sums
+    num per (value, den) and builds one Fraction per value at the end, over
+    the lcm of that value's dens; it is the same Fraction, in the same key
+    order, as summing each window's weight as a Fraction.
     """
-    law: dict = {}
+    sums: dict = {}  # {value: {den: sum of num}}, values in the order first seen
     failures: list = []
     windows = 0
-    kernels = spec.letter_kernels
+    rows = spec.letter_scaled
+    pi, d_pi = spec.pi_scaled
 
-    def run(assign: dict, weight: Fraction):
+    def run(assign: dict, num: int, den: int):
         nonlocal windows
         try:
             value = fn(_Probe(assign))
@@ -415,30 +466,45 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
             if len(assign) + len(path) > _MAX_COORDS:
                 raise BudgetError(f"window grew beyond {_MAX_COORDS} coordinates")
 
-            def fill(i: int, w: Fraction):
+            def fill(i: int, num: int, den: int):
                 if i < 0:
-                    run(assign, w)
+                    run(assign, num, den)
                     return
                 h = path[i]
-                row = kernels[h[0]][assign[parent(h)]] if h else spec.pi
+                if h:
+                    k, d = rows[h[0]]
+                    row = k[assign[parent(h)]]
+                else:
+                    row, d = pi, d_pi
+                den *= d
                 for b, p in enumerate(row):
                     if p == 0:
                         continue
                     assign[h] = b
-                    fill(i - 1, w * p)
+                    fill(i - 1, num * p, den)
                     del assign[h]
 
-            fill(len(path) - 1, weight)
+            fill(len(path) - 1, num, den)
             return
         windows += 1
         if windows > _MAX_WINDOWS:
             raise BudgetError(f"more than {_MAX_WINDOWS} positive windows")
-        law[value] = law.get(value, ZERO) + weight
+        by_den = sums.get(value)
+        if by_den is None:
+            by_den = sums[value] = {}
+        by_den[den] = by_den.get(den, 0) + num
         if not value and len(failures) < 5:
             failures.append((dict(assign), value))
 
-    run({}, ONE)
+    run({}, 1, 1)
+    law = {value: _over_lcm(by_den) for value, by_den in sums.items()}
     return WindowScan(windows, law, tuple(failures))
+
+
+def _over_lcm(by_den: dict[int, int]) -> Fraction:
+    """The sum of num / den over the {den: num} items, as one Fraction over their lcm."""
+    den = lcm(*by_den)
+    return Fraction(sum(num * (den // d) for d, num in by_den.items()), den)
 
 
 def window_marginal(spec: MarkovSpec, fn) -> dict:
@@ -555,8 +621,10 @@ def _draw(row: Sequence[Fraction], thresholds: Sequence[int], k: int) -> int:
 
 
 def _hash_key(value: int, what: str) -> int:
-    """value as an int, checked to fit the hash's 8-byte unsigned encoding."""
-    value = int(value)
+    """value, checked to be an int (not a bool) that fits the hash's 8-byte
+    unsigned encoding."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an int, got {value!r}")
     if not 0 <= value < _UNIT_DEN:
         raise InputError(f"{what} {value} outside [0, 2**64)")
     return value

@@ -31,6 +31,7 @@ from .chains import (
     MarkovSpec,
     Matrix,
     SampledTree,
+    _non_rational,
     derive_seed,
     enumerate_cylinders,
     require_valid,
@@ -244,6 +245,26 @@ def _markov_check_domains(spec: MarkovSpec, params: SlideParams) -> list[LeftCon
     return doms
 
 
+def _check_candidate(spec: MarkovSpec, candidate: MarkovSpec) -> None:
+    """Raise InputError unless the candidate has the spec's generators and
+    alphabet, n pi entries and rank n x n kernels, all of them ints or Fractions."""
+    if (candidate.generators, candidate.alphabet) != (spec.generators, spec.alphabet):
+        raise InputError("candidate spec must have the spec's generators and alphabet")
+    n = spec.size
+    if len(candidate.pi) != n or len(candidate.kernels) != spec.rank or any(
+        len(k) != n or any(len(row) != n for row in k) for k in candidate.kernels
+    ):
+        raise InputError(f"candidate needs {n} pi entries and {spec.rank} kernels of {n}x{n}")
+    bad = _non_rational("candidate pi", candidate.pi) + [
+        m
+        for name, k in zip(spec.generators, candidate.kernels)
+        for a, row in enumerate(k)
+        for m in _non_rational(f"candidate kernel {name} row {a}", row)
+    ]
+    if bad:
+        raise InputError("; ".join(bad))
+
+
 def verify_slide(
     spec: MarkovSpec,
     params: SlideParams,
@@ -255,14 +276,16 @@ def verify_slide(
     """Check the slide's claims against the given spec.
 
     candidate defaults to the exact pushforward; passing a different spec
-    with the same generators and alphabet lets callers test that corrupted
-    kernels are caught (any other candidate raises InputError).
+    with the same generators and alphabet, n x n kernels and int or Fraction
+    entries lets callers test that corrupted kernels are caught (any other
+    candidate raises InputError before anything is scanned).  Its rows need
+    not be normalised, so a dropped transition can be checked too.
     """
     rule = _checked(spec, params).rule
     if candidate is None:
         candidate = pushforward(spec, params)
-    elif (candidate.generators, candidate.alphabet) != (spec.generators, spec.alphabet):
-        raise InputError("candidate spec must have the spec's generators and alphabet")
+    else:
+        _check_candidate(spec, candidate)
     rank = spec.rank
 
     double_ok = True

@@ -8,12 +8,16 @@ import itertools
 from fractions import Fraction
 from typing import Iterator
 
+from treeshift import chains
 from treeshift.chains import (
     ONE,
+    ZERO,
     Configuration,
     MarkovSpec,
     Matrix,
     ValidationReport,
+    WindowScan,
+    _Probe,
     window_marginal,
 )
 from treeshift.cocycles import RecodedView, RewriteRule, cocycle
@@ -486,3 +490,62 @@ def oracle_markov_factorization(spec, params, candidate) -> bool:
                 ok = False
                 break
     return ok
+
+
+# ---------------------------------------------------------------------------
+# the window scan as it ran on Fractions: one product per branch and one sum
+# per window (budgets read from chains, so a monkeypatched budget applies)
+# ---------------------------------------------------------------------------
+
+
+def oracle_scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
+    """scan_positive_windows with Fraction weights: each branch multiplies
+    its window's weight by one kernel (or pi) entry, and each window adds its
+    weight to the law of its value."""
+    law: dict = {}
+    failures: list = []
+    windows = 0
+    kernels = spec.letter_kernels
+
+    def run(assign: dict, weight: Fraction):
+        nonlocal windows
+        try:
+            value = fn(_Probe(assign))
+        except MissingCoordinate as miss:
+            g = miss.word
+            if g in assign:
+                raise InputError("window function missed an assigned coordinate")
+            path = []
+            v = g
+            while v not in assign and v:
+                path.append(v)
+                v = parent(v)
+            if not v and v not in assign:
+                path.append(v)
+            if len(assign) + len(path) > chains._MAX_COORDS:
+                raise BudgetError(f"window grew beyond {chains._MAX_COORDS} coordinates")
+
+            def fill(i: int, w: Fraction):
+                if i < 0:
+                    run(assign, w)
+                    return
+                h = path[i]
+                row = kernels[h[0]][assign[parent(h)]] if h else spec.pi
+                for b, p in enumerate(row):
+                    if p == 0:
+                        continue
+                    assign[h] = b
+                    fill(i - 1, w * p)
+                    del assign[h]
+
+            fill(len(path) - 1, weight)
+            return
+        windows += 1
+        if windows > chains._MAX_WINDOWS:
+            raise BudgetError(f"more than {chains._MAX_WINDOWS} positive windows")
+        law[value] = law.get(value, ZERO) + weight
+        if not value and len(failures) < 5:
+            failures.append((dict(assign), value))
+
+    run({}, ONE)
+    return WindowScan(windows, law, tuple(failures))

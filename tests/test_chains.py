@@ -288,8 +288,18 @@ class TestSeedRange:
             lambda spec: derive_seed(1, -1),
             lambda spec: derive_seed(-1, 0),
             lambda spec: sample_ball(spec, 1, -5),
+            lambda spec: sample_ball(spec, 1, "x"),
+            lambda spec: sample_ball(spec, 1, 1.5),
+            lambda spec: SampledTree(spec, True),
+            lambda spec: SampledTree(spec, Fraction(1)),
+            lambda spec: derive_seed(1, "2"),
+            lambda spec: derive_seed(1.0, 0),
         ],
-        ids=["tree-negative", "tree-2**64", "derive-index", "derive-seed", "sample-ball"],
+        ids=[
+            "tree-negative", "tree-2**64", "derive-index", "derive-seed", "sample-ball",
+            "sample-ball-str", "sample-ball-float", "tree-bool", "tree-fraction",
+            "derive-index-str", "derive-seed-float",
+        ],
     )
     def test_out_of_range_rejected(self, m1, call):
         with pytest.raises(InputError):
@@ -435,6 +445,49 @@ class TestSpecTables:
         again = pickle.loads(pickle.dumps(m3))
         assert again == m3 and "letter_kernels" not in vars(again)
         assert sample_ball(again, 2, 1) == sample_ball(m3, 2, 1)
+
+    def test_with_kernel_keeps_untouched_tables(self):
+        """A derived spec starts with the built entries of every letter off gen
+        (the same objects, equal to a fresh spec's) and of pi; gen's two
+        letters are built afresh, from the new kernel."""
+        spec = random_spec(5, 3, 3)
+        tables = ("letter_kernels", "letter_thresholds", "letter_support", "letter_scaled")
+        for name in tables:
+            for c in range(2 * spec.rank):
+                getattr(spec, name)[c]
+        sample_ball(spec, 1, 3)  # builds pi_thresholds
+        spec.pi_scaled
+        gen = 1
+        new = spec.with_kernel(gen, tuple(spec.pi for _ in spec.pi))
+        fresh = MarkovSpec(new.generators, new.alphabet, new.pi, new.kernels)
+        for name in tables:
+            kept = vars(new)[name]
+            assert set(kept) == {c for c in range(2 * spec.rank) if c >> 1 != gen}
+            for c, value in kept.items():
+                assert value is getattr(spec, name)[c]
+                assert value == getattr(fresh, name)[c]
+            for c in (2 * gen, 2 * gen + 1):
+                assert getattr(new, name)[c] is not getattr(spec, name)[c]
+                assert getattr(new, name)[c] == getattr(fresh, name)[c]
+        for name in ("pi_thresholds", "pi_scaled"):
+            assert vars(new)[name] is vars(spec)[name]
+        assert new.letter_kernels[2 * gen] == new.kernels[gen]
+        assert new.letter_kernels[2 * gen + 1] == reverse_kernel(new, gen)
+
+    @pytest.mark.parametrize("gen", [-1, 2, 1.0])
+    def test_with_kernel_rejects_generator_outside_rank(self, m3, gen):
+        """A negative index would replace the last kernel while keeping its tables."""
+        sample_ball(m3, 1, 1)
+        with pytest.raises(InputError):
+            m3.with_kernel(gen, m3.kernels[0])
+
+    def test_derived_spec_pickles_without_tables(self, m3):
+        sample_ball(m3, 2, 1)
+        new = m3.with_kernel(1, m3.kernels[0])
+        again = pickle.loads(pickle.dumps(new))
+        assert again == new and "letter_kernels" in vars(new)
+        assert not {"letter_kernels", "letter_thresholds", "pi_thresholds"} & set(vars(again))
+        assert sample_ball(again, 2, 1) == sample_ball(new, 2, 1)
 
     def test_tables_match_direct_computation(self, m3):
         assert m3.letter_kernels[Letter(0, 1)] == m3.kernels[0]

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import Shifted, act, recode
+from oracles import Shifted, act, oracle_scan_positive_windows, recode
 from treeshift import chains
 from treeshift.chains import (
     Configuration,
@@ -24,8 +26,19 @@ from treeshift.cocycles import (
     identity_rule,
 )
 from treeshift.errors import BudgetError, MissingCoordinate
+from treeshift.randspec import random_spec
 from treeshift.slides import _checked, build_slide_params
-from treeshift.words import IDENTITY, Letter, Word, ball, multiply, single, word_from_str
+from treeshift.words import (
+    IDENTITY,
+    Letter,
+    Word,
+    ball,
+    letters_of_rank,
+    multiply,
+    reduce,
+    single,
+    word_from_str,
+)
 
 W = word_from_str
 U, T = Letter(0, 1), Letter(1, 1)  # slides below move s1 onto s2
@@ -196,6 +209,44 @@ class TestWindowScan:
     def test_no_reads(self, m1):
         scan = scan_positive_windows(m1, lambda win: True)
         assert scan.windows == 1 and scan.total_weight == 1
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 3),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse"]),
+        st.lists(st.lists(st.integers(0, 5), max_size=2), min_size=1, max_size=4),
+        st.integers(2, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_oracle(self, seed, size, rank, style, reads, mod, zero_row):
+        """The integer scan gives the Fraction scan's law (values, Fractions and
+        key order), window count and failures.  The window function reads words
+        of mixed letters and stops early depending on what it read, so windows
+        differ in size and letters and carry different denominators; its value
+        is 0 (falsy) on some windows.  With zero_row one kernel row is zeroed
+        (left unnormalised, as in a dropped-transition candidate)."""
+        spec = random_spec(seed, size, rank, style=style)
+        if zero_row:
+            gen, a = seed % rank, seed % size
+            k = spec.kernels[gen]
+            spec = spec.with_kernel(gen, k[:a] + ((Fraction(0),) * size,) + k[a + 1 :])
+        letters = letters_of_rank(rank)
+        words = [reduce(tuple(letters[j % len(letters)] for j in js)) for js in reads]
+
+        def fn(win):
+            acc = 0
+            for i, w in enumerate(words):
+                acc += win[w]
+                if (acc + i) % mod == 0:
+                    break
+            return acc % mod
+
+        scan, oracle = scan_positive_windows(spec, fn), oracle_scan_positive_windows(spec, fn)
+        assert list(scan.law.items()) == list(oracle.law.items())
+        assert all(type(p) is Fraction for p in scan.law.values())
+        assert (scan.windows, scan.failures) == (oracle.windows, oracle.failures)
 
 
 class TestInvolution:

@@ -17,6 +17,7 @@ from treeshift.chains import (
     validate,
     window_marginal,
 )
+from treeshift import slides as slides_module
 from treeshift.cocycles import cocycle
 from treeshift.errors import InputError, ParamsError
 from treeshift.graphs import (
@@ -349,6 +350,30 @@ class TestVerifySlide:
         renamed = dataclasses.replace(spec, alphabet=tuple(range(10, 14)))
         with pytest.raises(InputError):
             verify_slide(spec, params, candidate=renamed, samples=0)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda k: k[:2],
+            lambda k: (k[0][:2],) + k[1:],
+            lambda k: (("1/4",) + k[0][1:],) + k[1:],
+            lambda k: ((0.25,) + k[0][1:],) + k[1:],
+        ],
+        ids=["two-rows", "short-row", "str-entry", "float-entry"],
+    )
+    def test_malformed_candidate_rejected_before_scanning(self, monkeypatch, corrupt):
+        """A candidate kernel that is not n x n, or has an entry that is not an
+        int or a Fraction, raises InputError before any window is scanned."""
+        spec = random_properly_ergodic_spec(1, 4, 2)
+        params = generator_ergodic_pipeline(spec)[1][0]
+        rho = pushforward(spec, params)
+        bad = rho.with_kernel(params.t, corrupt(rho.kernels[params.t]))
+        monkeypatch.setattr(slides_module, "window_marginal", None)
+        monkeypatch.setattr(slides_module, "SampledTree", None)
+        with pytest.raises(InputError):
+            verify_slide(spec, params, candidate=bad)
+        with pytest.raises(InputError):
+            verify_slide(spec, params, candidate=dataclasses.replace(rho, pi=rho.pi[:-1]))
 
     def test_dropped_transition_caught(self, m3, m3_slide):
         """A candidate that gives a reachable transition measure 0 (rows left
