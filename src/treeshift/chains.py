@@ -23,8 +23,9 @@ equalities, so a Fraction (one gcd) is built per result rather than per term.
 The exact engine lives here too: scan_positive_windows enumerates the
 positive-measure windows that a window function reads, depth first, under one
 window budget (_MAX_WINDOWS), and carries each window's weight as an int
-numerator over an int denominator.  window_marginal is the law it collects,
-and enumerate_cylinders is its form on a fixed domain.
+numerator over an int denominator; the window function reads its assignment
+dict directly.  window_marginal is the law it collects, and
+enumerate_cylinders is its form on a fixed domain.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
 from .graphs import TransitionGraph
-from .words import LeftConnectedSet, Letter, Word, ball, letter_code, parent, word_to_str
+from .words import LeftConnectedSet, Letter, Word, _word, ball, letter_code, parent, word_to_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -395,17 +396,13 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class _Probe:
-    __slots__ = ("assign",)
+class _Probe(dict):
+    """A scan's window assignment {word: symbol}; a missing read raises MissingCoordinate."""
 
-    def __init__(self, assign: dict):
-        self.assign = assign
+    __slots__ = ()
 
-    def __getitem__(self, w: Word) -> int:
-        try:
-            return self.assign[w]
-        except KeyError:
-            raise MissingCoordinate(w) from None
+    def __missing__(self, w: Word):
+        raise MissingCoordinate(w)
 
 
 @dataclass
@@ -427,11 +424,11 @@ class WindowScan:
 def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     """Run fn against every minimal positive-measure window it can observe.
 
-    fn receives a partial configuration and must be a deterministic function
-    of the coordinates it reads, with hashable values; a read outside the
-    current assignment branches the enumeration over all extensions of
-    positive probability along the geodesic to the assigned region, depth
-    first in symbol order.  The enumerated windows are prefix-free and cover
+    fn receives the current assignment (a _Probe dict, not to be written) and
+    must be a deterministic function of the coordinates it reads, with
+    hashable values; a read outside the assignment branches the enumeration
+    over all extensions of positive probability along the geodesic to the
+    assigned region, depth first in symbol order.  The enumerated windows are prefix-free and cover
     the space, so their weights sum to exactly 1.  Raises BudgetError beyond
     _MAX_WINDOWS windows or a window of more than _MAX_COORDS coordinates.
 
@@ -448,10 +445,10 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     rows = spec.letter_scaled
     pi, d_pi = spec.pi_scaled
 
-    def run(assign: dict, num: int, den: int):
+    def run(assign: _Probe, num: int, den: int):
         nonlocal windows
         try:
-            value = fn(_Probe(assign))
+            value = fn(assign)
         except MissingCoordinate as miss:
             g = miss.word
             if g in assign:
@@ -496,8 +493,9 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
         if not value and len(failures) < 5:
             failures.append((dict(assign), value))
 
-    run({}, 1, 1)
+    run(_Probe(), 1, 1)
     law = {value: _over_lcm(by_den) for value, by_den in sums.items()}
+    sums.clear()  # run, a recursive closure, keeps sums alive until the cyclic collector runs
     return WindowScan(windows, law, tuple(failures))
 
 
@@ -565,17 +563,21 @@ class SampledTree:
     picks the same symbol.
     """
 
-    __slots__ = ("spec", "seed", "_key", "_memo")
+    __slots__ = ("spec", "seed", "_keyed", "_tokens", "_memo")
 
     def __init__(self, spec: MarkovSpec, seed: int):
         self.spec = spec
         self.seed = _hash_key(seed, "seed")
-        self._key = self.seed.to_bytes(8, "big", signed=False)
+        key = self.seed.to_bytes(8, "big", signed=False)
+        self._keyed = hashlib.blake2b(key=key, digest_size=8)  # copied per draw
+        self._tokens = tuple(word_to_str(_word((c,))).encode() for c in range(2 * spec.rank))
         self._memo: dict[Word, int] = {}
 
     def _variate(self, w: Word) -> int:
-        digest = hashlib.blake2b(word_to_str(w).encode(), key=self._key, digest_size=8).digest()
-        return int.from_bytes(digest, "big")
+        """The keyed hash of word_to_str(w)."""
+        h = self._keyed.copy()
+        h.update(b".".join(map(self._tokens.__getitem__, w)) if w else b"e")
+        return int.from_bytes(h.digest(), "big")
 
     def __getitem__(self, w: Word) -> int:
         memo = self._memo

@@ -12,18 +12,21 @@ and the recoding (Omega x)_h = x_{w(h, x)} intertwines the rewritten action
 with the plain shift.  Everything here is evaluated lazily against partial
 configurations: a lookup outside the available domain raises
 MissingCoordinate, which the window scan of chains (scan_positive_windows)
-uses to extend exactly the coordinates a check actually reads.
+uses to extend exactly the coordinates a check actually reads.  Cocycles
+step on letter codes: each active code runs its rule's step, and an inactive
+one is put on at the seam inline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Iterable, Mapping
 
 from .chains import MarkovSpec, SampledTree, derive_seed, scan_positive_windows
 from .errors import InputError
-from .words import IDENTITY, Letter, Word, _letter, _word, ball, in_past, inverse, multiply
-from .words import parent, single
+from .words import IDENTITY, Letter, Word, _word, ball, in_past, inverse, letter_code, multiply
+from .words import single
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,10 @@ class RewriteRule:
     x[multiply(h, offset)].  Other letters are their own images, read from no
     coordinate.  Outputs must be reduced words of length at most
     max_output_length, read from the translate within ball(window_radius).
+
+    steps (letter code -> step(x, offset), built once per rule) is what
+    letter_image and the cocycle run.  Built from rewrite, a step checks the
+    output length per call; from_steps checks its constant images once.
     """
 
     rank: int
@@ -42,10 +49,33 @@ class RewriteRule:
     max_output_length: int
     active: frozenset[Letter]
     rewrite: Callable[[Letter, object, Word], Word]
+    steps: Mapping[int, Callable[[object, Word], Word]] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def letter_image(self, letter: Letter, x, offset: Word = IDENTITY) -> Word:
-        if letter not in self.active:
-            return single(letter)
+    def __post_init__(self):
+        steps = {letter_code(l): partial(self._checked_rewrite, l) for l in self.active}
+        object.__setattr__(self, "steps", steps)
+
+    @classmethod
+    def from_steps(
+        cls, rank: int, window_radius: int, max_output_length: int,
+        steps: Mapping[Letter, Callable[[object, Word], Word]], images: Iterable[Word],
+    ) -> RewriteRule:
+        """The rule rewriting each letter l in steps by steps[l](x, offset),
+        which returns one of the constant images."""
+        for w in images:
+            if len(w) > max_output_length:
+                raise InputError(f"image {w} has length {len(w)} > {max_output_length}")
+        by_code = {letter_code(l): step for l, step in steps.items()}
+        rule = cls(
+            rank, window_radius, max_output_length, frozenset(steps),
+            lambda l, x, offset: by_code[letter_code(l)](x, offset),
+        )
+        object.__setattr__(rule, "steps", by_code)
+        return rule
+
+    def _checked_rewrite(self, letter: Letter, x, offset: Word) -> Word:
         out = self.rewrite(letter, x, offset)
         if len(out) > self.max_output_length:
             raise InputError(
@@ -53,16 +83,14 @@ class RewriteRule:
             )
         return out
 
+    def letter_image(self, letter: Letter, x, offset: Word = IDENTITY) -> Word:
+        if letter not in self.active:
+            return single(letter)
+        return self.steps[letter_code(letter)](x, offset)
+
 
 def identity_rule(rank: int) -> RewriteRule:
     return RewriteRule(rank, 0, 1, frozenset(), lambda l, x, offset: single(l))
-
-
-def dependency_radius(rule: RewriteRule, r: int) -> int:
-    """A radius R such that cocycle words and recoded values on ball(r) only
-    read base coordinates in ball(R).  Each letter step moves the window by
-    at most max_output_length; r steps from radius window_radius suffice."""
-    return r * rule.max_output_length + rule.window_radius
 
 
 class CocycleTable:
@@ -81,21 +109,29 @@ class CocycleTable:
         self._words: dict[Word, Word] = {IDENTITY: IDENTITY}
 
     def omega(self, g: Word) -> Word:
+        """w(g, x), one step per edge letter code h[0]; an inactive code is its
+        own image, read from no coordinate."""
         words = self._words
         chain = []
-        while g not in words:
+        while g not in words:  # the identity is always in words
             chain.append(g)
-            g = parent(g)
-        prior, rule = words[g], self.rule
+            g = _word(g[1:])
+        prior, base, steps = words[g], self.base, self.rule.steps
         for h in reversed(chain):
-            l = _letter(h[0])  # an inactive letter is its own image, read from no coordinate
-            img = rule.letter_image(l, self.base, prior) if l in rule.active else _word(h[:1])
-            prior = words[h] = multiply(img, prior)
+            c = h[0]
+            step = steps.get(c)
+            if step is not None:
+                prior = multiply(step(base, prior), prior)
+            elif prior and prior[0] == c ^ 1:
+                prior = _word(prior[1:])
+            else:
+                prior = _word(h[:1] + prior)
+            words[h] = prior
         return prior
 
 
 def cocycle(rule: RewriteRule, g: Word, x) -> Word:
-    """The cocycle word w(g, x); reads x within dependency_radius(rule, |g|)."""
+    """The cocycle word w(g, x); reads x within ball(|g| max_output_length + window_radius)."""
     return CocycleTable(rule, x).omega(g)
 
 

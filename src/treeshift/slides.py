@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .chains import (
     ONE,
@@ -78,28 +78,21 @@ class SlideParams:
             return identity_rule(self.rank)
         u, t = Letter(self.u, 1), Letter(self.t, 1)
         w_t, w_ut, w_uinv_t = single(t), Word((u, t)), Word((u.inverse(), t))
-        flagged, reader = self.flagged, partial(_flag_reader, self)
+        flagged = partial(_flag_test, self)
         # per active letter: the flag tests moving it up and down, then its up, down and stay
         # images; t moves up when ut.x is flagged, down when t.x is; t^-1 undoes them (x, u.x)
         moves = {
-            t: (reader(w_ut), reader(w_t), w_ut, w_uinv_t, w_t),
-            t.inverse(): (reader(IDENTITY), reader(single(u)), *map(inverse, (w_ut, w_uinv_t, w_t))),
+            t: (flagged(w_ut), flagged(w_t), w_ut, w_uinv_t, w_t),
+            t.inverse(): (
+                flagged(IDENTITY), flagged(single(u)), *map(inverse, (w_ut, w_uinv_t, w_t))
+            ),
         }
-
-        def rewrite(l: Letter, x, offset: Word) -> Word:
-            up_test, down_test, up_word, down_word, stay_word = moves[l]
-            up = up_test(x, offset) in flagged
-            down = down_test(x, offset) in flagged
-            if up and down:
-                raise ParamsError("conflicting slide conditions: edge set is not special")
-            return up_word if up else down_word if down else stay_word
-
-        return RewriteRule(
+        return RewriteRule.from_steps(
             rank=self.rank,
             window_radius=self.n_max + 2,
             max_output_length=2,
-            active=frozenset({t, t.inverse()}),
-            rewrite=rewrite,
+            steps={l: partial(_slide_step, *move) for l, move in moves.items()},
+            images=[w for move in moves.values() for w in move[2:]],
         )
 
     def __reduce__(self):  # copies and pickles carry the fields, not the cached rule
@@ -127,27 +120,33 @@ def build_slide_params(
     return SlideParams(spec.rank, u, t, edge_set, branch)
 
 
-def _flag_reader(params: SlideParams, shift: Word):
-    """(x, offset) -> flag_triple of the translate (shift offset).x, read in the
-    same order; the read words (u^-1 shift, shift, u^n shift) are built once."""
+def _flag_test(params: SlideParams, shift: Word):
+    """(x, offset) -> whether (shift offset).x is flagged: (x_{u^-1}, x_e) is a
+    slide edge (a, b) and x_{u^n} = eta_b, n the branch distance of b.  The
+    read words (u^-1 shift, shift, u^n shift) are built once, read in order."""
     u = Letter(params.u, 1)
     back = multiply(single(u.inverse()), shift)
-    ahead = {b: multiply(reduce((u,) * data.n), shift) for b, data in params.branch}
+    ahead = {b: (multiply(reduce((u,) * data.n), shift), data.eta) for b, data in params.branch}
+    edges = params.edges
 
-    def triple(x, offset: Word):
+    def test(x, offset: Word) -> bool:
         a = x[multiply(back, offset)]
         b = x[multiply(shift, offset)]
-        if (a, b) not in params.edges:
-            return None
-        return (a, b, x[multiply(ahead[b], offset)])
+        if (a, b) not in edges:
+            return False
+        word, eta = ahead[b]
+        return x[multiply(word, offset)] == eta
 
-    return triple
+    return test
 
 
-def flag_triple(params: SlideParams, x):
-    """The local detector: (x_{u^-1}, x_e, x_{u^n}) with n the branch distance
-    of x_e, defined when (x_{u^-1}, x_e) is a slide edge; None otherwise."""
-    return _flag_reader(params, IDENTITY)(x, IDENTITY)
+def _slide_step(up_test, down_test, up_word, down_word, stay_word, x, offset: Word) -> Word:
+    """The image of an active letter at offset.x; at most one flag test may pass."""
+    up = up_test(x, offset)
+    down = down_test(x, offset)
+    if up and down:
+        raise ParamsError("conflicting slide conditions: edge set is not special")
+    return up_word if up else down_word if down else stay_word
 
 
 def _checked(spec: MarkovSpec, params: SlideParams) -> SlideParams:
@@ -245,6 +244,36 @@ def _markov_check_domains(spec: MarkovSpec, params: SlideParams) -> list[LeftCon
     return doms
 
 
+def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftConnectedSet, dict]]:
+    """(domain, exact recoded law) for every _markov_check_domains domain.
+
+    Domains are grouped by their edge letter at e, the last letter of their
+    words ({e} joins the first group), and each group's union is scanned once.
+    A domain's law is the joint law's marginal, summed on ints over one lcm
+    (chains.scaled), one Fraction per value."""
+    rule = params.rule
+    groups: dict[int, list[LeftConnectedSet]] = {}
+    for domain in _markov_check_domains(spec, params):
+        edge = domain.words[-1][-1] if len(domain) > 1 else 0  # {e} comes first: s1's group
+        groups.setdefault(edge, []).append(domain)
+    for members in groups.values():
+        union = LeftConnectedSet(w for domain in members for w in domain)
+
+        def fn(win, words=union.words):
+            view = RecodedView(rule, win)
+            return tuple(view[g] for g in words)
+
+        joint = window_marginal(spec, fn)
+        ints, den = scaled(list(joint.values()))
+        for domain in members:
+            at = [union.words.index(w) for w in domain.words]
+            sums: dict[tuple, int] = {}
+            for values, x in zip(joint, ints):
+                key = tuple(values[i] for i in at)
+                sums[key] = sums.get(key, 0) + x
+            yield domain, {key: Fraction(x, den) for key, x in sums.items()}
+
+
 def _check_candidate(spec: MarkovSpec, candidate: MarkovSpec) -> None:
     """Raise InputError unless the candidate has the spec's generators and
     alphabet, n pi entries and rank n x n kernels, all of them ints or Fractions."""
@@ -274,6 +303,10 @@ def verify_slide(
     samples: int = 25,
 ) -> SlideReport:
     """Check the slide's claims against the given spec.
+
+    The Markov check compares every check domain's recoded law with the
+    candidate's cylinders; the laws come from one window scan per edge letter
+    at e, as marginals (_check_laws).  The map-level checks run on samples.
 
     candidate defaults to the exact pushforward; passing a different spec
     with the same generators and alphabet, n x n kernels and int or Fraction
@@ -305,13 +338,8 @@ def verify_slide(
     # recoded weights are positive and enumerate_cylinders drops zero cylinders, so the
     # two laws are equal as dicts iff they agree on every value tuple of the domain
     markov_ok = True
-    for domain in _markov_check_domains(spec, params):
-
-        def fn(win, words=domain.words):
-            view = RecodedView(rule, win)
-            return tuple(view[g] for g in words)
-
-        if window_marginal(spec, fn) != dict(enumerate_cylinders(candidate, domain)):
+    for domain, law in _check_laws(spec, params):
+        if law != dict(enumerate_cylinders(candidate, domain)):
             markov_ok = False
 
     q = candidate.kernels[params.t]

@@ -17,13 +17,28 @@ from treeshift.chains import (
     Matrix,
     ValidationReport,
     WindowScan,
-    _Probe,
     window_marginal,
 )
 from treeshift.cocycles import RecodedView, RewriteRule, cocycle
-from treeshift.errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
+from treeshift.errors import (
+    BudgetError,
+    InputError,
+    MissingCoordinate,
+    ParamsError,
+    SpecInvalidError,
+)
 from treeshift.graphs import BranchData
-from treeshift.words import LeftConnectedSet, Word, ball, edge_letter, inverse, multiply, parent
+from treeshift.words import (
+    IDENTITY,
+    LeftConnectedSet,
+    Letter,
+    Word,
+    ball,
+    edge_letter,
+    inverse,
+    multiply,
+    parent,
+)
 
 
 def full_config_prob(spec: MarkovSpec, words, values) -> Fraction:
@@ -203,6 +218,47 @@ class Shifted:
 
     def __getitem__(self, h: Word) -> int:
         return self.base[multiply(h, self.offset)]
+
+
+def dependency_radius(rule: RewriteRule, r: int) -> int:
+    """A radius R such that cocycle words and recoded values on ball(r) only
+    read base coordinates in ball(R).  Each letter step moves the window by
+    at most max_output_length; r steps from radius window_radius suffice."""
+    return r * rule.max_output_length + rule.window_radius
+
+
+def flag_triple(params, x):
+    """The slide's local detector, from Letters: (x_{u^-1}, x_e, x_{u^n}) with
+    n the branch distance of x_e, defined when (x_{u^-1}, x_e) is a slide
+    edge; None otherwise."""
+    u = Letter(params.u, 1)
+    a, b = x[Word((u.inverse(),))], x[IDENTITY]
+    if (a, b) not in params.edges:
+        return None
+    n = dict(params.branch)[b].n
+    return (a, b, x[Word((u,) * n)])
+
+
+def oracle_slide_image(params, l: Letter, x, offset: Word) -> Word:
+    """The slide's image of the letter t or t^-1 at the translate offset.x,
+    from flag_triple(...) in params.flagged on Shifted views.  t goes to ut
+    when ut.x is flagged and to u^-1 t when t.x is; t^-1 goes to (ut)^-1 when
+    x is flagged and to (u^-1 t)^-1 when u.x is; both flagged is a conflict."""
+    u, t = Letter(params.u, 1), Letter(params.t, 1)
+
+    def flagged(*shift: Letter) -> bool:
+        view = Shifted(x, multiply(Word(shift), offset))
+        return flag_triple(params, view) in params.flagged
+
+    if l == t:
+        up, down = flagged(u, t), flagged(t)
+        images = Word((u, t)), Word((u.inverse(), t)), Word((t,))
+    else:
+        up, down = flagged(), flagged(u)
+        images = Word((t.inverse(), u.inverse())), Word((t.inverse(), u)), Word((t.inverse(),))
+    if up and down:
+        raise ParamsError("conflicting slide conditions")
+    return images[0] if up else images[1] if down else images[2]
 
 
 def act(rule: RewriteRule, g: Word, x: Configuration) -> Configuration:
@@ -496,6 +552,23 @@ def oracle_markov_factorization(spec, params, candidate) -> bool:
 # the window scan as it ran on Fractions: one product per branch and one sum
 # per window (budgets read from chains, so a monkeypatched budget applies)
 # ---------------------------------------------------------------------------
+
+
+class _Probe:
+    """The window probe as the scan first used it: a wrapper whose missing
+    reads raise MissingCoordinate, kept here so the oracle shares no probe
+    with the engine."""
+
+    __slots__ = ("assign",)
+
+    def __init__(self, assign: dict):
+        self.assign = assign
+
+    def __getitem__(self, w: Word) -> int:
+        try:
+            return self.assign[w]
+        except KeyError:
+            raise MissingCoordinate(w) from None
 
 
 def oracle_scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:

@@ -1,11 +1,12 @@
-"""The benchmark's quick verify workload still gives its frozen outputs.
+"""The benchmark's quick verify and sample-replay workloads still give their
+frozen outputs.
 
 perfbench/run.py compares the digest of every op's exact output with the
 frozen seed-1 reference in perfbench/digests.json and reports `correct`, so
-this run guards verify_slide's exact results (window laws and cylinder
-measures included) as the benchmark sees them.  The files under perfbench/
-are run, never changed; the run writes its record to the ignored
-perfbench/out/.
+these runs guard verify_slide's exact results (window laws and cylinder
+measures included) and the sampled and replayed configurations as the
+benchmark sees them.  The files under perfbench/ are run, never changed; each
+run writes its record to the ignored perfbench/out/.
 """
 
 import json
@@ -13,12 +14,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_quick_verify_is_correct():
+@pytest.mark.parametrize("workload", ["verify", "sample-replay"])
+def test_quick_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "verify", "--quick",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--quick",
          "--seconds", "0.5", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )

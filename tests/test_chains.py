@@ -371,16 +371,16 @@ class TestSampling:
             else:
                 assert _draw(row, thresholds, v) == expected
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 2**64 - 1])
     def test_samples_match_fraction_draw(self, seed):
         """Every sampled value is the Fraction draw from the parent's row,
         with the row (reversed inline for inverse letters) and the variate
-        recomputed from first principles."""
+        recomputed from first principles: one fresh keyed blake2b per word."""
         spec = random_spec(seed, 3, 3, style="sparse" if seed % 2 else "mixed")
         tree = SampledTree(spec, seed)
         key = seed.to_bytes(8, "big")
         pi = spec.pi
-        for w in ball(3, 3):
+        for w in ball(3, 4):
             digest = hashlib.blake2b(sampler_bytes(w), key=key, digest_size=8).digest()
             u = Fraction(int.from_bytes(digest, "big"), 2**64)
             if w.is_identity:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Shifted, act, oracle_scan_positive_windows, recode
+from oracles import Shifted, act, dependency_radius, oracle_scan_positive_windows, recode
 from treeshift import chains
 from treeshift.chains import (
     Configuration,
@@ -22,10 +22,9 @@ from treeshift.cocycles import (
     check_involution,
     check_past_preservation,
     cocycle,
-    dependency_radius,
     identity_rule,
 )
-from treeshift.errors import BudgetError, MissingCoordinate
+from treeshift.errors import BudgetError, InputError, MissingCoordinate
 from treeshift.randspec import random_spec
 from treeshift.slides import _checked, build_slide_params
 from treeshift.words import (
@@ -247,6 +246,27 @@ class TestWindowScan:
         assert list(scan.law.items()) == list(oracle.law.items())
         assert all(type(p) is Fraction for p in scan.law.values())
         assert (scan.windows, scan.failures) == (oracle.windows, oracle.failures)
+
+
+class TestOutputLength:
+    def test_rule_from_rewrite_checks_every_image(self, m1):
+        rule = RewriteRule(2, 0, 1, frozenset({U}), lambda l, x, offset: W("s1.s2"))
+        x = SampledTree(m1, 0)
+        with pytest.raises(InputError):
+            rule.letter_image(U, x)
+        with pytest.raises(InputError):
+            cocycle(rule, single(U), x)
+
+    def test_rule_from_steps_checks_its_images_once(self):
+        def step(x, offset):
+            return single(U)
+
+        with pytest.raises(InputError):
+            RewriteRule.from_steps(2, 0, 1, {U: step}, [single(U), W("s1.s2")])
+        rule = RewriteRule.from_steps(2, 0, 1, {U: step}, [single(U)])
+        assert rule.active == {U}
+        assert rule.letter_image(U, {}) == rule.rewrite(U, {}, IDENTITY) == single(U)
+        assert rule.letter_image(T, {}) == single(T)
 
 
 class TestInvolution:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_markov_factorization, oracle_pushforward_kernel
+from oracles import (
+    flag_triple,
+    oracle_markov_factorization,
+    oracle_pushforward_kernel,
+    oracle_slide_image,
+)
+from treeshift import chains
 from treeshift.chains import (
     Configuration,
     SampledTree,
@@ -14,12 +20,13 @@ from treeshift.chains import (
     cylinder_measure,
     derive_seed,
     make_spec,
+    scan_positive_windows,
     validate,
     window_marginal,
 )
 from treeshift import slides as slides_module
-from treeshift.cocycles import cocycle
-from treeshift.errors import InputError, ParamsError
+from treeshift.cocycles import RecodedView, cocycle
+from treeshift.errors import BudgetError, InputError, MissingCoordinate, ParamsError
 from treeshift.graphs import (
     BranchData,
     classify,
@@ -29,9 +36,10 @@ from treeshift.graphs import (
 from treeshift.randspec import random_properly_ergodic_spec, random_spec
 from treeshift.slides import (
     SlideParams,
+    _check_laws,
     _checked,
+    _markov_check_domains,
     build_slide_params,
-    flag_triple,
     generator_ergodic_pipeline,
     params_from_json,
     params_to_json,
@@ -39,7 +47,16 @@ from treeshift.slides import (
     replay,
     verify_slide,
 )
-from treeshift.words import IDENTITY, Letter, Word, ball, single, word_from_str
+from treeshift.words import (
+    IDENTITY,
+    LeftConnectedSet,
+    Letter,
+    Word,
+    ball,
+    letter_code,
+    single,
+    word_from_str,
+)
 
 W = word_from_str
 H = Fraction(1, 2)
@@ -168,6 +185,64 @@ class TestSlideRule:
                 pushforward(m3, bad)
             with pytest.raises(ParamsError):
                 verify_slide(m3, bad, samples=1)
+
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse"]),
+        st.integers(0, 10**6),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_code_steps_match_letter_oracle(self, seed, size, rank, style, tree_seed, radius):
+        """On every pipeline slide, the rule's code-level steps for t and t^-1
+        give the word of the Letter-level oracle (flag_triple(...) in
+        params.flagged on shifted views) and make the same reads in the same
+        order.  Windows are a sampled tree on ball(rank, radius), so some reads
+        miss, and then both raise at the same word; offsets range over
+        ball(rank, 2)."""
+        spec = random_spec(seed, size, rank, style=style)
+        assume(classify(spec).properly_ergodic)
+        _, slides = generator_ergodic_pipeline(spec)
+        for params in slides:
+            tree = SampledTree(spec, tree_seed)
+            values = {w: tree[w] for w in ball(rank, radius)}
+            rule, t = params.rule, Letter(params.t, 1)
+            for offset in ball(rank, 2):
+                for l in (t, t.inverse()):
+                    got = _reads_and_outcome(rule.steps[letter_code(l)], values, offset)
+                    want = _reads_and_outcome(
+                        lambda x, offset: oracle_slide_image(params, l, x, offset), values, offset
+                    )
+                    assert got == want
+            spec = pushforward(spec, params)
+
+
+class _LoggedWindow:
+    """A window on the given values that logs every read; a read outside
+    them raises MissingCoordinate."""
+
+    def __init__(self, values: dict):
+        self.values, self.reads = values, []
+
+    def __getitem__(self, w):
+        self.reads.append(w)
+        if w not in self.values:
+            raise MissingCoordinate(w)
+        return self.values[w]
+
+
+def _reads_and_outcome(step, values, offset):
+    """The words step reads from the window, in order, and the image it gives
+    (or the word of the coordinate it missed)."""
+    x = _LoggedWindow(values)
+    try:
+        out = step(x, offset)
+    except MissingCoordinate as miss:
+        out = ("missing", miss.word)
+    return x.reads, out
 
 
 class TestPushforward:
@@ -412,6 +487,55 @@ class TestVerifySlide:
                     spec, params, candidate
                 )
             spec = rho
+
+
+def _recoded(rule, words, win):
+    """The recoded values on words, as verify_slide's Markov check reads them."""
+    view = RecodedView(rule, win)
+    return tuple(view[g] for g in words)
+
+
+class TestGroupedLaws:
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_marginals_match_single_domain_scans(self, seed, size, rank, style):
+        """Every check domain's law, a marginal of its edge letter's one union
+        scan, equals window_marginal on that domain alone, as dicts, on every
+        pipeline slide; no domain is dropped or repeated."""
+        spec = random_spec(seed, size, rank, style=style)
+        assume(classify(spec).properly_ergodic)
+        _, slides = generator_ergodic_pipeline(spec)
+        for params in slides:
+            domains = _markov_check_domains(spec, params)
+            laws = list(_check_laws(spec, params))
+            assert len(laws) == len(domains)
+            assert {domain for domain, _ in laws} == set(domains)
+            for domain, law in laws:
+                alone = window_marginal(spec, lambda win: _recoded(params.rule, domain.words, win))
+                assert law == alone
+            spec = pushforward(spec, params)
+
+    def test_union_scan_is_under_the_window_budget(self, m1, m1_slide, monkeypatch):
+        """On m1 the t group's union {e, t, ut, u^-1 t, tt} takes more windows
+        than any check domain alone.  With the budget at the largest single
+        domain's count, verify_slide raises BudgetError: the union is neither
+        skipped nor split back into one scan per domain."""
+        rule = m1_slide.rule
+
+        def windows(words):
+            return scan_positive_windows(m1, lambda win: _recoded(rule, words, win)).windows
+
+        largest = max(windows(domain.words) for domain in _markov_check_domains(m1, m1_slide))
+        union = LeftConnectedSet([IDENTITY, W("s2"), W("s1.s2"), W("s1^-1.s2"), W("s2.s2")])
+        assert windows(union.words) > largest
+        monkeypatch.setattr(chains, "_MAX_WINDOWS", largest)
+        with pytest.raises(BudgetError):
+            verify_slide(m1, m1_slide, samples=0)
 
 
 def _broken_candidates(rho, t):
