@@ -24,8 +24,10 @@ The exact engine lives here too: scan_positive_windows enumerates the
 positive-measure windows that a window function reads, depth first, under one
 window budget (_MAX_WINDOWS), and carries each window's weight as an int
 numerator over an int denominator; the window function reads its assignment
-dict directly.  window_marginal is the law it collects, and
-enumerate_cylinders is its form on a fixed domain.
+dict directly.  The law it collects stays on ints too, as weights over one
+common denominator, so callers sum marginals on ints; window_marginal is that
+law as Fractions, checked to cover the space (covering_scan), and
+enumerate_cylinders is the scan's form on a fixed domain.
 """
 
 from __future__ import annotations
@@ -407,18 +409,29 @@ class _Probe(dict):
 
 @dataclass
 class WindowScan:
+    """A scan's window count, law and failures.  The law {value of fn: total
+    weight of the windows giving it} is held as weights over one denominator,
+    law[value] = weights[value] / den; a law given as Fractions has den 1."""
+
     windows: int
-    law: dict  # {value of fn: total weight of the windows giving it}
+    weights: dict  # {value of fn: its total weight times den}
     failures: tuple  # up to five (window, value) pairs with a falsy value
+    den: int = 1
+
+    @cached_property
+    def law(self) -> dict:
+        """The law as one Fraction per value, in the order values were first seen."""
+        return {value: Fraction(x, self.den) for value, x in self.weights.items()}
 
     @property
     def ok(self) -> bool:
         """Whether every value was truthy."""
-        return all(self.law)
+        return all(self.weights)
 
     @property
     def total_weight(self) -> Fraction:
-        return sum(self.law.values(), ZERO)
+        """The weights' int sum over den, one Fraction."""
+        return Fraction(sum(self.weights.values()), self.den)
 
 
 def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
@@ -434,9 +447,10 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
 
     A window's weight is carried as ints num / den: num is the product of its
     scaled pi and kernel entries (spec.pi_scaled, spec.letter_scaled) and den
-    the product of their denominators D, one per coordinate.  The law sums
-    num per (value, den) and builds one Fraction per value at the end, over
-    the lcm of that value's dens; it is the same Fraction, in the same key
+    the product of their denominators D, one per coordinate.  The scan sums
+    num per (value, den) and at the end puts the whole law over one int, the
+    lcm of all dens (WindowScan.weights and .den), so callers sum and compare
+    it on ints.  Its Fractions (WindowScan.law) are the same, in the same key
     order, as summing each window's weight as a Fraction.
     """
     sums: dict = {}  # {value: {den: sum of num}}, values in the order first seen
@@ -494,23 +508,25 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
             failures.append((dict(assign), value))
 
     run(_Probe(), 1, 1)
-    law = {value: _over_lcm(by_den) for value, by_den in sums.items()}
+    den = lcm(*{d for by_den in sums.values() for d in by_den})
+    weights = {
+        value: sum(num * (den // d) for d, num in by_den.items()) for value, by_den in sums.items()
+    }
     sums.clear()  # run, a recursive closure, keeps sums alive until the cyclic collector runs
-    return WindowScan(windows, law, tuple(failures))
+    return WindowScan(windows, weights, tuple(failures), den)
 
 
-def _over_lcm(by_den: dict[int, int]) -> Fraction:
-    """The sum of num / den over the {den: num} items, as one Fraction over their lcm."""
-    den = lcm(*by_den)
-    return Fraction(sum(num * (den // d) for d, num in by_den.items()), den)
+def covering_scan(spec: MarkovSpec, fn) -> WindowScan:
+    """scan_positive_windows, which must cover the space (total weight 1)."""
+    scan = scan_positive_windows(spec, fn)
+    if scan.total_weight != 1:
+        raise InputError("window enumeration did not cover the space")
+    return scan
 
 
 def window_marginal(spec: MarkovSpec, fn) -> dict:
     """Exact law of fn's value over the chain: {value: probability}."""
-    scan = scan_positive_windows(spec, fn)
-    if scan.total_weight != 1:
-        raise InputError("window enumeration did not cover the space")
-    return scan.law
+    return covering_scan(spec, fn).law
 
 
 def enumerate_cylinders(

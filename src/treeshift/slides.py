@@ -32,11 +32,11 @@ from .chains import (
     Matrix,
     SampledTree,
     _non_rational,
+    covering_scan,
     derive_seed,
     enumerate_cylinders,
     require_valid,
     scaled,
-    window_marginal,
 )
 from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule
 from .errors import InputError, ParamsError, TreeshiftError
@@ -65,11 +65,6 @@ class SlideParams:
     @property
     def n_max(self) -> int:
         return max((data.n for _, data in self.branch), default=0)
-
-    @cached_property
-    def flagged(self) -> frozenset[tuple[int, int, int]]:
-        eta = dict(self.branch)
-        return frozenset((a, b, eta[b].eta) for a, b in self.edges)
 
     @cached_property
     def rule(self) -> RewriteRule:
@@ -249,8 +244,8 @@ def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftCon
 
     Domains are grouped by their edge letter at e, the last letter of their
     words ({e} joins the first group), and each group's union is scanned once.
-    A domain's law is the joint law's marginal, summed on ints over one lcm
-    (chains.scaled), one Fraction per value."""
+    A domain's law is the joint law's marginal, summed on the scan's ints over
+    its one denominator (WindowScan.weights, .den), one Fraction per value."""
     rule = params.rule
     groups: dict[int, list[LeftConnectedSet]] = {}
     for domain in _markov_check_domains(spec, params):
@@ -260,18 +255,17 @@ def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftCon
         union = LeftConnectedSet(w for domain in members for w in domain)
 
         def fn(win, words=union.words):
-            view = RecodedView(rule, win)
-            return tuple(view[g] for g in words)
+            omega = CocycleTable(rule, win).omega
+            return tuple(win[omega(g)] for g in words)
 
-        joint = window_marginal(spec, fn)
-        ints, den = scaled(list(joint.values()))
+        scan = covering_scan(spec, fn)
         for domain in members:
             at = [union.words.index(w) for w in domain.words]
             sums: dict[tuple, int] = {}
-            for values, x in zip(joint, ints):
+            for values, x in scan.weights.items():
                 key = tuple(values[i] for i in at)
                 sums[key] = sums.get(key, 0) + x
-            yield domain, {key: Fraction(x, den) for key, x in sums.items()}
+            yield domain, {key: Fraction(x, scan.den) for key, x in sums.items()}
 
 
 def _check_candidate(spec: MarkovSpec, candidate: MarkovSpec) -> None:
@@ -294,6 +288,18 @@ def _check_candidate(spec: MarkovSpec, candidate: MarkovSpec) -> None:
         raise InputError("; ".join(bad))
 
 
+def _orbit_covered(table: CocycleTable, ball2: LeftConnectedSet, ball4: LeftConnectedSet) -> bool:
+    """Whether the cocycle words w(h, x), h in ball4, cover ball2.  ball4 is
+    walked in canonical order and the walk stops once ball2 is covered:
+    coverage only grows, so the answer is that of the full image."""
+    missing = set(ball2)
+    for h in ball4:
+        missing.discard(table.omega(h))
+        if not missing:
+            return True
+    return False
+
+
 def verify_slide(
     spec: MarkovSpec,
     params: SlideParams,
@@ -306,7 +312,13 @@ def verify_slide(
 
     The Markov check compares every check domain's recoded law with the
     candidate's cylinders; the laws come from one window scan per edge letter
-    at e, as marginals (_check_laws).  The map-level checks run on samples.
+    at e, as marginals (_check_laws).  The map-level checks run on `samples`
+    sampled trees x: recoding twice restores x on ball(rank, 2), and the
+    cocycle words of ball(rank, 4) cover ball(rank, 2).  The orbit check
+    stops once they do (_orbit_covered); with checked parameters the slide's
+    conflict branch is unreachable, so the skipped words hide no error.
+    samples=0 skips both sampled checks and reports them True; a negative or
+    non-int samples raises InputError.
 
     candidate defaults to the exact pushforward; passing a different spec
     with the same generators and alphabet, n x n kernels and int or Fraction
@@ -314,6 +326,8 @@ def verify_slide(
     candidate raises InputError before anything is scanned).  Its rows need
     not be normalised, so a dropped transition can be checked too.
     """
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
+        raise InputError(f"samples must be a non-negative int, not {samples!r}")
     rule = _checked(spec, params).rule
     if candidate is None:
         candidate = pushforward(spec, params)
@@ -330,9 +344,7 @@ def verify_slide(
         z = RecodedView(rule, RecodedView(rule, x))
         if any(z[h] != x[h] for h in ball2):
             double_ok = False
-        table = CocycleTable(rule, x)
-        images = {table.omega(h) for h in ball4}
-        if any(g not in images for g in ball2):
+        if not _orbit_covered(CocycleTable(rule, x), ball2, ball4):
             orbit_ok = False
 
     # recoded weights are positive and enumerate_cylinders drops zero cylinders, so the
@@ -426,12 +438,15 @@ def replay(
 
     The recodings compose lazily, so x may be any coordinate map (a sampled
     tree, a large configuration); coordinates are pulled through the tower on
-    demand.  rank is taken from the slides when present.
+    demand.  rank is taken from the slides when present; every slide must
+    have that rank (InputError otherwise).
     """
     if rank is None:
         if not slides:
             raise InputError("replay of an empty slide sequence needs an explicit rank")
         rank = slides[0].rank
+    if any(params.rank != rank for params in slides):
+        raise InputError(f"replay at rank {rank} of slides of ranks {[p.rank for p in slides]}")
     view = x
     for params in slides:
         view = RecodedView(params.rule, view)

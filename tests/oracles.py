@@ -19,7 +19,7 @@ from treeshift.chains import (
     WindowScan,
     window_marginal,
 )
-from treeshift.cocycles import RecodedView, RewriteRule, cocycle
+from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle
 from treeshift.errors import (
     BudgetError,
     InputError,
@@ -239,26 +239,39 @@ def flag_triple(params, x):
     return (a, b, x[Word((u,) * n)])
 
 
+def flagged(params) -> frozenset[tuple[int, int, int]]:
+    eta = dict(params.branch)
+    return frozenset((a, b, eta[b].eta) for a, b in params.edges)
+
+
 def oracle_slide_image(params, l: Letter, x, offset: Word) -> Word:
     """The slide's image of the letter t or t^-1 at the translate offset.x,
-    from flag_triple(...) in params.flagged on Shifted views.  t goes to ut
+    from flag_triple(...) in flagged(params) on Shifted views.  t goes to ut
     when ut.x is flagged and to u^-1 t when t.x is; t^-1 goes to (ut)^-1 when
     x is flagged and to (u^-1 t)^-1 when u.x is; both flagged is a conflict."""
     u, t = Letter(params.u, 1), Letter(params.t, 1)
 
-    def flagged(*shift: Letter) -> bool:
+    def is_flagged(*shift: Letter) -> bool:
         view = Shifted(x, multiply(Word(shift), offset))
-        return flag_triple(params, view) in params.flagged
+        return flag_triple(params, view) in flagged(params)
 
     if l == t:
-        up, down = flagged(u, t), flagged(t)
+        up, down = is_flagged(u, t), is_flagged(t)
         images = Word((u, t)), Word((u.inverse(), t)), Word((t,))
     else:
-        up, down = flagged(), flagged(u)
+        up, down = is_flagged(), is_flagged(u)
         images = Word((t.inverse(), u.inverse())), Word((t.inverse(), u)), Word((t.inverse(),))
     if up and down:
         raise ParamsError("conflicting slide conditions")
     return images[0] if up else images[1] if down else images[2]
+
+
+def oracle_orbit_covered(rule: RewriteRule, x, rank: int) -> bool:
+    """verify_slide's orbit check on the full image: the cocycle words of
+    every h in ball(rank, 4) cover ball(rank, 2)."""
+    table = CocycleTable(rule, x)
+    images = {table.omega(h) for h in ball(rank, 4)}
+    return all(g in images for g in ball(rank, 2))
 
 
 def act(rule: RewriteRule, g: Word, x: Configuration) -> Configuration:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     flag_triple,
+    flagged,
     oracle_markov_factorization,
+    oracle_orbit_covered,
     oracle_pushforward_kernel,
     oracle_slide_image,
 )
@@ -25,7 +27,7 @@ from treeshift.chains import (
     window_marginal,
 )
 from treeshift import slides as slides_module
-from treeshift.cocycles import RecodedView, cocycle
+from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle
 from treeshift.errors import BudgetError, InputError, MissingCoordinate, ParamsError
 from treeshift.graphs import (
     BranchData,
@@ -39,6 +41,7 @@ from treeshift.slides import (
     _check_laws,
     _checked,
     _markov_check_domains,
+    _orbit_covered,
     build_slide_params,
     generator_ergodic_pipeline,
     params_from_json,
@@ -76,12 +79,12 @@ def m3_slide(m3):
 class TestParams:
     def test_m1_branch_data(self, m1_slide):
         assert m1_slide.branch == ((1, BranchData(n=1, path=(1, 0), eta=1)),)
-        assert m1_slide.flagged == {(0, 1, 1)}
+        assert flagged(m1_slide) == {(0, 1, 1)}
         assert m1_slide.n_max == 1
 
     def test_m3_branch_data(self, m3_slide):
         assert m3_slide.branch == ((1, BranchData(n=1, path=(1, 0), eta=2)),)
-        assert m3_slide.flagged == {(0, 1, 2)}
+        assert flagged(m3_slide) == {(0, 1, 2)}
 
     def test_same_generator_rejected(self, m1):
         with pytest.raises(ParamsError):
@@ -118,12 +121,12 @@ class TestFlagTriple:
     def test_flagged(self, m3_slide):
         x = Configuration({IDENTITY: 1, W("s1^-1"): 0, W("s1"): 2})
         assert flag_triple(m3_slide, x) == (0, 1, 2)
-        assert flag_triple(m3_slide, x) in m3_slide.flagged
+        assert flag_triple(m3_slide, x) in flagged(m3_slide)
 
     def test_eta_mismatch(self, m3_slide):
         x = Configuration({IDENTITY: 1, W("s1^-1"): 0, W("s1"): 0})
         assert flag_triple(m3_slide, x) == (0, 1, 0)
-        assert flag_triple(m3_slide, x) not in m3_slide.flagged
+        assert flag_triple(m3_slide, x) not in flagged(m3_slide)
 
     def test_absent_off_edges(self, m3_slide):
         x = Configuration({IDENTITY: 0, W("s1^-1"): 1, W("s1"): 2})
@@ -199,7 +202,7 @@ class TestSlideRule:
     def test_code_steps_match_letter_oracle(self, seed, size, rank, style, tree_seed, radius):
         """On every pipeline slide, the rule's code-level steps for t and t^-1
         give the word of the Letter-level oracle (flag_triple(...) in
-        params.flagged on shifted views) and make the same reads in the same
+        flagged(params) on shifted views) and make the same reads in the same
         order.  Windows are a sampled tree on ball(rank, radius), so some reads
         miss, and then both raise at the same word; offsets range over
         ball(rank, 2)."""
@@ -443,12 +446,56 @@ class TestVerifySlide:
         params = generator_ergodic_pipeline(spec)[1][0]
         rho = pushforward(spec, params)
         bad = rho.with_kernel(params.t, corrupt(rho.kernels[params.t]))
-        monkeypatch.setattr(slides_module, "window_marginal", None)
+        monkeypatch.setattr(slides_module, "covering_scan", None)
         monkeypatch.setattr(slides_module, "SampledTree", None)
         with pytest.raises(InputError):
             verify_slide(spec, params, candidate=bad)
         with pytest.raises(InputError):
             verify_slide(spec, params, candidate=dataclasses.replace(rho, pi=rho.pi[:-1]))
+
+    @pytest.mark.parametrize("samples", [-3, -1, True, 2.0, "3", None])
+    def test_bad_samples_rejected(self, m3, m3_slide, samples):
+        with pytest.raises(InputError):
+            verify_slide(m3, m3_slide, samples=samples)
+
+    def test_zero_samples_skips_sampled_checks(self, m3, m3_slide, monkeypatch):
+        monkeypatch.setattr(slides_module, "SampledTree", None)
+        report = verify_slide(m3, m3_slide, samples=0)
+        assert report.double_recode_identity and report.orbit_surjective
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse"]),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_orbit_check_matches_full_image_oracle(self, seed, size, rank, style, tree_seed):
+        """On every pipeline slide and two sampled trees, the early-exit orbit
+        check gives the full-image oracle's answer."""
+        spec = random_spec(seed, size, rank, style=style)
+        assume(classify(spec).properly_ergodic)
+        _, slides = generator_ergodic_pipeline(spec)
+        ball2, ball4 = ball(rank, 2), ball(rank, 4)
+        for params in slides:
+            for i in range(2):
+                x = SampledTree(spec, derive_seed(tree_seed, i))
+                covered = _orbit_covered(CocycleTable(params.rule, x), ball2, ball4)
+                assert covered == oracle_orbit_covered(params.rule, x, rank)
+            spec = pushforward(spec, params)
+
+    def test_non_surjective_rule_not_covered(self, m1):
+        """s1 -> s1.s1, every other letter fixed: a reduced word never puts s1
+        next to s1^-1, so no image cancels down to s1 and s1 is never reached."""
+        s1, twice = Letter(0, 1), W("s1.s1")
+        rule = RewriteRule.from_steps(
+            rank=2, window_radius=0, max_output_length=2,
+            steps={s1: lambda x, offset: twice}, images=[twice],
+        )
+        x = SampledTree(m1, 5)
+        assert not oracle_orbit_covered(rule, x, 2)
+        assert not _orbit_covered(CocycleTable(rule, x), ball(2, 2), ball(2, 4))
 
     def test_dropped_transition_caught(self, m3, m3_slide):
         """A candidate that gives a reachable transition measure 0 (rows left
@@ -630,6 +677,18 @@ class TestReplay:
         again = Configuration(dict(out.items()))
         assert out == again and out.domain == again.domain == ball(2, 3)
         assert list(out.items()) == list(again.items())
+
+    def test_rank_checked(self, m1, m1_slide):
+        spec = random_properly_ergodic_spec(1, 4, 3)
+        slides = generator_ergodic_pipeline(spec)[1]
+        x = SampledTree(spec, 2)
+        assert len(replay(slides, x, 2, rank=3)) == len(ball(3, 2))
+        with pytest.raises(InputError):
+            replay(slides, x, 2, rank=2)
+        with pytest.raises(InputError):
+            replay([m1_slide, *slides], x, 2)
+        with pytest.raises(InputError):
+            replay([*slides, m1_slide], SampledTree(m1, 2), 2, rank=2)
 
     def test_pipeline_replay_roundtrip(self, m4):
         _, slides = generator_ergodic_pipeline(m4)
