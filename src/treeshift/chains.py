@@ -9,12 +9,14 @@ Symbols are addressed by their index in the alphabet everywhere below;
 configurations map group elements (Word) to symbol indices.
 
 Each spec keeps lookup tables on its own instance, each entry built on first
-use: the kernel, its scaled integers (see below) and the support graph along
-every letter s_i^{+-1}, and the integer draw thresholds of every kernel row
-and of pi.  The tables are keyed by letter code (see words) and also serve
-Letter keys.  Cylinder measures, window scans and samplers read them by code,
-so no hot path hashes the spec.  A spec derived by with_kernel starts with the
-entries already built for the directions it keeps.
+use: the kernel, its scaled integers (see below), the support graph and the
+validation problems along every letter s_i^{+-1}, and the integer draw
+thresholds of every kernel row and of pi, pi's scaled integers and pi's
+validation problems.  The letter tables are keyed by letter code (see words)
+and also serve Letter keys.  Cylinder measures, window scans, samplers and
+validate read them by code, so no hot path hashes the spec.  A spec derived
+by with_kernel starts with the entries already built for pi and for the
+directions it keeps, so validating it checks only the replaced kernel.
 
 Exact sums run on ints: scaled puts rationals over the lcm D of their
 denominators as the integers x*D, and scaling by D > 0 keeps signs, sums and
@@ -25,9 +27,9 @@ positive-measure windows that a window function reads, depth first, under one
 window budget (_MAX_WINDOWS), and carries each window's weight as an int
 numerator over an int denominator; the window function reads its assignment
 dict directly.  The law it collects stays on ints too, as weights over one
-common denominator, so callers sum marginals on ints; window_marginal is that
-law as Fractions, checked to cover the space (covering_scan), and
-enumerate_cylinders is the scan's form on a fixed domain.
+common denominator, so callers sum marginals on ints; covering_scan checks
+that a scan covers the space, and enumerate_cylinders is the scan's form on a
+fixed domain.
 """
 
 from __future__ import annotations
@@ -115,8 +117,9 @@ class MarkovSpec:
         The new spec starts with the table entries already built here for
         every letter code c with c >> 1 != gen, and with pi's tables: they
         read only pi and kernels that stay the same, so they are shared, not
-        copied.  gen's two letters are built afresh on first use."""
-        if not (isinstance(gen, int) and 0 <= gen < self.rank):
+        copied.  gen's two letters are built afresh on first use, so
+        validate checks gen's kernel and reuses the other entries."""
+        if isinstance(gen, bool) or not (isinstance(gen, int) and 0 <= gen < self.rank):
             raise InputError(f"generator index {gen!r} outside rank {self.rank}")
         ks = list(self.kernels)
         ks[gen] = kernel
@@ -174,18 +177,85 @@ class MarkovSpec:
         two-point mass pi(a) K(a, b)."""
 
         def graph(c: int) -> TransitionGraph:
-            # the sign of the product, without it: pi(a) > 0 and K(a, b) > 0, or both < 0
-            k, signs = self.letter_kernels[c], [(s > 0, s < 0) for s in self.pi]
+            # the sign of the product, without it: pi(a) and K(a, b) nonzero, of one sign
+            signs = list(map(_sign, self.pi))
             return TransitionGraph(self.size, frozenset(
-                (a, b) for a, row in enumerate(k) for b, p in enumerate(row)
-                if (signs[a][0] and p > 0) or (signs[a][1] and p < 0)
+                (a, b) for a, row in enumerate(self.letter_kernels[c]) if (s := signs[a])
+                for b, sb in enumerate(map(_sign, row)) if sb == s
             ))
 
         return _LetterTable(self.rank, graph)
 
+    @cached_property
+    def pi_problems(self) -> tuple[tuple[str, ...], bool]:
+        """validate's problems with pi (its length aside), and whether its
+        entries are all ints or Fractions, which the kernel checks need."""
+        bad = _non_rational("pi", self.pi)
+        if bad:
+            return tuple(bad), False
+        pi, d_pi = self.pi_scaled
+        problems = [
+            f"pi({self.alphabet[a]!r}) = {self.pi[a]} is not positive"
+            for a, p in enumerate(pi) if p <= 0
+        ]
+        if sum(pi) != d_pi:
+            problems.append(f"pi sums to {sum(self.pi)}, not 1")
+        return tuple(problems), True
 
-_LETTER_TABLES = ("letter_kernels", "letter_thresholds", "letter_support", "letter_scaled")
-_PI_TABLES = ("pi_thresholds", "pi_scaled")
+    @cached_property
+    def letter_problems(self) -> Mapping[Letter | int, tuple[str, ...]]:
+        """validate's problems with the kernel of each letter's generator:
+        its shape, entry types, negative entries, row sums and stationarity
+        for pi.  Built only once pi has passed its type checks (pi_problems).
+
+        The sums are exact on ints (see scaled): with pi over D_pi and the
+        kernel K over D_K (pi_scaled and letter_scaled), a row sums to 1 iff
+        its ints sum to D_K, and pi is stationary at b iff
+        sum_a pi^(a) K^(a, b) = pi^(b) D_K (both sides times D_pi D_K).  A
+        message's Fraction sum is computed only when its check fails."""
+
+        def make(c: int) -> tuple[str, ...]:
+            gi = c >> 1
+            k, n, alpha = self.kernels[gi], self.size, self.alphabet
+            name = self.generators[gi]
+            if len(k) != n or any(len(row) != n for row in k):
+                return (f"kernel {name} is not {n}x{n}",)
+            bad = [
+                m for a, row in enumerate(k) for m in _non_rational(f"kernel {name} row {a}", row)
+            ]
+            if bad:
+                return tuple(bad)
+            problems = []
+            rows, d_k = self.letter_scaled[2 * gi]
+            for a, row in enumerate(rows):
+                if any(x < 0 for x in row):
+                    problems.append(f"kernel {name} row {alpha[a]!r} has a negative entry")
+                if sum(row) != d_k:
+                    problems.append(f"kernel {name} row {alpha[a]!r} sums to {sum(k[a])}, not 1")
+            pi = self.pi_scaled[0]
+            for b, col in enumerate(zip(*rows)):
+                if sum(map(mul, pi, col)) != pi[b] * d_k:
+                    problems.append(
+                        f"pi is not stationary for kernel {name} at column {alpha[b]!r}"
+                    )
+                    break
+            return tuple(problems)
+
+        return _LetterTable(self.rank, make)
+
+
+_LETTER_TABLES = (
+    "letter_kernels", "letter_thresholds", "letter_support", "letter_scaled", "letter_problems"
+)
+_PI_TABLES = ("pi_thresholds", "pi_scaled", "pi_problems")
+
+
+def _sign(x) -> int:
+    """-1, 0 or 1: the sign of an int's or a Fraction's numerator, and of any
+    other entry (a float, say) by comparison with 0."""
+    if isinstance(x, (int, Fraction)):
+        x = x.numerator
+    return (x > 0) - (x < 0)
 
 
 class _LetterTable(dict):
@@ -240,52 +310,31 @@ def _non_rational(where: str, values) -> list[str]:
 def validate(spec: MarkovSpec) -> ValidationReport:
     """Check entry types, full support, normalization, row-stochasticity and stationarity.
 
-    The sums are exact on ints (see scaled): with pi over D_pi and a kernel K
-    over D_K, a row sums to 1 iff its ints sum to D_K, and pi is stationary at
-    b iff sum_a pi^(a) K^(a, b) = pi^(b) D_K (both sides times D_pi D_K).  A
-    message's Fraction sum is computed only when its check fails."""
+    The header checks (rank, alphabet, pi's length, kernel count) run here;
+    pi's problems and each kernel's are entries of the spec's own tables
+    (MarkovSpec.pi_problems and letter_problems, read at s_i's code), built
+    on first use and carried by with_kernel for the directions it keeps.  So
+    validating a spec again, or a spec derived from a validated one, checks
+    only what was not checked yet.  The problems come in the same order as
+    checking everything afresh would give."""
     problems = []
     n = spec.size
-    alpha = spec.alphabet
     if spec.rank < 2:
         problems.append(f"rank {spec.rank} < 2: need a non-abelian free group")
-    if len(set(alpha)) != n or n == 0:
+    if len(set(spec.alphabet)) != n or n == 0:
         problems.append("alphabet empty or has duplicate symbols")
     if len(spec.pi) != n:
         problems.append("pi length does not match alphabet")
         return ValidationReport(tuple(problems))
-    bad = _non_rational("pi", spec.pi)
-    if bad:
-        return ValidationReport(tuple(problems + bad))
-    pi, d_pi = scaled(spec.pi)
-    for a, p in enumerate(pi):
-        if p <= 0:
-            problems.append(f"pi({alpha[a]!r}) = {spec.pi[a]} is not positive")
-    if sum(pi) != d_pi:
-        problems.append(f"pi sums to {sum(spec.pi)}, not 1")
+    pi_problems, rational = spec.pi_problems
+    problems += pi_problems
+    if not rational:
+        return ValidationReport(tuple(problems))
     if len(spec.kernels) != spec.rank:
         problems.append("kernel count does not match generator count")
         return ValidationReport(tuple(problems))
-    for gi, k in enumerate(spec.kernels):
-        name = spec.generators[gi]
-        if len(k) != n or any(len(row) != n for row in k):
-            problems.append(f"kernel {name} is not {n}x{n}")
-            continue
-        bad = [m for a, row in enumerate(k) for m in _non_rational(f"kernel {name} row {a}", row)]
-        if bad:
-            problems += bad
-            continue
-        flat, d_k = scaled([x for row in k for x in row])
-        rows = [flat[a * n : (a + 1) * n] for a in range(n)]
-        for a, row in enumerate(rows):
-            if any(x < 0 for x in row):
-                problems.append(f"kernel {name} row {alpha[a]!r} has a negative entry")
-            if sum(row) != d_k:
-                problems.append(f"kernel {name} row {alpha[a]!r} sums to {sum(k[a])}, not 1")
-        for b, col in enumerate(zip(*rows)):
-            if sum(map(mul, pi, col)) != pi[b] * d_k:
-                problems.append(f"pi is not stationary for kernel {name} at column {alpha[b]!r}")
-                break
+    for gi in range(spec.rank):
+        problems += spec.letter_problems[2 * gi]
     return ValidationReport(tuple(problems))
 
 
@@ -379,8 +428,14 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
 
     The domain is swept parents-first; each element beyond the identity
     contributes one kernel factor along its tree edge, using the reversed
-    kernel when the edge letter is an inverse generator.
+    kernel when the edge letter is an inverse generator.  A value that is
+    not a symbol index (an int in [0, size)) raises InputError.
     """
+    for w, v in phi.items():
+        if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < spec.size):
+            raise InputError(
+                f"symbol {v!r} at {word_to_str(w)} outside alphabet of size {spec.size}"
+            )
     kernels = spec.letter_kernels
     total = ONE
     for w in phi.domain:
@@ -522,11 +577,6 @@ def covering_scan(spec: MarkovSpec, fn) -> WindowScan:
     if scan.total_weight != 1:
         raise InputError("window enumeration did not cover the space")
     return scan
-
-
-def window_marginal(spec: MarkovSpec, fn) -> dict:
-    """Exact law of fn's value over the chain: {value: probability}."""
-    return covering_scan(spec, fn).law
 
 
 def enumerate_cylinders(

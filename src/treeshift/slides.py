@@ -185,13 +185,13 @@ def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
     columns = [[] for _ in range(n)]  # a repeated (c, d) stays two terms, so it adds up
     for (c, d, _), x in zip(moved, m_int[n:]):
         columns[d].append((c, x))
-    p_t, d_t = scaled([p for row in spec.kernels[params.t] for p in row])
+    p_t, d_t = spec.letter_scaled[2 * params.t]
     q: Matrix = tuple(
         tuple(
             Fraction(row[d] * m_int[d] + sum(row[c] * x for c, x in columns[d]), d_t * d_m)
             for d in range(n)
         )
-        for row in (p_t[a * n : (a + 1) * n] for a in range(n))
+        for row in p_t
     )
     return require_valid(spec.with_kernel(params.t, q))
 

@@ -174,6 +174,8 @@ def in_past(g: Word, s: Letter) -> bool:
 def ball(rank: int, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> "LeftConnectedSet":
     """All reduced words of length <= radius, as a LeftConnectedSet, built in
     canonical order: each sphere loops over the first letter, then the shorter sphere."""
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (rank, radius)):
+        raise InputError(f"rank and radius must be ints, got {rank!r} and {radius!r}")
     if rank < 1 or radius < 0:
         raise InputError("rank must be >= 1 and radius >= 0")
     size = ball_size(rank, radius)

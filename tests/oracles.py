@@ -17,7 +17,7 @@ from treeshift.chains import (
     Matrix,
     ValidationReport,
     WindowScan,
-    window_marginal,
+    covering_scan,
 )
 from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle
 from treeshift.errors import (
@@ -537,6 +537,12 @@ def oracle_enumerate_cylinders(
             yield from rec(i + 1, weight * f)
 
     yield from rec(0, ONE)
+
+
+def window_marginal(spec: MarkovSpec, fn) -> dict:
+    """Exact law of fn's value over the chain: {value: probability}, from a
+    window scan that must cover the space."""
+    return covering_scan(spec, fn).law
 
 
 def oracle_markov_factorization(spec, params, candidate) -> bool:

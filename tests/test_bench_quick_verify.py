@@ -1,15 +1,16 @@
-"""The benchmark's quick verify and sample-replay workloads still give their
-frozen outputs.
+"""The benchmark's quick pipeline, verify and sample-replay workloads still
+give their frozen outputs.
 
 perfbench/run.py compares the digest of every op's exact output with the
 frozen seed-1 reference in perfbench/digests.json and reports `correct`, so
-these runs guard verify_slide's exact results (window laws and cylinder
-measures included) and the sampled and replayed configurations as the
-benchmark sees them.  Each workload also runs traced (--trace 1), where the
-tracer's hooks read the return values of the wrapped calls (a window scan's
-WindowScan, say), so a return value they cannot read fails here too.  The
-files under perfbench/ are run, never changed; each run writes its record to
-the ignored perfbench/out/.
+these runs guard the pipeline's final specs and slide lists (and with them
+validate and classify on every derived spec), verify_slide's exact results
+(window laws and cylinder measures included) and the sampled and replayed
+configurations as the benchmark sees them.  Each workload also runs traced
+(--trace 1), where the tracer's hooks read the return values of the wrapped
+calls (a window scan's WindowScan, say), so a return value they cannot read
+fails here too.  The files under perfbench/ are run, never changed; each run
+writes its record to the ignored perfbench/out/.
 """
 
 import json
@@ -27,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         pytest.param(w, trace, id=w + suffix)
         for trace, suffix in (("0", ""), ("1", "-traced"))
-        for w in ("verify", "sample-replay")
+        for w in ("pipeline", "verify", "sample-replay")
     ],
 )
 def test_quick_run_is_correct(workload, trace):

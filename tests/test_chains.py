@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     oracle_draw,
     oracle_enumerate_cylinders,
     translate_configuration,
+    window_marginal,
 )
 from treeshift import chains
 from treeshift.chains import (
@@ -36,7 +38,6 @@ from treeshift.chains import (
     spec_from_json,
     spec_to_json,
     validate,
-    window_marginal,
 )
 from treeshift.errors import (
     BudgetError,
@@ -173,6 +174,23 @@ class TestCylinderMeasure:
     def test_worked_quarter_cylinder(self, m1):
         phi = Configuration({IDENTITY: 0, W("s1"): 1, W("s2.s1"): 0})
         assert cylinder_measure(m1, phi) == Fraction(1, 4)
+
+    @pytest.mark.parametrize(
+        "values, named",
+        [
+            ({IDENTITY: -1}, "symbol -1 at e "),
+            ({IDENTITY: 0, W("s1"): 2}, "symbol 2 at s1 "),
+            ({IDENTITY: True}, "symbol True at e "),
+            ({IDENTITY: 0, W("s2^-1"): "a"}, "symbol 'a' at s2^-1 "),
+            # s2 swaps the symbols, so the measure is 0 before s1.s2 is read
+            ({IDENTITY: 0, W("s2"): 0, W("s1.s2"): 5}, "symbol 5 at s1.s2 "),
+        ],
+    )
+    def test_value_outside_alphabet_named(self, m1, values, named):
+        """A negative value would read pi[-1] and one beyond the alphabet a
+        bare IndexError; each is named with its word instead."""
+        with pytest.raises(InputError, match=re.escape(named)):
+            cylinder_measure(m1, Configuration(values))
 
     def test_bernoulli_product(self):
         spec = bernoulli_spec([0, 1, 2], [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
@@ -403,6 +421,11 @@ class TestSampling:
             assert sampler_bytes(w) == text.encode()
             assert str(w) == text
 
+    @pytest.mark.parametrize("radius", [True, 1.0, 1.5, "2"])
+    def test_sample_ball_radius_must_be_an_int(self, m3, radius):
+        with pytest.raises(InputError):
+            sample_ball(m3, radius, 7)
+
     def test_sample_ball_is_the_checked_configuration(self, m3):
         phi = sample_ball(m3, 3, 7)
         again = Configuration(dict(phi.items()))
@@ -474,7 +497,7 @@ class TestSpecTables:
         assert new.letter_kernels[2 * gen] == new.kernels[gen]
         assert new.letter_kernels[2 * gen + 1] == reverse_kernel(new, gen)
 
-    @pytest.mark.parametrize("gen", [-1, 2, 1.0])
+    @pytest.mark.parametrize("gen", [-1, 2, 1.0, True])
     def test_with_kernel_rejects_generator_outside_rank(self, m3, gen):
         """A negative index would replace the last kernel while keeping its tables."""
         sample_ball(m3, 1, 1)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Shifted, act, dependency_radius, oracle_scan_positive_windows, recode
+from oracles import (
+    Shifted,
+    act,
+    dependency_radius,
+    oracle_scan_positive_windows,
+    recode,
+    window_marginal,
+)
 from treeshift import chains
 from treeshift.chains import (
     Configuration,
@@ -12,7 +19,6 @@ from treeshift.chains import (
     derive_seed,
     sample_ball,
     scan_positive_windows,
-    window_marginal,
 )
 from treeshift.cocycles import (
     CocycleTable,

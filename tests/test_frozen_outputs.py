@@ -17,7 +17,8 @@ import json
 
 import pytest
 
-from treeshift.chains import spec_to_json, window_marginal
+from oracles import window_marginal
+from treeshift.chains import spec_to_json
 from treeshift.cocycles import RecodedView
 from treeshift.randspec import random_properly_ergodic_spec, random_spec
 from treeshift.slides import _markov_check_domains, generator_ergodic_pipeline, params_to_json

@@ -183,3 +183,73 @@ class TestPushforwardMatchesDenseProduct:
             bits.append(max(x.denominator.bit_length() for k in rho.kernels for row in k for x in row))
             spec = rho
         assert len(slides) == 40 and bits[-1] > 10 * bits[0]
+
+
+def _swap_in(data, original, gen: int):
+    """A kernel for generator gen: the spec's original one (swapping a bad one
+    back out), another generator's (stationary for the same pi), or the
+    original with one defect: a float entry, a wrong shape, or every row a
+    point mass (row-stochastic, but not stationary for a fully supported pi)."""
+    kind = data.draw(st.sampled_from(["original", "other", "float", "shape", "not_stationary"]))
+    k = [list(row) for row in original[gen]]
+    n = len(k)
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if kind == "other":
+        k = original[data.draw(st.integers(0, len(original) - 1))]
+    elif kind == "float":
+        k[a][b] = float(k[a][b])
+    elif kind == "shape":
+        del (k[a] if data.draw(st.booleans()) else k)[b]
+    elif kind == "not_stationary":
+        k = [[Fraction(int(c == b)) for c in range(n)] for _ in range(n)]
+    return tuple(map(tuple, k))
+
+
+class TestDerivedSpecs:
+    @given(
+        st.sampled_from(["mixed", "sparse", "proper"]),
+        st.integers(0, 10**6),
+        st.integers(2, 5),
+        st.integers(2, 4),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_report_and_support_as_a_fresh_spec(self, kind, seed, size, rank, data):
+        """Along a chain of with_kernel calls, some of whose specs build their
+        validation entries and support graphs (for the next spec to carry) and
+        some not, validate and letter_support give what they give on a fresh
+        spec of the same fields: oracle_validate's report (validate's own on
+        a fresh spec where a float entry is named, a check the oracle lacks)
+        and oracle_support's edges."""
+        spec = _base_spec(kind, seed, size, rank)
+        original = spec.kernels
+        for step in range(data.draw(st.integers(1, 6)), -1, -1):
+            gen = data.draw(st.integers(0, rank - 1))
+            spec = spec.with_kernel(gen, _swap_in(data, original, gen))
+            if step and not data.draw(st.booleans()):
+                continue
+            fresh = MarkovSpec(spec.generators, spec.alphabet, spec.pi, spec.kernels)
+            report = validate(spec)
+            if any(isinstance(x, float) for k in spec.kernels for row in k for x in row):
+                assert report == validate(fresh)
+                assert any("is not an int or a Fraction" in p for p in report.problems)
+            else:
+                assert report == oracle_validate(fresh)
+            for g, k in enumerate(spec.kernels):
+                if len(k) == size and all(len(row) == size for row in k):
+                    assert spec.letter_support[Letter(g, 1)].edges == oracle_support(fresh, g)
+
+    def test_validating_a_derived_spec_checks_only_the_new_kernel(self):
+        """with_kernel carries pi's entry and the kernel entries off gen, so
+        validate builds gen's entry alone, and the report is still complete."""
+        spec = random_spec(4, 4, 3, "sparse")
+        bad = spec.with_kernel(0, tuple(row[::-1] for row in spec.kernels[0]))
+        report = validate(bad)
+        assert not report.ok and report == oracle_validate(bad)
+        derived = bad.with_kernel(2, spec.kernels[1])
+        entries = vars(bad)["letter_problems"]
+        assert dict(vars(derived)["letter_problems"]) == {0: entries[0], 2: entries[2]}
+        assert vars(derived)["pi_problems"] is vars(bad)["pi_problems"]
+        assert validate(derived) == report
+        built = vars(derived)["letter_problems"]
+        assert set(built) == {0, 2, 4} and built[0] is entries[0] and built[2] is entries[2]

@@ -13,6 +13,7 @@ from oracles import (
     oracle_orbit_covered,
     oracle_pushforward_kernel,
     oracle_slide_image,
+    window_marginal,
 )
 from treeshift import chains
 from treeshift.chains import (
@@ -24,7 +25,6 @@ from treeshift.chains import (
     make_spec,
     scan_positive_windows,
     validate,
-    window_marginal,
 )
 from treeshift import slides as slides_module
 from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle
@@ -689,6 +689,12 @@ class TestReplay:
             replay([m1_slide, *slides], x, 2)
         with pytest.raises(InputError):
             replay([*slides, m1_slide], SampledTree(m1, 2), 2, rank=2)
+
+    @pytest.mark.parametrize("radius, rank", [(True, None), (2.0, None), (2, True), (2, 2.0)])
+    def test_radius_and_rank_must_be_ints(self, m1, m1_slide, radius, rank):
+        slides = [m1_slide] if rank is None else []
+        with pytest.raises(InputError):
+            replay(slides, SampledTree(m1, 3), radius, rank=rank)
 
     def test_pipeline_replay_roundtrip(self, m4):
         _, slides = generator_ergodic_pipeline(m4)

@@ -178,6 +178,14 @@ class TestBall:
         with pytest.raises(BudgetError):
             ball(2, 20, budget=1000)
 
+    @pytest.mark.parametrize(
+        "rank, radius", [(2, True), (True, 1), (2, False), (2, 1.0), (2.0, 1), (2, "1"), (None, 1)]
+    )
+    def test_rank_and_radius_must_be_ints(self, rank, radius):
+        """A bool would pass as 0 or 1, and a float or a string raise a bare TypeError."""
+        with pytest.raises(InputError):
+            ball(rank, radius)
+
     def test_length_subadditive_on_ball(self):
         b = list(ball(2, 2))
         for g in b:
