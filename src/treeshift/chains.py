@@ -623,13 +623,16 @@ class SampledTree:
     is derived by hashing the serialized word with a keyed blake2b, and the
     symbol is the first b with k / 2^64 < S_b, S_b the running sums of the
     kernel row of g's parent value (of pi at the identity).  Lookups
-    therefore do not depend on evaluation order and never miss.  The draw
+    therefore do not depend on evaluation order and never miss.  The hash
+    input of g = l.h is built from its parent's text, token(l) + "." + text(h),
+    kept per tree: the same bytes as word_to_str(g).encode().  The draw
     bisects the spec's integer thresholds ceil(S_b 2^64) instead of comparing
     Fractions; for integer k, k < ceil(S_b 2^64) iff k / 2^64 < S_b, so it
-    picks the same symbol.
+    picks the same symbol.  Keys are checked on a miss only: anything but a
+    tuple of reduced letter codes below 2 rank raises InputError.
     """
 
-    __slots__ = ("spec", "seed", "_keyed", "_tokens", "_memo")
+    __slots__ = ("spec", "seed", "_keyed", "_tokens", "_memo", "_texts")
 
     def __init__(self, spec: MarkovSpec, seed: int):
         self.spec = spec
@@ -638,32 +641,47 @@ class SampledTree:
         self._keyed = hashlib.blake2b(key=key, digest_size=8)  # copied per draw
         self._tokens = tuple(word_to_str(_word((c,))).encode() for c in range(2 * spec.rank))
         self._memo: dict[Word, int] = {}
-
-    def _variate(self, w: Word) -> int:
-        """The keyed hash of word_to_str(w)."""
-        h = self._keyed.copy()
-        h.update(b".".join(map(self._tokens.__getitem__, w)) if w else b"e")
-        return int.from_bytes(h.digest(), "big")
+        self._texts: dict[Word, bytes] = {}  # drawn non-identity word -> its hash input
 
     def __getitem__(self, w: Word) -> int:
         memo = self._memo
-        if w in memo:
-            return memo[w]
-        # materialize the geodesic to the closest memoized ancestor
-        chain = []
-        v = w
-        while v not in memo and v:
+        try:
+            value = memo.get(w)
+        except TypeError:  # unhashable, so not a word
+            value = None
+        if value is not None:
+            return value
+        # a Word is reduced by construction, and the letter table checks each code it draws
+        if type(w) is not Word and not _is_word(w, len(self._tokens)):
+            raise InputError(f"not a reduced word of rank {self.spec.rank}: {w!r}")
+        spec, keyed, tokens, texts = self.spec, self._keyed, self._tokens, self._texts
+        # the geodesic from w down to its closest memoized ancestor v, walked without recursion
+        chain, v = [], w
+        while v and value is None:
             chain.append(v)
-            v = parent(v)
-        spec = self.spec
-        if v not in memo:
-            memo[v] = _draw(spec.pi, spec.pi_thresholds, self._variate(v))
-        value = memo[v]
-        kernels, thresholds = spec.letter_kernels, spec.letter_thresholds
+            v = v[1:]
+            value = memo.get(v)
+        if value is None:  # v is the identity
+            h = keyed.copy()
+            h.update(b"e")
+            value = memo[v] = _draw(spec.pi, spec.pi_thresholds, int.from_bytes(h.digest(), "big"))
+        text, thresholds = texts.get(v, b""), spec.letter_thresholds
         for g in reversed(chain):
-            l = g[0]
-            value = memo[g] = _draw(kernels[l][value], thresholds[l][value], self._variate(g))
+            c = g[0]
+            row = thresholds[c][value]
+            text = texts[g] = tokens[c] + b"." + text if text else tokens[c]
+            h = keyed.copy()
+            h.update(text)
+            k = int.from_bytes(h.digest(), "big")
+            b = bisect_right(row, k)
+            value = memo[g] = b if b < len(row) else _draw(spec.letter_kernels[c][value], row, k)
         return value
+
+
+def _is_word(w, n: int) -> bool:
+    """Whether w is a tuple of letter codes, ints in [0, n), with no code next to its inverse."""
+    codes = isinstance(w, tuple) and all(type(c) is int and 0 <= c < n for c in w)
+    return codes and all(a ^ b != 1 for a, b in zip(w, w[1:]))
 
 
 def _thresholds(row: Sequence[Fraction]) -> tuple[int, ...]:

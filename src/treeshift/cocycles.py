@@ -112,11 +112,15 @@ class CocycleTable:
         """w(g, x), one step per edge letter code h[0]; an inactive code is its
         own image, read from no coordinate."""
         words = self._words
+        prior = words.get(g)
+        if prior is not None:
+            return prior
         chain = []
-        while g not in words:  # the identity is always in words
+        while prior is None:  # the identity is always in words
             chain.append(g)
             g = _word(g[1:])
-        prior, base, steps = words[g], self.base, self.rule.steps
+            prior = words.get(g)
+        base, steps = self.base, self.rule.steps
         for h in reversed(chain):
             c = h[0]
             step = steps.get(c)
@@ -145,10 +149,10 @@ class RecodedView:
         self._memo: dict[Word, int] = {}
 
     def __getitem__(self, h: Word) -> int:
-        memo = self._memo
-        if h not in memo:
-            memo[h] = self.table.base[self.table.omega(h)]
-        return memo[h]
+        value = self._memo.get(h)
+        if value is None:
+            value = self._memo[h] = self.table.base[self.table.omega(h)]
+        return value
 
 
 # ---------------------------------------------------------------------------

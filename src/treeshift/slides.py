@@ -25,29 +25,11 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Iterable, Iterator, Sequence
 
-from .chains import (
-    ONE,
-    Configuration,
-    MarkovSpec,
-    Matrix,
-    SampledTree,
-    _non_rational,
-    covering_scan,
-    derive_seed,
-    enumerate_cylinders,
-    require_valid,
-    scaled,
-)
+from .chains import ONE, Configuration, MarkovSpec, Matrix, SampledTree, _non_rational
+from .chains import covering_scan, derive_seed, enumerate_cylinders, require_valid, scaled
 from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule
 from .errors import InputError, ParamsError, TreeshiftError
-from .graphs import (
-    BranchData,
-    branch_data,
-    classify,
-    is_special,
-    special_sets,
-    support_edges,
-)
+from .graphs import BranchData, branch_data, classify, is_special, special_sets, support_edges
 from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, inverse, multiply, reduce
 from .words import single
 
@@ -335,8 +317,7 @@ def verify_slide(
         _check_candidate(spec, candidate)
     rank = spec.rank
 
-    double_ok = True
-    orbit_ok = True
+    double_ok = orbit_ok = True
     ball2 = ball(rank, 2)
     ball4 = ball(rank, 4)
     for i in range(samples):
@@ -447,6 +428,8 @@ def replay(
         rank = slides[0].rank
     if any(params.rank != rank for params in slides):
         raise InputError(f"replay at rank {rank} of slides of ranks {[p.rank for p in slides]}")
+    if not hasattr(x, "__getitem__"):
+        raise InputError(f"replay reads a coordinate map, got {x!r}")
     view = x
     for params in slides:
         view = RecodedView(params.rule, view)

@@ -10,8 +10,12 @@ and the tree hanging below the vertex s consists of the reduced words whose
 
 A Word is a tuple of int letter codes: s_i is 2i and s_i^-1 is 2i + 1
 (generators counted from 0).  The inverse of code c is c ^ 1, and int order
-is the canonical letter order s1, s1^-1, s2, ..., so words are built, hashed,
-compared and sorted by tuple operations.  The Letter NamedTuple is the public
+is the canonical letter order s1, s1^-1, s2, ....  Words are built, hashed and
+compared for equality as tuples; their canonical order comes only from
+Word.sort_key (length first), so sort with key=Word.sort_key.  Word defines no
+rich comparison of its own: one defined in Python would give the class a
+Python-level compare slot, and every Word == Word (each dict hit on an equal
+but distinct key) would go through it.  The Letter NamedTuple is the public
 type at the boundary: Word(...), .letters, edge_letter, single, reduce,
 in_past and letters_of_rank take or give Letters, converted through caches
 indexed by code, so no Letter is allocated per lookup.
@@ -94,18 +98,6 @@ class Word(tuple):
     def sort_key(self):
         """(length, codes): the canonical (length, lexicographic) order."""
         return (len(self), tuple(self))
-
-    def __lt__(self, other: "Word") -> bool:
-        return self.sort_key() < Word.sort_key(other)
-
-    def __gt__(self, other: "Word") -> bool:
-        return self.sort_key() > Word.sort_key(other)
-
-    def __le__(self, other: "Word") -> bool:
-        return self.sort_key() <= Word.sort_key(other)
-
-    def __ge__(self, other: "Word") -> bool:
-        return self.sort_key() >= Word.sort_key(other)
 
     def __repr__(self) -> str:
         return f"Word({word_to_str(self)!r})"
@@ -256,6 +248,8 @@ def word_to_str(w: Word) -> str:
 
 
 def word_from_str(text: str) -> Word:
+    if not isinstance(text, str):
+        raise InputError(f"a word is read from a str, got {text!r}")
     if text == "e":
         return IDENTITY
     letters = []

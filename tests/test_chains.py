@@ -59,6 +59,7 @@ from treeshift.words import (
     parent,
     single,
     word_from_str,
+    word_to_str,
 )
 
 H = Fraction(1, 2)
@@ -408,6 +409,61 @@ class TestSampling:
                 k = spec.kernels[l.gen]
                 row = k[a] if l.sign > 0 else [pi[b] * k[b][a] / pi[a] for b in range(3)]
             assert tree[w] == oracle_draw(row, u)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse"]),
+        st.integers(0, 2**64 - 1),
+        st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_draws_independent_of_order(self, spec_seed, size, rank, style, seed, data):
+        """Deep words (length >= 10) queried before their ancestors, after them,
+        or after ball(rank, 2) get the same values, each equal to a draw
+        recomputed here: keyed blake2b of word_to_str, then oracle_draw on the
+        Fraction row of the parent's value."""
+        spec = random_spec(spec_seed, size, rank, style=style)
+        codes = range(2 * rank)
+        deep = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            w = [data.draw(st.sampled_from(codes))]
+            for _ in range(data.draw(st.integers(9, 15))):
+                w.append(data.draw(st.sampled_from([c for c in codes if c != w[-1] ^ 1])))
+            deep.append(Word([Letter(c >> 1, -1 if c & 1 else 1) for c in w]))
+        ancestors = sorted({w[i:] for w in deep for i in range(len(w) + 1)}, key=len)
+        ball2 = list(ball(rank, 2))
+
+        key, pi, expected = seed.to_bytes(8, "big"), spec.pi, {}
+        for w in sorted({*ancestors, *ball2}, key=len):
+            digest = hashlib.blake2b(word_to_str(w).encode(), key=key, digest_size=8).digest()
+            u = Fraction(int.from_bytes(digest, "big"), 2**64)
+            if not w:
+                row = pi
+            else:
+                a, k = expected[w[1:]], spec.kernels[w[0] >> 1]
+                row = k[a] if w[0] % 2 == 0 else [pi[b] * k[b][a] / pi[a] for b in range(size)]
+            expected[w] = oracle_draw(row, u)
+
+        for order in (deep + ancestors[::-1], ancestors + deep, ball2 + deep):
+            tree = SampledTree(spec, seed)
+            assert [tree[w] for w in order] == [expected[w] for w in order]
+        sample = sample_ball(spec, 2, seed)
+        assert all(sample[w] == expected[w] for w in ball2)
+
+    def test_bad_keys_raise_input_error(self, m1):
+        """A key that is not a tuple of reduced letter codes within the rank
+        raises InputError on its lookup and draws nothing; a Word (reduced by
+        construction) with a code beyond the rank raises it from the letter table."""
+        tree = SampledTree(m1, 5)
+        for bad in [None, "s1", ["s1"], ("s1",), ([0],), (0, 1), (2, 3, 1), (4,), (-1,), (True,)]:
+            with pytest.raises(InputError, match="not a reduced word of rank 2"):
+                tree[bad]
+        assert not tree._memo
+        with pytest.raises(InputError, match="outside rank 2"):
+            tree[Word([Letter(2, 1), Letter(0, 1)])]
+        assert tree[(0, 2)] == tree[W("s1.s2")] == SampledTree(m1, 5)[W("s1.s2")]
 
     def test_sampler_bytes_pinned(self):
         words = {

@@ -696,6 +696,11 @@ class TestReplay:
         with pytest.raises(InputError):
             replay(slides, SampledTree(m1, 3), radius, rank=rank)
 
+    def test_configuration_must_be_a_coordinate_map(self, m1_slide):
+        for slides in ([], [m1_slide]):
+            with pytest.raises(InputError, match="coordinate map"):
+                replay(slides, None, 2, rank=2)
+
     def test_pipeline_replay_roundtrip(self, m4):
         _, slides = generator_ergodic_pipeline(m4)
         assert len(slides) >= 2

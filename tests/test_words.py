@@ -256,21 +256,33 @@ class TestSerialization:
             with pytest.raises(InputError):
                 word_from_str(bad)
 
+    @pytest.mark.parametrize("bad", [None, 1, b"s1", ["s1"]])
+    def test_parse_rejects_non_str(self, bad):
+        with pytest.raises(InputError, match="from a str"):
+            word_from_str(bad)
+
 
 class TestCanonicalOrder:
     @given(st.lists(reduced_st, max_size=12))
     def test_sorting_matches_oracle(self, seqs):
         words = [Word(ls) for ls in seqs]
-        expected = sorted(words, key=oracle_word_key)
-        assert sorted(words) == expected
-        assert sorted(words, key=Word.sort_key) == expected
+        assert sorted(words, key=Word.sort_key) == sorted(words, key=oracle_word_key)
 
     @given(reduced_st, reduced_st)
     def test_comparisons_match_oracle(self, a, b):
+        """The canonical order is the order of sort_key; equality is tuple equality."""
         v, w = Word(a), Word(b)
+        sv, sw = v.sort_key(), w.sort_key()
         kv, kw = oracle_word_key(v), oracle_word_key(w)
-        assert (v < w, v > w, v <= w, v >= w) == (kv < kw, kv > kw, kv <= kw, kv >= kw)
+        assert (sv < sw, sv > sw, sv <= sw, sv >= sw) == (kv < kw, kv > kw, kv <= kw, kv >= kw)
         assert (v == w) == (kv == kw)
+
+    def test_word_defines_no_rich_comparison(self):
+        """Comparisons stay tuple's C slots, so a dict hit on an equal but
+        distinct Word key never runs Python code."""
+        for name in ("__lt__", "__le__", "__eq__", "__ne__", "__gt__", "__ge__"):
+            assert name not in Word.__dict__
+        assert Word.__eq__ is tuple.__eq__ and Word.__hash__ is tuple.__hash__
 
     @given(st.integers(1, 3), st.integers(0, 3))
     @settings(max_examples=30)
