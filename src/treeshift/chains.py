@@ -277,16 +277,6 @@ class _LetterTable(dict):
         return value
 
 
-def make_spec(generators, alphabet, pi, kernels) -> MarkovSpec:
-    """Normalize plain containers into a MarkovSpec (no validation)."""
-    return MarkovSpec(
-        tuple(generators),
-        tuple(alphabet),
-        tuple(Fraction(x) for x in pi),
-        tuple(tuple(tuple(Fraction(x) for x in row) for row in k) for k in kernels),
-    )
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     problems: tuple[str, ...]
@@ -594,21 +584,6 @@ def enumerate_cylinders(
     yield from scan_positive_windows(spec, lambda x: tuple(x[w] for w in words)).law.items()
 
 
-def bernoulli_spec(alphabet, pi: Sequence[Fraction], rank: int = 2) -> MarkovSpec:
-    """The product measure with the given marginal: every kernel row equals pi."""
-    pi = tuple(Fraction(x) for x in pi)
-    if any(p <= 0 for p in pi) or sum(pi) != 1:
-        raise InputError("pi must be a fully supported probability vector")
-    row = tuple(pi)
-    k: Matrix = tuple(row for _ in alphabet)
-    return MarkovSpec(
-        tuple(f"s{i + 1}" for i in range(rank)),
-        tuple(alphabet),
-        pi,
-        tuple(k for _ in range(rank)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # sampling: splittable, keyed by (seed, word), order-independent
 # ---------------------------------------------------------------------------
@@ -628,8 +603,9 @@ class SampledTree:
     kept per tree: the same bytes as word_to_str(g).encode().  The draw
     bisects the spec's integer thresholds ceil(S_b 2^64) instead of comparing
     Fractions; for integer k, k < ceil(S_b 2^64) iff k / 2^64 < S_b, so it
-    picks the same symbol.  Keys are checked on a miss only: anything but a
-    tuple of reduced letter codes below 2 rank raises InputError.
+    picks the same symbol.  Keys are checked before the memo is read, so a
+    hit and a miss agree: anything but a tuple of reduced letter codes below
+    2 rank raises InputError.
     """
 
     __slots__ = ("spec", "seed", "_keyed", "_tokens", "_memo", "_texts")
@@ -644,16 +620,13 @@ class SampledTree:
         self._texts: dict[Word, bytes] = {}  # drawn non-identity word -> its hash input
 
     def __getitem__(self, w: Word) -> int:
-        memo = self._memo
-        try:
-            value = memo.get(w)
-        except TypeError:  # unhashable, so not a word
-            value = None
-        if value is not None:
-            return value
         # a Word is reduced by construction, and the letter table checks each code it draws
         if type(w) is not Word and not _is_word(w, len(self._tokens)):
             raise InputError(f"not a reduced word of rank {self.spec.rank}: {w!r}")
+        memo = self._memo
+        value = memo.get(w)
+        if value is not None:
+            return value
         spec, keyed, tokens, texts = self.spec, self._keyed, self._tokens, self._texts
         # the geodesic from w down to its closest memoized ancestor v, walked without recursion
         chain, v = [], w

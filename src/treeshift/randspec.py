@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from .chains import Matrix, MarkovSpec, require_valid
+from .errors import InputError
 
 
 def random_pi(rng: random.Random, size: int) -> tuple[Fraction, ...]:
@@ -68,6 +69,8 @@ def random_spec(seed: int, size: int, rank: int = 2, style: str = "mixed") -> Ma
     product component so supports vary; "split" confines flows to two symbol
     blocks (non-ergodic whenever both blocks are nonempty).
     """
+    if type(size) is not int or size < 1:
+        raise InputError(f"alphabet size must be a positive int, got {size!r}")
     rng = random.Random(seed)
     generators = tuple(f"s{i + 1}" for i in range(rank))
     if style == "split" and size >= 2:
@@ -102,6 +105,8 @@ def random_properly_ergodic_spec(seed: int, size: int, rank: int = 2) -> MarkovS
     carry fully supported flow kernels (aperiodic classes).  Permutation
     kernels need a marginal that is uniform on each cycle, so pi is uniform.
     """
+    if type(size) is not int or size < 1:
+        raise InputError(f"alphabet size must be a positive int, got {size!r}")
     rng = random.Random(seed)
     pi = tuple(Fraction(1, size) for _ in range(size))
     perm_order = rng.sample(range(size), size)

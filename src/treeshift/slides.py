@@ -64,7 +64,7 @@ class SlideParams:
                 flagged(IDENTITY), flagged(single(u)), *map(inverse, (w_ut, w_uinv_t, w_t))
             ),
         }
-        return RewriteRule.from_steps(
+        return RewriteRule(
             rank=self.rank,
             window_radius=self.n_max + 2,
             max_output_length=2,
@@ -79,13 +79,20 @@ class SlideParams:
 def build_slide_params(
     spec: MarkovSpec, u: int, t: int, edges: Iterable[tuple[int, int]]
 ) -> SlideParams:
-    """Validate a slide edge set against the spec and derive its branch data."""
+    """Validate a slide edge set against the spec and derive its branch data:
+    InputError unless the edges are pairs of ints, ParamsError on any misfit."""
+    try:
+        pairs = [(a, b) for a, b in edges]
+    except (TypeError, ValueError):  # not iterable, or not pairs
+        pairs = None
+    if pairs is None or not all(type(a) is type(b) is int for a, b in pairs):
+        raise InputError(f"slide edges must be pairs of symbol indices, got {edges!r}")
+    for gi in (u, t):
+        if type(gi) is not int or not 0 <= gi < spec.rank:
+            raise ParamsError(f"generator index {gi!r} is not an int in [0, {spec.rank})")
     if u == t:
         raise ParamsError("slide directions u and t must be distinct generators")
-    for gi in (u, t):
-        if not 0 <= gi < spec.rank:
-            raise ParamsError(f"generator index {gi} out of range")
-    edge_set = frozenset((int(a), int(b)) for a, b in edges)
+    edge_set = frozenset(pairs)
     g = support_edges(spec, u)
     if not edge_set <= g.edges:
         raise ParamsError("slide edges must be u-support edges")
@@ -129,6 +136,8 @@ def _slide_step(up_test, down_test, up_word, down_word, stay_word, x, offset: Wo
 def _checked(spec: MarkovSpec, params: SlideParams) -> SlideParams:
     """The parameters, which must be exactly what build_slide_params derives from
     the spec for the same u, t and edge set (rank and branch data included)."""
+    if not isinstance(params, SlideParams):
+        raise InputError(f"slide parameters must be SlideParams, got {params!r}")
     if params != build_slide_params(spec, params.u, params.t, params.edges):
         raise ParamsError("slide parameters do not match the spec")
     return params
@@ -420,8 +429,10 @@ def replay(
     The recodings compose lazily, so x may be any coordinate map (a sampled
     tree, a large configuration); coordinates are pulled through the tower on
     demand.  rank is taken from the slides when present; every slide must
-    have that rank (InputError otherwise).
+    have that rank, and each must be SlideParams (InputError otherwise).
     """
+    if not all(isinstance(params, SlideParams) for params in slides):
+        raise InputError("replay applies a sequence of SlideParams")
     if rank is None:
         if not slides:
             raise InputError("replay of an empty slide sequence needs an explicit rank")

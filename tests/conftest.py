@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeshift.chains import make_spec
+from oracles import make_spec
 
 H = Fraction(1, 2)
 

@@ -1,12 +1,15 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 Everything here recomputes results from first principles (full enumeration,
-explicit products, BFS) without going through the code paths under test.
+explicit products, BFS) without going through the code paths under test,
+except the last section.  That one holds test helpers, not oracles: spec
+builders from plain containers, and generic rule checks (involution, past
+preservation, inverse pairs) run on the package's own window scan.
 """
 
 import itertools
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from treeshift import chains
 from treeshift.chains import (
@@ -15,9 +18,12 @@ from treeshift.chains import (
     Configuration,
     MarkovSpec,
     Matrix,
+    SampledTree,
     ValidationReport,
     WindowScan,
     covering_scan,
+    derive_seed,
+    scan_positive_windows,
 )
 from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle
 from treeshift.errors import (
@@ -35,9 +41,11 @@ from treeshift.words import (
     Word,
     ball,
     edge_letter,
+    in_past,
     inverse,
     multiply,
     parent,
+    single,
 )
 
 
@@ -641,3 +649,106 @@ def oracle_scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
 
     run({}, ONE)
     return WindowScan(windows, law, tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# test helpers, not oracles: spec builders, and generic rule checks on the
+# package's window scan (the slide's own claims are checked by verify_slide)
+# ---------------------------------------------------------------------------
+
+
+def make_spec(generators, alphabet, pi, kernels) -> MarkovSpec:
+    """Normalize plain containers into a MarkovSpec (no validation)."""
+    return MarkovSpec(
+        tuple(generators),
+        tuple(alphabet),
+        tuple(Fraction(x) for x in pi),
+        tuple(tuple(tuple(Fraction(x) for x in row) for row in k) for k in kernels),
+    )
+
+
+def bernoulli_spec(alphabet, pi: Sequence[Fraction], rank: int = 2) -> MarkovSpec:
+    """The product measure with the given marginal: every kernel row equals pi."""
+    pi = tuple(Fraction(x) for x in pi)
+    if any(p <= 0 for p in pi) or sum(pi) != 1:
+        raise InputError("pi must be a fully supported probability vector")
+    row = tuple(pi)
+    k: Matrix = tuple(row for _ in alphabet)
+    return MarkovSpec(
+        tuple(f"s{i + 1}" for i in range(rank)),
+        tuple(alphabet),
+        pi,
+        tuple(k for _ in range(rank)),
+    )
+
+
+def _checked_letters(rule: RewriteRule) -> list[Letter]:
+    seen = set()
+    for l in rule.active:
+        seen.add(l)
+        seen.add(l.inverse())
+    return sorted(seen, key=Letter.sort_key)
+
+
+def check_involution(rule: RewriteRule, spec: MarkovSpec) -> bool:
+    """Whether rewriting a letter and then its inverse from the moved
+    configuration always returns the inverse word, on every positive window."""
+    for l in _checked_letters(rule):
+
+        def fn(win, l=l):
+            w = rule.letter_image(l, win)
+            w_back = rule.letter_image(l.inverse(), win, w)
+            return w_back == inverse(w)
+
+        if not scan_positive_windows(spec, fn).ok:
+            return False
+    return True
+
+
+def check_past_preservation(rule: RewriteRule, spec: MarkovSpec, s: Letter, r: int) -> bool:
+    """Whether g and w(g, x) always lie on the same side of the past of s,
+    for all |g| <= r and all positive windows."""
+    for g in ball(rule.rank, r):
+        if g.is_identity:
+            continue
+
+        def fn(win, g=g):
+            table = CocycleTable(rule, win)
+            return in_past(g, s) == in_past(table.omega(g), s)
+
+        if not scan_positive_windows(spec, fn).ok:
+            return False
+    return True
+
+
+def check_inverse_pair(
+    rule: RewriteRule,
+    rule_hat: RewriteRule,
+    spec: MarkovSpec,
+    r: int,
+    *,
+    samples: int = 20,
+    seed: int = 0,
+) -> bool:
+    """Whether the two rules invert each other: w(w_hat(l, Omega x), x) = l on
+    every positive window, and the composed recodings restore sampled
+    configurations on ball(r)."""
+    letters = sorted(
+        set(_checked_letters(rule)) | set(_checked_letters(rule_hat)),
+        key=Letter.sort_key,
+    )
+    for l in letters:
+
+        def fn(win, l=l):
+            recoded = RecodedView(rule, win)
+            w_hat = cocycle(rule_hat, single(l), recoded)
+            return cocycle(rule, w_hat, win) == single(l)
+
+        if not scan_positive_windows(spec, fn).ok:
+            return False
+    for i in range(samples):
+        x = SampledTree(spec, derive_seed(seed, i))
+        z = RecodedView(rule_hat, RecodedView(rule, x))
+        if any(z[h] != x[h] for h in ball(rule.rank, r)):
+            return False
+    return True

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bernoulli_spec,
     brute_marginal,
     empirical_cylinder,
     left_connected_subsets,
+    make_spec,
     marginal_table,
     oracle_draw,
     oracle_enumerate_cylinders,
@@ -26,13 +28,11 @@ from treeshift.chains import (
     SampledTree,
     _draw,
     _thresholds,
-    bernoulli_spec,
     cylinder_measure,
     derive_seed,
     enumerate_cylinders,
     frac_from_str,
     kernel_for_letter,
-    make_spec,
     reverse_kernel,
     sample_ball,
     spec_from_json,
@@ -464,6 +464,16 @@ class TestSampling:
         with pytest.raises(InputError, match="outside rank 2"):
             tree[Word([Letter(2, 1), Letter(0, 1)])]
         assert tree[(0, 2)] == tree[W("s1.s2")] == SampledTree(m1, 5)[W("s1.s2")]
+
+    def test_bad_keys_raise_after_a_hit(self, m1):
+        """A key equal to a memoised word but not made of int codes, (True,) or
+        (1.0,), raises as it does on a fresh tree: the key is checked before
+        the memo is read."""
+        tree = SampledTree(m1, 5)
+        assert tree[(1,)] == tree[W("s1^-1")]
+        for bad in [(True,), (1.0,)]:
+            with pytest.raises(InputError, match="not a reduced word of rank 2"):
+                tree[bad]
 
     def test_sampler_bytes_pinned(self):
         words = {

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_components, oracle_branch_data, oracle_classify, oracle_support
-from treeshift.chains import bernoulli_spec, make_spec
+from oracles import (
+    bernoulli_spec,
+    bfs_components,
+    make_spec,
+    oracle_branch_data,
+    oracle_classify,
+    oracle_support,
+)
 from treeshift.errors import InputError
 from treeshift.graphs import (
     BranchData,
@@ -24,6 +30,13 @@ H = Fraction(1, 2)
 
 def graph(n, edges):
     return TransitionGraph(n, frozenset(edges))
+
+
+@pytest.mark.parametrize("make", [random_spec, random_properly_ergodic_spec])
+@pytest.mark.parametrize("size", [0, -1, 2.0, True])
+def test_random_specs_need_a_positive_int_size(make, size):
+    with pytest.raises(InputError, match="alphabet size"):
+        make(0, size, 2)
 
 
 class TestSupportEdges:

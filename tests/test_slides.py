@@ -7,8 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bernoulli_spec,
     flag_triple,
     flagged,
+    make_spec,
     oracle_markov_factorization,
     oracle_orbit_covered,
     oracle_pushforward_kernel,
@@ -19,10 +21,8 @@ from treeshift import chains
 from treeshift.chains import (
     Configuration,
     SampledTree,
-    bernoulli_spec,
     cylinder_measure,
     derive_seed,
-    make_spec,
     scan_positive_windows,
     validate,
 )
@@ -102,6 +102,35 @@ class TestParams:
         obj = params_to_json(m3, m3_slide)
         assert obj["u"] == "s1" and obj["t"] == "s2" and obj["E"] == [[0, 1]]
         assert params_from_json(m3, {"u": "s1", "t": "s2", "E": [[0, 1]]}) == m3_slide
+
+    @pytest.mark.parametrize(
+        "u, t, edges, error",
+        [
+            (0.0, 1, [(0, 1)], ParamsError),
+            (0, 1.0, [(0, 1)], ParamsError),
+            ("a", 1, [(0, 1)], ParamsError),
+            (True, 1, [(0, 1)], ParamsError),
+            (0, 1, 5, InputError),
+            (0, 1, [(0,)], InputError),
+            (0, 1, [(0, 1, 2)], InputError),
+            (0, 1, [("a", "b")], InputError),
+            (0, 1, [(0.0, 1)], InputError),
+            (0, 1, [(0, True)], InputError),
+            (0, 1, [(0, 1), (0, 1.0)], InputError),
+        ],
+    )
+    def test_non_index_params_rejected(self, m3, u, t, edges, error):
+        """Directions that are not int generator indices raise ParamsError, and
+        edges that are not pairs of int symbol indices InputError, instead of
+        building parameters that fail later (u=0.0 used to reach pushforward)."""
+        with pytest.raises(error):
+            build_slide_params(m3, u, t, edges)
+
+    def test_non_params_rejected(self, m3):
+        with pytest.raises(InputError, match="SlideParams"):
+            pushforward(m3, None)
+        with pytest.raises(InputError, match="SlideParams"):
+            verify_slide(m3, None)
 
     @pytest.mark.parametrize("pairs", [5, [[0]], [[0, 1, 2]]])
     def test_json_bad_edge_shape_rejected(self, m3, pairs):
@@ -489,7 +518,7 @@ class TestVerifySlide:
         """s1 -> s1.s1, every other letter fixed: a reduced word never puts s1
         next to s1^-1, so no image cancels down to s1 and s1 is never reached."""
         s1, twice = Letter(0, 1), W("s1.s1")
-        rule = RewriteRule.from_steps(
+        rule = RewriteRule(
             rank=2, window_radius=0, max_output_length=2,
             steps={s1: lambda x, offset: twice}, images=[twice],
         )
@@ -622,8 +651,6 @@ class TestPipeline:
             assert verify_slide_target_unchanged(out, m4)
 
     def test_not_properly_ergodic_rejected(self):
-        from treeshift.chains import make_spec
-
         swap = [[0, 1], [1, 0]]
         spec = make_spec(["s1", "s2"], [0, 1], [H, H], [swap, swap])
         assert classify(spec).ergodic
@@ -695,6 +722,12 @@ class TestReplay:
         slides = [m1_slide] if rank is None else []
         with pytest.raises(InputError):
             replay(slides, SampledTree(m1, 3), radius, rank=rank)
+
+    def test_slides_must_be_params(self, m1, m1_slide):
+        x = SampledTree(m1, 3)
+        for slides in (["x"], [m1_slide, None]):
+            with pytest.raises(InputError, match="SlideParams"):
+                replay(slides, x, 1)
 
     def test_configuration_must_be_a_coordinate_map(self, m1_slide):
         for slides in ([], [m1_slide]):
