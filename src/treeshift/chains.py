@@ -18,6 +18,12 @@ validate read them by code, so no hot path hashes the spec.  A spec derived
 by with_kernel starts with the entries already built for pi and for the
 directions it keeps, so validating it checks only the replaced kernel.
 
+Validation problems come as (form, law) pairs.  The form is a field's shape
+and entry types; the law is positivity, sums and stationarity, checked only
+once the form holds.  validate reads the pairs in order (problem_entries)
+and keeps its report on the instance; a slide's candidate spec is held to
+the form halves alone.
+
 Exact sums run on ints: scaled puts rationals over the lcm D of their
 denominators as the integers x*D, and scaling by D > 0 keeps signs, sums and
 equalities, so a Fraction (one gcd) is built per result rather than per term.
@@ -44,8 +50,8 @@ from math import lcm
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
+from . import graphs  # graphs calls require_valid, so each reads the other's names at call time
 from .errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
-from .graphs import TransitionGraph
 from .words import LeftConnectedSet, Letter, Word, _word, ball, letter_code, parent, word_to_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -55,6 +61,7 @@ ONE = Fraction(1)
 _MAX_WINDOWS = 500_000  # windows of one scan_positive_windows call
 _MAX_COORDS = 400  # coordinates of one window
 _MAX_SAMPLE_BALL = 200_000  # words of one sample_ball
+_ARRAYS = (tuple, list)  # what a spec field, and a kernel row, may be
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +179,14 @@ class MarkovSpec:
         return tuple(ints), den
 
     @cached_property
-    def letter_support(self) -> Mapping[Letter | int, TransitionGraph]:
+    def letter_support(self) -> Mapping[Letter | int, graphs.TransitionGraph]:
         """Support graph along each letter: the edges (a, b) with positive
         two-point mass pi(a) K(a, b)."""
 
-        def graph(c: int) -> TransitionGraph:
+        def graph(c: int) -> graphs.TransitionGraph:
             # the sign of the product, without it: pi(a) and K(a, b) nonzero, of one sign
             signs = list(map(_sign, self.pi))
-            return TransitionGraph(self.size, frozenset(
+            return graphs.TransitionGraph(self.size, frozenset(
                 (a, b) for a, row in enumerate(self.letter_kernels[c]) if (s := signs[a])
                 for b, sb in enumerate(map(_sign, row)) if sb == s
             ))
@@ -187,12 +194,14 @@ class MarkovSpec:
         return _LetterTable(self.rank, graph)
 
     @cached_property
-    def pi_problems(self) -> tuple[tuple[str, ...], bool]:
-        """validate's problems with pi (its length aside), and whether its
-        entries are all ints or Fractions, which the kernel checks need."""
+    def pi_problems(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """validate's (form, law) problems with pi: form is its length and
+        entry types, law its positivity and sum, read once the form holds."""
+        if not isinstance(self.pi, _ARRAYS) or len(self.pi) != self.size:
+            return ("pi length does not match alphabet",), ()
         bad = _non_rational("pi", self.pi)
         if bad:
-            return tuple(bad), False
+            return tuple(bad), ()
         pi, d_pi = self.pi_scaled
         problems = [
             f"pi({self.alphabet[a]!r}) = {self.pi[a]} is not positive"
@@ -200,13 +209,14 @@ class MarkovSpec:
         ]
         if sum(pi) != d_pi:
             problems.append(f"pi sums to {sum(self.pi)}, not 1")
-        return tuple(problems), True
+        return (), tuple(problems)
 
     @cached_property
-    def letter_problems(self) -> Mapping[Letter | int, tuple[str, ...]]:
-        """validate's problems with the kernel of each letter's generator:
-        its shape, entry types, negative entries, row sums and stationarity
-        for pi.  Built only once pi has passed its type checks (pi_problems).
+    def letter_problems(self) -> Mapping[Letter | int, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """validate's (form, law) problems with the kernel of each letter's
+        generator: form is its shape and entry types, law its negative
+        entries, row sums and stationarity for pi, read once the form holds.
+        Built only once pi's form holds and the kernel count matches.
 
         The sums are exact on ints (see scaled): with pi over D_pi and the
         kernel K over D_K (pi_scaled and letter_scaled), a row sums to 1 iff
@@ -214,17 +224,19 @@ class MarkovSpec:
         sum_a pi^(a) K^(a, b) = pi^(b) D_K (both sides times D_pi D_K).  A
         message's Fraction sum is computed only when its check fails."""
 
-        def make(c: int) -> tuple[str, ...]:
+        def make(c: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
             gi = c >> 1
             k, n, alpha = self.kernels[gi], self.size, self.alphabet
             name = self.generators[gi]
-            if len(k) != n or any(len(row) != n for row in k):
-                return (f"kernel {name} is not {n}x{n}",)
+            if not isinstance(k, _ARRAYS) or len(k) != n or any(
+                not isinstance(row, _ARRAYS) or len(row) != n for row in k
+            ):
+                return (f"kernel {name} is not {n}x{n}",), ()
             bad = [
                 m for a, row in enumerate(k) for m in _non_rational(f"kernel {name} row {a}", row)
             ]
             if bad:
-                return tuple(bad)
+                return tuple(bad), ()
             problems = []
             rows, d_k = self.letter_scaled[2 * gi]
             for a, row in enumerate(rows):
@@ -239,9 +251,15 @@ class MarkovSpec:
                         f"pi is not stationary for kernel {name} at column {alpha[b]!r}"
                     )
                     break
-            return tuple(problems)
+            return (), tuple(problems)
 
         return _LetterTable(self.rank, make)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """validate's report, built on first use."""
+        entries = problem_entries(self)
+        return ValidationReport(tuple(m for form, law in entries for m in form + law))
 
 
 _LETTER_TABLES = (
@@ -297,35 +315,48 @@ def _non_rational(where: str, values) -> list[str]:
             for i, x in enumerate(values) if not isinstance(x, (int, Fraction))]
 
 
-def validate(spec: MarkovSpec) -> ValidationReport:
-    """Check entry types, full support, normalization, row-stochasticity and stationarity.
-
-    The header checks (rank, alphabet, pi's length, kernel count) run here;
-    pi's problems and each kernel's are entries of the spec's own tables
-    (MarkovSpec.pi_problems and letter_problems, read at s_i's code), built
-    on first use and carried by with_kernel for the directions it keeps.  So
-    validating a spec again, or a spec derived from a validated one, checks
-    only what was not checked yet.  The problems come in the same order as
-    checking everything afresh would give."""
-    problems = []
-    n = spec.size
+def problem_entries(spec: MarkovSpec) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """validate's (form, law) pairs, in its order: the header's, pi's, the
+    kernel count's, then each kernel's.  A form problem of the header, of pi
+    or of the count ends them, since what follows reads those fields."""
+    if not (isinstance(spec.generators, _ARRAYS) and isinstance(spec.alphabet, _ARRAYS)):
+        yield ("generators and alphabet must be tuples or lists",), ()
+        return
+    try:
+        distinct = len(set(spec.alphabet))
+    except TypeError:  # an unhashable symbol
+        yield ("alphabet symbols must be hashable",), ()
+        return
+    header = []
     if spec.rank < 2:
-        problems.append(f"rank {spec.rank} < 2: need a non-abelian free group")
-    if len(set(spec.alphabet)) != n or n == 0:
-        problems.append("alphabet empty or has duplicate symbols")
-    if len(spec.pi) != n:
-        problems.append("pi length does not match alphabet")
-        return ValidationReport(tuple(problems))
-    pi_problems, rational = spec.pi_problems
-    problems += pi_problems
-    if not rational:
-        return ValidationReport(tuple(problems))
-    if len(spec.kernels) != spec.rank:
-        problems.append("kernel count does not match generator count")
-        return ValidationReport(tuple(problems))
+        header.append(f"rank {spec.rank} < 2: need a non-abelian free group")
+    if distinct != spec.size or not distinct:
+        header.append("alphabet empty or has duplicate symbols")
+    yield (), tuple(header)
+    yield spec.pi_problems
+    if spec.pi_problems[0]:
+        return
+    if not isinstance(spec.kernels, _ARRAYS) or len(spec.kernels) != spec.rank:
+        yield ("kernel count does not match generator count",), ()
+        return
     for gi in range(spec.rank):
-        problems += spec.letter_problems[2 * gi]
-    return ValidationReport(tuple(problems))
+        yield spec.letter_problems[2 * gi]
+
+
+def validate(spec: MarkovSpec) -> ValidationReport:
+    """Check the spec's form (field shapes and entry types), then its laws
+    (full support, normalization, row-stochasticity and stationarity).
+
+    The problems are the halves of problem_entries, in order.  pi's and each
+    kernel's pairs are entries of the spec's own tables (MarkovSpec.
+    pi_problems and letter_problems), built on first use and carried by
+    with_kernel for the directions it keeps, so validating a spec derived
+    from a validated one checks only what was not checked yet, in the order
+    checking afresh would give.  The report is kept on the instance
+    (MarkovSpec.validation).  Anything but a MarkovSpec raises InputError."""
+    if not isinstance(spec, MarkovSpec):
+        raise InputError(f"chain spec must be a MarkovSpec, got {spec!r}")
+    return spec.validation
 
 
 def require_valid(spec: MarkovSpec) -> MarkovSpec:
@@ -605,13 +636,13 @@ class SampledTree:
     Fractions; for integer k, k < ceil(S_b 2^64) iff k / 2^64 < S_b, so it
     picks the same symbol.  Keys are checked before the memo is read, so a
     hit and a miss agree: anything but a tuple of reduced letter codes below
-    2 rank raises InputError.
+    2 rank raises InputError.  The spec must pass require_valid.
     """
 
     __slots__ = ("spec", "seed", "_keyed", "_tokens", "_memo", "_texts")
 
     def __init__(self, spec: MarkovSpec, seed: int):
-        self.spec = spec
+        self.spec = require_valid(spec)
         self.seed = _hash_key(seed, "seed")
         key = self.seed.to_bytes(8, "big", signed=False)
         self._keyed = hashlib.blake2b(key=key, digest_size=8)  # copied per draw
@@ -700,8 +731,8 @@ def derive_seed(seed: int, index: int) -> int:
 
 def sample_ball(spec: MarkovSpec, radius: int, seed: int) -> Configuration:
     """One exact sample of the chain restricted to the ball of given radius."""
-    dom = ball(spec.rank, radius, budget=_MAX_SAMPLE_BALL)
     tree = SampledTree(spec, seed)
+    dom = ball(spec.rank, radius, budget=_MAX_SAMPLE_BALL)
     return Configuration._on(dom, {w: tree[w] for w in dom})
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+from . import chains
 from .errors import InputError
 from .words import Letter
 
@@ -88,11 +89,12 @@ class TransitionGraph:
         return not self.periodic[self.class_of[v]]
 
 
-def support_edges(spec: MarkovSpec, gen: int, sign: int = 1) -> TransitionGraph:
-    """The support graph along the given direction: edges (a, b) with
-    positive two-point mass pi(a) K(a, b); sign -1 uses the reversed kernel.
-    The graph is the spec's table entry, built once per spec and direction."""
-    return spec.letter_support[Letter(gen, sign)]
+def support_edges(spec: MarkovSpec, gen: int) -> TransitionGraph:
+    """The support graph along generator gen: edges (a, b) with positive
+    two-point mass pi(a) K(a, b).  The graph is the spec's table entry,
+    built once per spec and direction (the reversed direction is
+    spec.letter_support at the inverse letter)."""
+    return spec.letter_support[Letter(gen, 1)]
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,10 @@ def classify(spec: MarkovSpec) -> Classification:
 
     The global relation is generated by the union of all generator supports;
     edges along inverse directions are the reverses of forward edges, so the
-    union over forward directions generates the same relation.
+    union over forward directions generates the same relation.  The spec
+    must pass require_valid.
     """
+    chains.require_valid(spec)
     reports = []
     union_edges: set[tuple[int, int]] = set()
     some_aperiodic = False
@@ -226,10 +230,11 @@ def special_sets(spec: MarkovSpec, gen: int, a: int) -> SpecialSets:
     direction the support graph actually carries (smallest endpoint first
     when both directions exist).  Coloring the BFS tree makes every tree
     edge cross the two sides, so each oriented half has disjoint sources and
-    targets.
+    targets.  The spec must pass require_valid.
     """
-    if not 0 <= a < spec.size:
-        raise InputError(f"symbol index {a} outside alphabet of size {spec.size}")
+    chains.require_valid(spec)
+    if isinstance(a, bool) or not (isinstance(a, int) and 0 <= a < spec.size):
+        raise InputError(f"symbol index {a!r} outside alphabet of size {spec.size}")
     g = support_edges(spec, gen)
     if not g.aperiodic(a):
         raise InputError(f"class of {a} along {spec.generators[gen]} is periodic")

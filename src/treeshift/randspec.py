@@ -61,16 +61,27 @@ def permutation_kernel(perm: list[int]) -> Matrix:
     )
 
 
+def _check_sizes(size: int, rank: int) -> None:
+    """InputError unless size is a positive int and rank an int (a rank
+    below 2 is left to require_valid)."""
+    if type(size) is not int or size < 1:
+        raise InputError(f"alphabet size must be a positive int, got {size!r}")
+    if type(rank) is not int:
+        raise InputError(f"rank must be an int, got {rank!r}")
+
+
 def random_spec(seed: int, size: int, rank: int = 2, style: str = "mixed") -> MarkovSpec:
     """A random valid spec.
 
     Styles: "mixed" draws flow kernels with a positive product component
     (full support, generator restrictions ergodic); "sparse" drops the
     product component so supports vary; "split" confines flows to two symbol
-    blocks (non-ergodic whenever both blocks are nonempty).
+    blocks (non-ergodic whenever both blocks are nonempty).  Any other style
+    raises InputError.
     """
-    if type(size) is not int or size < 1:
-        raise InputError(f"alphabet size must be a positive int, got {size!r}")
+    _check_sizes(size, rank)
+    if style not in ("mixed", "sparse", "split"):
+        raise InputError(f"style must be 'mixed', 'sparse' or 'split', got {style!r}")
     rng = random.Random(seed)
     generators = tuple(f"s{i + 1}" for i in range(rank))
     if style == "split" and size >= 2:
@@ -105,8 +116,7 @@ def random_properly_ergodic_spec(seed: int, size: int, rank: int = 2) -> MarkovS
     carry fully supported flow kernels (aperiodic classes).  Permutation
     kernels need a marginal that is uniform on each cycle, so pi is uniform.
     """
-    if type(size) is not int or size < 1:
-        raise InputError(f"alphabet size must be a positive int, got {size!r}")
+    _check_sizes(size, rank)
     rng = random.Random(seed)
     pi = tuple(Fraction(1, size) for _ in range(size))
     perm_order = rng.sample(range(size), size)

@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Iterable, Iterator, Sequence
 
-from .chains import ONE, Configuration, MarkovSpec, Matrix, SampledTree, _non_rational
-from .chains import covering_scan, derive_seed, enumerate_cylinders, require_valid, scaled
+from .chains import ONE, Configuration, MarkovSpec, Matrix, SampledTree, covering_scan
+from .chains import derive_seed, enumerate_cylinders, problem_entries, require_valid, scaled
 from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule
 from .errors import InputError, ParamsError, TreeshiftError
 from .graphs import BranchData, branch_data, classify, is_special, special_sets, support_edges
@@ -80,7 +80,9 @@ def build_slide_params(
     spec: MarkovSpec, u: int, t: int, edges: Iterable[tuple[int, int]]
 ) -> SlideParams:
     """Validate a slide edge set against the spec and derive its branch data:
-    InputError unless the edges are pairs of ints, ParamsError on any misfit."""
+    the spec must pass require_valid, InputError unless the edges are pairs
+    of ints, ParamsError on any misfit."""
+    require_valid(spec)
     try:
         pairs = [(a, b) for a, b in edges]
     except (TypeError, ValueError):  # not iterable, or not pairs
@@ -260,23 +262,16 @@ def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftCon
 
 
 def _check_candidate(spec: MarkovSpec, candidate: MarkovSpec) -> None:
-    """Raise InputError unless the candidate has the spec's generators and
-    alphabet, n pi entries and rank n x n kernels, all of them ints or Fractions."""
+    """Raise InputError unless the candidate is a MarkovSpec with the spec's
+    generators and alphabet that passes validate's form checks (the form
+    halves of chains.problem_entries); its laws are not checked."""
+    if not isinstance(candidate, MarkovSpec):
+        raise InputError(f"candidate must be a MarkovSpec, got {candidate!r}")
     if (candidate.generators, candidate.alphabet) != (spec.generators, spec.alphabet):
         raise InputError("candidate spec must have the spec's generators and alphabet")
-    n = spec.size
-    if len(candidate.pi) != n or len(candidate.kernels) != spec.rank or any(
-        len(k) != n or any(len(row) != n for row in k) for k in candidate.kernels
-    ):
-        raise InputError(f"candidate needs {n} pi entries and {spec.rank} kernels of {n}x{n}")
-    bad = _non_rational("candidate pi", candidate.pi) + [
-        m
-        for name, k in zip(spec.generators, candidate.kernels)
-        for a, row in enumerate(k)
-        for m in _non_rational(f"candidate kernel {name} row {a}", row)
-    ]
-    if bad:
-        raise InputError("; ".join(bad))
+    problems = [m for form, _ in problem_entries(candidate) for m in form]
+    if problems:
+        raise InputError("candidate: " + "; ".join(problems))
 
 
 def _orbit_covered(table: CocycleTable, ball2: LeftConnectedSet, ball4: LeftConnectedSet) -> bool:
@@ -311,20 +306,20 @@ def verify_slide(
     samples=0 skips both sampled checks and reports them True; a negative or
     non-int samples raises InputError.
 
-    candidate defaults to the exact pushforward; passing a different spec
-    with the same generators and alphabet, n x n kernels and int or Fraction
-    entries lets callers test that corrupted kernels are caught (any other
-    candidate raises InputError before anything is scanned).  Its rows need
-    not be normalised, so a dropped transition can be checked too.
+    candidate defaults to the exact pushforward, which checks params.  A
+    given candidate must be a MarkovSpec with the spec's generators and
+    alphabet that passes validate's form checks, or InputError is raised
+    before anything is scanned.  Its laws are not checked, so callers can
+    test that a corrupted kernel or a dropped transition is caught.
     """
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
         raise InputError(f"samples must be a non-negative int, not {samples!r}")
-    rule = _checked(spec, params).rule
     if candidate is None:
         candidate = pushforward(spec, params)
     else:
+        _checked(spec, params)
         _check_candidate(spec, candidate)
-    rank = spec.rank
+    rule, rank = params.rule, spec.rank
 
     double_ok = orbit_ok = True
     ball2 = ball(rank, 2)
@@ -366,16 +361,6 @@ def verify_slide(
 # ---------------------------------------------------------------------------
 
 
-def _aperiodic_witness(spec: MarkovSpec) -> tuple[int, int]:
-    """Smallest (generator, symbol) whose restriction class is aperiodic."""
-    for gi in range(spec.rank):
-        g = support_edges(spec, gi)
-        for a in range(spec.size):
-            if g.aperiodic(a):
-                return gi, a
-    raise InputError("no aperiodic restriction class: chain is not properly ergodic")
-
-
 def _slide_round(
     spec: MarkovSpec, u: int, a: int, slides: list[SlideParams]
 ) -> MarkovSpec:
@@ -404,13 +389,14 @@ def generator_ergodic_pipeline(
     classification passes.  The sweep count is bounded; exceeding the bound
     signals an implementation bug, not an obstruction.
     """
-    require_valid(spec)
-    c = classify(spec)
+    c = classify(spec)  # requires a valid spec
     if c.generator_ergodic:
         return spec, ()
     if not c.properly_ergodic:
         raise InputError("pipeline requires a properly ergodic chain")
-    u0, a = _aperiodic_witness(spec)
+    # the smallest (generator, symbol) in an aperiodic class; classes are sorted by smallest symbol
+    u0, a = next((gi, min(cls)) for gi, r in enumerate(c.per_generator)
+                 for cls, periodic in zip(r.classes, r.periodic) if not periodic)
     slides: list[SlideParams] = []
     spec = _slide_round(spec, u0, a, slides)
     for _ in range(spec.size * spec.rank + 2):
@@ -429,10 +415,13 @@ def replay(
     The recodings compose lazily, so x may be any coordinate map (a sampled
     tree, a large configuration); coordinates are pulled through the tower on
     demand.  rank is taken from the slides when present; every slide must
-    have that rank, and each must be SlideParams (InputError otherwise).
+    have that rank, and slides must be a list or tuple of SlideParams
+    (InputError otherwise).
     """
-    if not all(isinstance(params, SlideParams) for params in slides):
-        raise InputError("replay applies a sequence of SlideParams")
+    if not isinstance(slides, (list, tuple)) or not all(
+        isinstance(params, SlideParams) for params in slides
+    ):
+        raise InputError("replay applies a list or tuple of SlideParams")
     if rank is None:
         if not slides:
             raise InputError("replay of an empty slide sequence needs an explicit rank")
@@ -471,6 +460,7 @@ def params_to_json(spec: MarkovSpec, params: SlideParams) -> dict:
 
 
 def params_from_json(spec: MarkovSpec, obj) -> SlideParams:
+    require_valid(spec)
     if not isinstance(obj, dict) or "u" not in obj or "t" not in obj or "E" not in obj:
         raise InputError("slide params must be an object with u, t, E")
     u = spec.generator_index(obj["u"])

@@ -24,6 +24,7 @@ from treeshift.graphs import (
     support_edges,
 )
 from treeshift.randspec import random_properly_ergodic_spec, random_spec
+from treeshift.words import Letter
 
 H = Fraction(1, 2)
 
@@ -33,10 +34,20 @@ def graph(n, edges):
 
 
 @pytest.mark.parametrize("make", [random_spec, random_properly_ergodic_spec])
-@pytest.mark.parametrize("size", [0, -1, 2.0, True])
-def test_random_specs_need_a_positive_int_size(make, size):
-    with pytest.raises(InputError, match="alphabet size"):
-        make(0, size, 2)
+@pytest.mark.parametrize(
+    "size, rank, match",
+    [pytest.param(size, 2, "alphabet size", id=repr(size)) for size in (0, -1, 2.0, True)]
+    + [pytest.param(3, rank, "rank", id=f"rank-{rank!r}") for rank in (1.5, None, True)],
+)
+def test_random_specs_need_a_positive_int_size(make, size, rank, match):
+    with pytest.raises(InputError, match=match):
+        make(0, size, rank)
+
+
+@pytest.mark.parametrize("style", ["nope", "Mixed", None])
+def test_random_spec_style_must_be_known(style):
+    with pytest.raises(InputError, match="style"):
+        random_spec(0, 3, 2, style=style)
 
 
 class TestSupportEdges:
@@ -52,7 +63,7 @@ class TestSupportEdges:
 
     def test_reverse_direction(self, m3):
         fwd = support_edges(m3, 0).edges
-        rev = support_edges(m3, 0, sign=-1).edges
+        rev = m3.letter_support[Letter(0, -1)].edges
         assert rev == {(b, a) for a, b in fwd}
 
     def test_served_once_per_direction(self):
@@ -62,10 +73,10 @@ class TestSupportEdges:
             assert fwd == oracle_support(spec, gen)
             assert support_edges(spec, gen).edges is fwd
             for sign in (1, -1):  # the graph and its answers are built once
-                g = support_edges(spec, gen, sign)
-                assert support_edges(spec, gen, sign) is g
+                g = spec.letter_support[Letter(gen, sign)]
+                assert spec.letter_support[Letter(gen, sign)] is g
                 assert g.classes is g.classes
-            assert support_edges(spec, gen, sign=-1).edges == {(b, a) for a, b in fwd}
+            assert spec.letter_support[Letter(gen, -1)].edges == {(b, a) for a, b in fwd}
         with pytest.raises(InputError):
             support_edges(spec, 3)
 

@@ -28,7 +28,13 @@ from treeshift.chains import (
 )
 from treeshift import slides as slides_module
 from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle
-from treeshift.errors import BudgetError, InputError, MissingCoordinate, ParamsError
+from treeshift.errors import (
+    BudgetError,
+    InputError,
+    MissingCoordinate,
+    ParamsError,
+    TreeshiftError,
+)
 from treeshift.graphs import (
     BranchData,
     classify,
@@ -131,6 +137,8 @@ class TestParams:
             pushforward(m3, None)
         with pytest.raises(InputError, match="SlideParams"):
             verify_slide(m3, None)
+        with pytest.raises(InputError, match="symbol index 'x'"):
+            special_sets(m3, 0, "x")
 
     @pytest.mark.parametrize("pairs", [5, [[0]], [[0, 1, 2]]])
     def test_json_bad_edge_shape_rejected(self, m3, pairs):
@@ -457,6 +465,24 @@ class TestVerifySlide:
         renamed = dataclasses.replace(spec, alphabet=tuple(range(10, 14)))
         with pytest.raises(InputError):
             verify_slide(spec, params, candidate=renamed, samples=0)
+        with pytest.raises(InputError, match="MarkovSpec"):
+            verify_slide(spec, params, candidate=5, samples=0)
+        with pytest.raises(InputError, match="pi length"):
+            verify_slide(spec, params, candidate=dataclasses.replace(spec, pi=None), samples=0)
+
+    def test_default_candidate_derives_the_slide_once(self, monkeypatch, m3, m3_slide):
+        """With candidate=None the pushforward's parameter check is the only
+        derivation of the slide: build_slide_params runs once."""
+        calls = []
+        build = slides_module.build_slide_params
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(slides_module, "build_slide_params", counted)
+        assert verify_slide(m3, m3_slide, samples=1).all_ok
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -725,7 +751,7 @@ class TestReplay:
 
     def test_slides_must_be_params(self, m1, m1_slide):
         x = SampledTree(m1, 3)
-        for slides in (["x"], [m1_slide, None]):
+        for slides in (["x"], [m1_slide, None], None, 5, iter([m1_slide])):
             with pytest.raises(InputError, match="SlideParams"):
                 replay(slides, x, 1)
 
@@ -741,3 +767,44 @@ class TestReplay:
             x = SampledTree(m4, derive_seed(21, i))
             back = replay(list(slides) + list(reversed(slides)), x, 2)
             assert all(back[w] == x[w] for w in ball(2, 2))
+
+
+def _gate_probes():
+    """(id, call) for every entry point that reads a chain spec from outside,
+    each given a spec that is not a MarkovSpec or has a malformed field."""
+    spec = random_properly_ergodic_spec(1, 3, 2)
+    params = generator_ergodic_pipeline(spec)[1][0]
+    replace = dataclasses.replace
+    return [
+        ("validate-None", lambda: validate(None)),
+        ("validate-kernel-None", lambda: validate(spec.with_kernel(0, None))),
+        ("validate-row-None", lambda: validate(spec.with_kernel(0, (None,) * 3))),
+        ("validate-pi-None", lambda: validate(replace(spec, pi=None))),
+        ("validate-kernels-None", lambda: validate(replace(spec, kernels=None))),
+        ("validate-alphabet-None", lambda: validate(replace(spec, alphabet=None))),
+        ("validate-generators-None", lambda: validate(replace(spec, generators=None))),
+        ("validate-unhashable-symbols", lambda: validate(replace(spec, alphabet=([0], [1], [2])))),
+        ("classify-pi-short", lambda: classify(replace(spec, pi=spec.pi[:-1]))),
+        ("classify-kernels-None", lambda: classify(replace(spec, kernels=None))),
+        ("special_sets-None", lambda: special_sets(None, 0, 0)),
+        ("build_slide_params-None", lambda: build_slide_params(None, 0, 1, [])),
+        ("pushforward-None", lambda: pushforward(None, params)),
+        ("verify_slide-None", lambda: verify_slide(None, params)),
+        ("params_from_json-None", lambda: params_from_json(None, {"u": "s1", "t": "s2", "E": []})),
+        ("pipeline-None", lambda: generator_ergodic_pipeline(None)),
+        ("pipeline-int", lambda: generator_ergodic_pipeline(5)),
+        ("SampledTree-None", lambda: SampledTree(None, 1)),
+        ("sample_ball-None", lambda: chains.sample_ball(None, 1, 1)),
+    ]
+
+
+@pytest.mark.parametrize("probe", [pytest.param(f, id=i) for i, f in _gate_probes()])
+def test_bad_spec_meets_the_gate(probe):
+    """A spec that is not a MarkovSpec raises InputError, and a malformed one
+    is reported by validate or raises SpecInvalidError from require_valid;
+    no call raises a bare error."""
+    try:
+        result = probe()
+    except TreeshiftError:
+        return
+    assert isinstance(result, chains.ValidationReport) and not result.ok
