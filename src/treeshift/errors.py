@@ -25,12 +25,16 @@ class MissingCoordinate(TreeshiftError):
     """A computation needed a coordinate outside the configuration's domain.
 
     Carries the absolute group element that was requested, so demand-driven
-    enumerators can extend the domain and retry.
+    enumerators can extend the domain and retry.  The message is written
+    only when asked for: scans raise and catch thousands of these.
     """
 
     def __init__(self, word):
         self.word = word
-        super().__init__(f"coordinate {word} not in domain")
+        super().__init__(word)
+
+    def __str__(self) -> str:
+        return f"coordinate {self.word} not in domain"
 
 
 class BudgetError(TreeshiftError):

@@ -93,7 +93,10 @@ def support_edges(spec: MarkovSpec, gen: int) -> TransitionGraph:
     """The support graph along generator gen: edges (a, b) with positive
     two-point mass pi(a) K(a, b).  The graph is the spec's table entry,
     built once per spec and direction (the reversed direction is
-    spec.letter_support at the inverse letter)."""
+    spec.letter_support at the inverse letter).  InputError for a non-spec;
+    the spec is not validated, so a candidate's graph can be read."""
+    if not isinstance(spec, chains.MarkovSpec):
+        raise InputError(f"chain spec must be a MarkovSpec, got {spec!r}")
     return spec.letter_support[Letter(gen, 1)]
 
 
@@ -146,24 +149,14 @@ def classify(spec: MarkovSpec) -> Classification:
     must pass require_valid.
     """
     chains.require_valid(spec)
-    reports = []
-    union_edges: set[tuple[int, int]] = set()
-    some_aperiodic = False
-    for gi, name in enumerate(spec.generators):
-        g = support_edges(spec, gi)
-        union_edges |= g.edges
-        ergodic = len(g.classes) == 1
-        free = not any(g.periodic)
-        if not all(g.periodic):
-            some_aperiodic = True
-        reports.append(GeneratorReport(name, ergodic, free, g.classes, g.periodic))
-    union = TransitionGraph(spec.size, frozenset(union_edges))
-    globally_ergodic = len(union.classes) == 1
-    return Classification(
-        tuple(reports),
-        globally_ergodic,
-        globally_ergodic and some_aperiodic,
+    supports = [support_edges(spec, gi) for gi in range(spec.rank)]
+    reports = tuple(
+        GeneratorReport(name, len(g.classes) == 1, not any(g.periodic), g.classes, g.periodic)
+        for name, g in zip(spec.generators, supports)
     )
+    union = TransitionGraph(spec.size, frozenset().union(*(g.edges for g in supports)))
+    ergodic = len(union.classes) == 1
+    return Classification(reports, ergodic, ergodic and not all(all(g.periodic) for g in supports))
 
 
 @dataclass(frozen=True)
@@ -252,21 +245,12 @@ def special_sets(spec: MarkovSpec, gen: int, a: int) -> SpecialSets:
                     tree_pairs.append((v, w))
                     nxt.append(w)
         frontier = nxt
-    oriented = set()
-    for v, w in tree_pairs:
-        if (v, w) in g.edges and (w, v) in g.edges:
-            oriented.add((min(v, w), max(v, w)))
-        elif (v, w) in g.edges:
-            oriented.add((v, w))
-        else:
-            oriented.add((w, v))
-    e1 = frozenset(e for e in oriented if color[e[0]] == 0)
-    e2 = frozenset(e for e in oriented if color[e[0]] == 1)
-    return SpecialSets(
-        tree=frozenset(oriented),
-        e1=e1,
-        e2=e2,
-        side0=frozenset(v for v in cls if color[v] == 0),
-        side1=frozenset(v for v in cls if color[v] == 1),
+    # a pair carried both ways is oriented smallest endpoint first
+    tree = frozenset(
+        (v, w) if (v, w) in g.edges and (v < w or (w, v) not in g.edges) else (w, v)
+        for v, w in tree_pairs
     )
+    halves = (frozenset(e for e in tree if color[e[0]] == side) for side in (0, 1))
+    sides = (frozenset(v for v in cls if color[v] == side) for side in (0, 1))
+    return SpecialSets(tree, *halves, *sides)
 

@@ -61,9 +61,12 @@ def permutation_kernel(perm: list[int]) -> Matrix:
     )
 
 
-def _check_sizes(size: int, rank: int) -> None:
-    """InputError unless size is a positive int and rank an int (a rank
-    below 2 is left to require_valid)."""
+def _check_args(seed: int, size: int, rank: int) -> None:
+    """InputError unless seed is an int (random.Random(None) would seed from
+    the OS), size a positive int and rank an int (a rank below 2 is left to
+    require_valid)."""
+    if type(seed) is not int:
+        raise InputError(f"seed must be an int, got {seed!r}")
     if type(size) is not int or size < 1:
         raise InputError(f"alphabet size must be a positive int, got {size!r}")
     if type(rank) is not int:
@@ -79,7 +82,7 @@ def random_spec(seed: int, size: int, rank: int = 2, style: str = "mixed") -> Ma
     blocks (non-ergodic whenever both blocks are nonempty).  Any other style
     raises InputError.
     """
-    _check_sizes(size, rank)
+    _check_args(seed, size, rank)
     if style not in ("mixed", "sparse", "split"):
         raise InputError(f"style must be 'mixed', 'sparse' or 'split', got {style!r}")
     rng = random.Random(seed)
@@ -116,7 +119,7 @@ def random_properly_ergodic_spec(seed: int, size: int, rank: int = 2) -> MarkovS
     carry fully supported flow kernels (aperiodic classes).  Permutation
     kernels need a marginal that is uniform on each cycle, so pi is uniform.
     """
-    _check_sizes(size, rank)
+    _check_args(seed, size, rank)
     rng = random.Random(seed)
     pi = tuple(Fraction(1, size) for _ in range(size))
     perm_order = rng.sample(range(size), size)

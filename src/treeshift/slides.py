@@ -14,8 +14,9 @@ t-step goes by reading the u-line through t (the symbols at u^k t), which
 given x_t is a stationary Markov chain independent of x_e; so the new kernel
 factors as q_t = P_t M with M(c, .) the law of the destination symbol given
 x_t = c (sum-product on the tree), at a cost polynomial in the alphabet size.
-M is the identity plus two moved entries per slide edge, taken directly, so it
-is kept sparse and the product runs on ints over one denominator (chains.scaled).
+M is the identity plus two moved entries per slide edge, so it is kept sparse.
+M and q_t are formed on the spec's pi_scaled and letter_scaled ints, each over
+one denominator, and the derived spec's letter_scaled entry for t is q_t's ints.
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, partial
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .chains import ONE, Configuration, MarkovSpec, Matrix, SampledTree, covering_scan
-from .chains import derive_seed, enumerate_cylinders, problem_entries, require_valid, scaled
+from .chains import Configuration, MarkovSpec, Matrix, SampledTree, covering_scan
+from .chains import derive_seed, enumerate_cylinders, problem_entries, require_valid
 from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule
 from .errors import InputError, ParamsError, TreeshiftError
 from .graphs import BranchData, branch_data, classify, is_special, special_sets, support_edges
-from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, inverse, multiply, reduce
-from .words import single
+from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, inverse, letters_of_rank
+from .words import multiply, reduce, single
 
 
 @dataclass(frozen=True)
@@ -157,36 +160,48 @@ def pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
       up:   for (c, d) in E, M(c, d) += P_u(c, d) h(d)  (the step moves to u t)
       stay: M(c, c) = 1 - (mass moved from c)
     and q_t = P_t M, with R_u(c, a) = pi(a) P_u(a, c) / pi(c) taken for these
-    entries alone.  M is kept sparse (its diagonal, and per column the moved
-    entries); each q_t entry is one Fraction of an int sum over D_t D_M (see
-    chains.scaled).  No window is enumerated and no rewrite rule is built."""
-    _checked(spec, params)
+    entries alone.  M (its diagonal and moved entries) and q_t are formed on
+    the spec's pi_scaled and letter_scaled ints, each over one denominator,
+    with one Fraction per q_t entry; q_t's ints become the derived spec's
+    letter_scaled entry for t.  No window is enumerated, no rule is built."""
+    return _pushforward(spec, _checked(spec, params))
+
+
+def _pushforward(spec: MarkovSpec, params: SlideParams) -> MarkovSpec:
+    """pushforward on parameters derived from this spec.  M's and q_t's ints are
+    divided by the gcd of their denominator and entries, so q_t's are what scaled
+    builds from its Fractions (the lcm of the reduced N_i / D is D / gcd(D, N))."""
     if not params.edges:
         return spec
-    n = spec.size
-    pi, p_u = spec.pi, spec.kernels[params.u]
-    # the u-walk from b to the branch vertex path[-2] is deterministic by construction
-    # (branch_data follows the single out-edge of each vertex), so it has probability 1
+    pi = spec.pi_scaled[0]
+    p_u, d_u = spec.letter_scaled[2 * params.u]
+    # the u-walk from b to the branch vertex path[-2] is forced (branch_data): probability 1
     h = {b: p_u[data.path[-2]][data.eta] for b, data in params.branch}
+    # over D_u^2 l: P_u(a, b) h(b) = P_u^(a, b) h^(b) / D_u^2, and R_u(b, a) h(b) is that times
+    # pi^(a) / pi^(b); l, the lcm of pi^ at the targets, clears the second denominator
+    l = lcm(*(pi[b] for b in h))
     # special sets have disjoint sources and targets: the rule's conflict branch is unreachable
-    stay, moved = [ONE] * n, []  # M's diagonal, and its entries (c, d, M(c, d)) off it
-    for a, b in params.edges:  # down: M(b, a) += R_u(b, a) h(b); up: M(a, b) += P_u(a, b) h(b)
-        moved += ((b, a, pi[a] * p_u[a][b] / pi[b] * h[b]), (a, b, p_u[a][b] * h[b]))
+    moved = []  # M's entries (c, d, M^(c, d)) off its diagonal, down and up
+    for a, b in params.edges:
+        x = p_u[a][b] * h[b] * l
+        moved += ((b, a, x // pi[b] * pi[a]), (a, b, x))
+    g = gcd(d_u * d_u * l, *(x for _, _, x in moved))  # it divides each stay int too
+    d_m, moved = d_u * d_u * l // g, [(c, d, x // g) for c, d, x in moved]
+    stay = [d_m] * spec.size
     for c, _, x in moved:
         stay[c] -= x
-    m_int, d_m = scaled(stay + [x for _, _, x in moved])
-    columns = [[] for _ in range(n)]  # a repeated (c, d) stays two terms, so it adds up
-    for (c, d, _), x in zip(moved, m_int[n:]):
-        columns[d].append((c, x))
     p_t, d_t = spec.letter_scaled[2 * params.t]
-    q: Matrix = tuple(
-        tuple(
-            Fraction(row[d] * m_int[d] + sum(row[c] * x for c, x in columns[d]), d_t * d_m)
-            for d in range(n)
-        )
-        for row in p_t
-    )
-    return require_valid(spec.with_kernel(params.t, q))
+    nums = []
+    for row in p_t:  # row of P_t M: the stay column, then each moved entry (repeats add up)
+        out = list(map(mul, row, stay))
+        for c, d, x in moved:
+            out[d] += row[c] * x
+        nums.append(out)
+    g = gcd(d_t * d_m, *(x for row in nums for x in row))
+    rows, den = tuple(tuple(x // g for x in row) for row in nums), d_t * d_m // g
+    rho = spec.with_kernel(params.t, tuple(tuple(Fraction(x, den) for x in row) for row in rows))
+    rho.letter_scaled[2 * params.t] = rows, den
+    return require_valid(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +235,12 @@ class SlideReport:
 
 
 def _markov_check_domains(spec: MarkovSpec, params: SlideParams) -> list[LeftConnectedSet]:
-    u = Letter(params.u, 1)
-    t = Letter(params.t, 1)
-    doms = [LeftConnectedSet([IDENTITY])]
-    for l in (Letter(i, s) for i in range(spec.rank) for s in (1, -1)):
-        doms.append(LeftConnectedSet([IDENTITY, single(l)]))
-    doms.append(LeftConnectedSet([IDENTITY, single(t), Word((u, t))]))
-    doms.append(LeftConnectedSet([IDENTITY, single(t), Word((u.inverse(), t))]))
+    u, t = Letter(params.u, 1), Letter(params.t, 1)
+    doms = [[IDENTITY]] + [[IDENTITY, single(l)] for l in letters_of_rank(spec.rank)]
+    doms += [[IDENTITY, single(t), Word((v, t))] for v in (u, u.inverse())]
     if spec.size <= 2:
-        doms.append(LeftConnectedSet([IDENTITY, single(t), Word((t, t))]))
-    return doms
+        doms.append([IDENTITY, single(t), Word((t, t))])
+    return list(map(LeftConnectedSet, doms))
 
 
 def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftConnectedSet, dict]]:
@@ -342,14 +353,12 @@ def verify_slide(
     q = candidate.kernels[params.t]
     rho_graph = support_edges(spec.with_kernel(params.t, q), params.t)
     mu_t = support_edges(spec, params.t)
-    support_ok = mu_t.edges <= rho_graph.edges
-    for a, b in params.edges:
-        for alpha in mu_t.in_neighbors(a):
-            if (alpha, b) not in rho_graph.edges:
-                support_ok = False
-    for a, b in params.edges | mu_t.edges:
-        if rho_graph.class_of[a] != rho_graph.class_of[b]:
-            support_ok = False
+    rho_edges, cls = rho_graph.edges, rho_graph.class_of
+    support_ok = (
+        mu_t.edges <= rho_edges
+        and all((alpha, b) in rho_edges for a, b in params.edges for alpha in mu_t.in_neighbors(a))
+        and all(cls[a] == cls[b] for a, b in params.edges | mu_t.edges)
+    )
 
     aperiodic_ok = all(rho_graph.aperiodic(v) for edge in params.edges for v in edge)
 
@@ -374,7 +383,7 @@ def _slide_round(
             if t == u:
                 continue
             params = build_slide_params(spec, u, t, edge_set)
-            spec = pushforward(spec, params)
+            spec = _pushforward(spec, params)
             slides.append(params)
     return spec
 

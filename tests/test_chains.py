@@ -166,6 +166,14 @@ class TestConfiguration:
         with pytest.raises(MissingCoordinate):
             phi[W("s1")]
 
+    def test_missing_coordinate_names_the_word(self):
+        """The message, written on demand, is the one the error always had."""
+        phi = Configuration({IDENTITY: 0})
+        with pytest.raises(MissingCoordinate, match=r"^coordinate s1\.s2\^-1 not in domain$") as e:
+            phi[W("s1.s2^-1")]
+        assert e.value.word == W("s1.s2^-1")
+        assert str(MissingCoordinate(IDENTITY)) == "coordinate e not in domain"
+
 
 class TestCylinderMeasure:
     def test_singleton(self, m1):

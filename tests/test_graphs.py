@@ -44,6 +44,15 @@ def test_random_specs_need_a_positive_int_size(make, size, rank, match):
         make(0, size, rank)
 
 
+@pytest.mark.parametrize("make", [random_spec, random_properly_ergodic_spec])
+@pytest.mark.parametrize("seed", [None, 1.0, "1", True, False], ids=repr)
+def test_random_specs_need_an_int_seed(make, seed):
+    """random.Random(None) seeds from the OS, so None would give a new spec
+    on every call; floats, strings and bools are not seeds either."""
+    with pytest.raises(InputError, match="seed"):
+        make(seed, 3, 2)
+
+
 @pytest.mark.parametrize("style", ["nope", "Mixed", None])
 def test_random_spec_style_must_be_known(style):
     with pytest.raises(InputError, match="style"):

@@ -173,6 +173,34 @@ class TestPushforwardMatchesDenseProduct:
             assert all(rho.kernels[g] == spec.kernels[g] for g in range(rank) if g != params.t)
             spec = rho
 
+    @given(
+        st.sampled_from(["sparse", "mixed", "proper"]),
+        st.integers(0, 10**6),
+        st.integers(3, 6),
+        st.integers(2, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_derived_specs_carry_fresh_tables(self, kind, seed, size, rank):
+        """The t entry of letter_scaled that a slide hands to its derived spec,
+        and the validation read from it, are a fresh instance's, along the
+        pipeline's slides and on the spec it returns."""
+        if kind == "proper":
+            spec = random_properly_ergodic_spec(seed, size, rank)
+        else:
+            spec = random_spec(seed, size, rank, kind)
+        assume(classify(spec).properly_ergodic)
+        final, slides = generator_ergodic_pipeline(spec)
+        for params in slides:
+            rho = pushforward(spec, params)
+            assert rho.kernels[params.t] == oracle_dense_pushforward(spec, params)
+            spec = rho
+        assert final == spec
+        for rho in (spec, final):
+            fresh = MarkovSpec(rho.generators, rho.alphabet, rho.pi, rho.kernels)
+            for g in range(rank):
+                assert rho.letter_scaled[2 * g] == fresh.letter_scaled[2 * g]
+            assert rho.validation == fresh.validation and rho.validation.ok
+
     def test_denominators_grow_along_a_sparse_rank_five_run(self):
         spec = random_spec(3, 10, 5, "sparse")
         _, slides = generator_ergodic_pipeline(spec)

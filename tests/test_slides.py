@@ -484,6 +484,20 @@ class TestVerifySlide:
         assert verify_slide(m3, m3_slide, samples=1).all_ok
         assert len(calls) == 1
 
+    def test_pipeline_derives_each_slide_once(self, monkeypatch):
+        """The pipeline pushes each slide forward on the parameters it just
+        derived: one build_slide_params call per returned slide."""
+        calls = []
+        build = slides_module.build_slide_params
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(slides_module, "build_slide_params", counted)
+        _, slides = generator_ergodic_pipeline(random_properly_ergodic_spec(1, 5, 3))
+        assert slides and len(calls) == len(slides)
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -787,6 +801,7 @@ def _gate_probes():
         ("classify-pi-short", lambda: classify(replace(spec, pi=spec.pi[:-1]))),
         ("classify-kernels-None", lambda: classify(replace(spec, kernels=None))),
         ("special_sets-None", lambda: special_sets(None, 0, 0)),
+        ("support_edges-None", lambda: support_edges(None, 0)),
         ("build_slide_params-None", lambda: build_slide_params(None, 0, 1, [])),
         ("pushforward-None", lambda: pushforward(None, params)),
         ("verify_slide-None", lambda: verify_slide(None, params)),
