@@ -9,14 +9,15 @@ Symbols are addressed by their index in the alphabet everywhere below;
 configurations map group elements (Word) to symbol indices.
 
 Each spec keeps lookup tables on its own instance, each entry built on first
-use: the kernel, its scaled integers (see below), the support graph and the
-validation problems along every letter s_i^{+-1}, and the integer draw
-thresholds of every kernel row and of pi, pi's scaled integers and pi's
-validation problems.  The letter tables are keyed by letter code (see words)
-and also serve Letter keys.  Cylinder measures, window scans, samplers and
-validate read them by code, so no hot path hashes the spec.  A spec derived
-by with_kernel starts with the entries already built for pi and for the
-directions it keeps, so validating it checks only the replaced kernel.
+use: the kernel's scaled integers (see below), its rows' draw thresholds, the
+support graph and the validation problems along every letter s_i^{+-1}, and
+pi's.  Along s_i^-1 they derive from s_i's: the kernel there is P_i reversed,
+P_rev(a, b) = pi(b) P_i(b, a) / pi(a).  The tables are keyed by letter code
+(see words), also serve Letter keys and are read by code, so no path hashes
+the spec; reverse_kernel and kernel_for_letter, Fraction views, are kept for
+the benchmark's tracer.  A spec derived by with_kernel starts with the entries
+already built for pi and for the directions it keeps, so validating it checks
+only the replaced kernel.
 
 Validation problems come as (form, law) pairs.  The form is a field's shape
 and entry types; the law is positivity, sums and stationarity, checked only
@@ -46,7 +47,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
@@ -56,8 +58,6 @@ from .words import LeftConnectedSet, Letter, Word, _word, ball, letter_code, par
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 _MAX_WINDOWS = 500_000  # windows of one scan_positive_windows call
 _MAX_COORDS = 400  # coordinates of one window
 _MAX_SAMPLE_BALL = 200_000  # words of one sample_ball
@@ -146,32 +146,32 @@ class MarkovSpec:
         return MarkovSpec, (self.generators, self.alphabet, self.pi, self.kernels)
 
     @cached_property
-    def letter_kernels(self) -> Mapping[Letter | int, Matrix]:
-        """Kernel along each letter: P_i for s_i, reverse_kernel(spec, i) for s_i^-1."""
-        return _LetterTable(
-            self.rank, lambda c: reverse_kernel(self, c >> 1) if c & 1 else self.kernels[c >> 1]
-        )
-
-    @cached_property
     def letter_thresholds(self) -> Mapping[Letter | int, tuple[tuple[int, ...], ...]]:
-        return _LetterTable(self.rank, lambda c: tuple(map(_thresholds, self.letter_kernels[c])))
+        return _LetterTable(self.rank, lambda c: _thresholds(*self.letter_scaled[c]))
 
     @cached_property
     def letter_scaled(self) -> Mapping[Letter | int, tuple[tuple[tuple[int, ...], ...], int]]:
         """(rows, D) along each letter: the kernel's entries as ints over one
-        denominator D, the lcm of all of them (see scaled)."""
+        denominator D, the lcm of all of them (see scaled).  Along s_i^-1 they
+        are P_i reversed, from s_i's ints P^ over D_i and pi's ints pi^."""
 
         def make(c: int):
-            k = self.letter_kernels[c]
-            flat, den = scaled([x for row in k for x in row])
-            it = iter(flat)
-            return tuple(tuple(next(it) for _ in row) for row in k), den
+            if not c & 1:
+                k = self.kernels[c >> 1]
+                flat, den = scaled([x for row in k for x in row])
+                it = iter(flat)
+                return tuple(tuple(next(it) for _ in row) for row in k), den
+            (rows, den), pi = self.letter_scaled[c - 1], self.pi_scaled[0]
+            l = lcm(*pi)  # P_rev(a, b) = pi^(b) P^(b, a) (l / pi^(a)) / (D_i l), then reduced
+            nums = [[p * row[a] * (l // q) for p, row in zip(pi, rows)] for a, q in enumerate(pi)]
+            g = gcd(den * l, *(x for row in nums for x in row))
+            return tuple(tuple(x // g for x in row) for row in nums), den * l // g
 
         return _LetterTable(self.rank, make)
 
     @cached_property
     def pi_thresholds(self) -> tuple[int, ...]:
-        return _thresholds(self.pi)
+        return _thresholds([self.pi_scaled[0]], self.pi_scaled[1])[0]
 
     @cached_property
     def pi_scaled(self) -> tuple[tuple[int, ...], int]:
@@ -181,13 +181,16 @@ class MarkovSpec:
     @cached_property
     def letter_support(self) -> Mapping[Letter | int, graphs.TransitionGraph]:
         """Support graph along each letter: the edges (a, b) with positive
-        two-point mass pi(a) K(a, b)."""
+        two-point mass pi(a) K(a, b); along s_i^-1, s_i's edges transposed."""
 
         def graph(c: int) -> graphs.TransitionGraph:
+            if c & 1:
+                edges = self.letter_support[c - 1].edges
+                return graphs.TransitionGraph(self.size, frozenset((b, a) for a, b in edges))
             # the sign of the product, without it: pi(a) and K(a, b) nonzero, of one sign
             signs = list(map(_sign, self.pi))
             return graphs.TransitionGraph(self.size, frozenset(
-                (a, b) for a, row in enumerate(self.letter_kernels[c]) if (s := signs[a])
+                (a, b) for a, row in enumerate(self.kernels[c >> 1]) if (s := signs[a])
                 for b, sb in enumerate(map(_sign, row)) if sb == s
             ))
 
@@ -262,9 +265,7 @@ class MarkovSpec:
         return ValidationReport(tuple(m for form, law in entries for m in form + law))
 
 
-_LETTER_TABLES = (
-    "letter_kernels", "letter_thresholds", "letter_support", "letter_scaled", "letter_problems"
-)
+_LETTER_TABLES = ("letter_thresholds", "letter_support", "letter_scaled", "letter_problems")
 _PI_TABLES = ("pi_thresholds", "pi_scaled", "pi_problems")
 
 
@@ -368,21 +369,16 @@ def require_valid(spec: MarkovSpec) -> MarkovSpec:
 
 @lru_cache(maxsize=None)
 def reverse_kernel(spec: MarkovSpec, gen: int) -> Matrix:
-    """The kernel of the stationary chain run backwards in the given direction.
-
-    Entrywise P_rev(a, b) = pi(b) P(b, a) / pi(a); stationarity of pi makes
-    the rows sum to 1, and reversing twice gives back P.
-    """
-    k = spec.kernels[gen]
-    n = spec.size
-    return tuple(
-        tuple(spec.pi[b] * k[b][a] / spec.pi[a] for b in range(n)) for a in range(n)
-    )
+    """kernel_for_letter along s_gen^-1, cached per spec: a view kept for the
+    benchmark's tracer, which reads this cache's counters."""
+    return kernel_for_letter(spec, Letter(gen, -1))
 
 
 def kernel_for_letter(spec: MarkovSpec, letter: Letter) -> Matrix:
-    """Transition kernel along a tree edge labelled by the given letter."""
-    return spec.letter_kernels[letter]
+    """The kernel along the letter as Fractions: a view of spec.letter_scaled
+    kept for the benchmark's tracer; the engine reads the ints."""
+    rows, den = spec.letter_scaled[letter]
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +435,9 @@ class Configuration:
     def __hash__(self) -> int:
         return hash(tuple(self.items()))
 
+    def __reduce__(self):  # slots behind a setattr that raises: rebuilt from the values
+        return Configuration, (self._values,)
+
     def __repr__(self) -> str:
         body = ", ".join(f"{w}:{v}" for w, v in self.items())
         return f"Configuration({{{body}}})"
@@ -449,24 +448,21 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
 
     The domain is swept parents-first; each element beyond the identity
     contributes one kernel factor along its tree edge, using the reversed
-    kernel when the edge letter is an inverse generator.  A value that is
-    not a symbol index (an int in [0, size)) raises InputError.
+    kernel when the edge letter is an inverse generator, on the ints of
+    pi_scaled and letter_scaled.  A value that is not a symbol index (an int
+    in [0, size)) raises InputError.
     """
     for w, v in phi.items():
         if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < spec.size):
             raise InputError(
                 f"symbol {v!r} at {word_to_str(w)} outside alphabet of size {spec.size}"
             )
-    kernels = spec.letter_kernels
-    total = ONE
-    for w in phi.domain:
-        if not w:
-            total *= spec.pi[phi[w]]
-        else:
-            total *= kernels[w[0]][phi[parent(w)]][phi[w]]
-        if total == 0:
-            return ZERO
-    return total
+    (pi, den), rows, words = spec.pi_scaled, spec.letter_scaled, phi.domain.words
+    num = pi[phi[words[0]]]
+    for w in words[1:]:
+        k, d = rows[w[0]]
+        num, den = num * k[phi[parent(w)]][phi[w]], den * d
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +664,8 @@ class SampledTree:
         if value is None:  # v is the identity
             h = keyed.copy()
             h.update(b"e")
-            value = memo[v] = _draw(spec.pi, spec.pi_thresholds, int.from_bytes(h.digest(), "big"))
+            k = int.from_bytes(h.digest(), "big")
+            value = memo[v] = _draw(*spec.pi_scaled, spec.pi_thresholds, k)
         text, thresholds = texts.get(v, b""), spec.letter_thresholds
         for g in reversed(chain):
             c = g[0]
@@ -678,7 +675,9 @@ class SampledTree:
             h.update(text)
             k = int.from_bytes(h.digest(), "big")
             b = bisect_right(row, k)
-            value = memo[g] = b if b < len(row) else _draw(spec.letter_kernels[c][value], row, k)
+            if b == len(row):
+                b = _draw(spec.letter_scaled[c][0][value], spec.letter_scaled[c][1], row, k)
+            value = memo[g] = b
         return value
 
 
@@ -688,25 +687,20 @@ def _is_word(w, n: int) -> bool:
     return codes and all(a ^ b != 1 for a, b in zip(w, w[1:]))
 
 
-def _thresholds(row: Sequence[Fraction]) -> tuple[int, ...]:
-    """ceil(S_b 2^64) for the running sums S_b of row, kept nondecreasing (a
-    running max) so that bisection finds the first b with k below it."""
-    out, acc, top = [], ZERO, 0
-    for p in row:
-        acc += p
-        top = max(top, -(-acc.numerator * _UNIT_DEN // acc.denominator))
-        out.append(top)
-    return tuple(out)
+def _thresholds(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple[int, ...], ...]:
+    """For each row of ints over den, ceil(S_b 2^64) for its running sums S_b,
+    kept nondecreasing (a running max) so that bisection finds the first b with k below it."""
+    ceils = ([-(-s * _UNIT_DEN // den) for s in accumulate(row)] for row in rows)
+    return tuple(tuple(accumulate(c, max)) for c in ceils)
 
 
-def _draw(row: Sequence[Fraction], thresholds: Sequence[int], k: int) -> int:
-    """The first b with k < thresholds[b]: the symbol the variate k / 2^64 picks from row."""
+def _draw(row: Sequence[int], den: int, thresholds: Sequence[int], k: int) -> int:
+    """The first b with k < thresholds[b]: the symbol k / 2^64 picks from the ints over den."""
     b = bisect_right(thresholds, k)
     if b == len(thresholds):
         # a valid row's last threshold is 2^64 > k, so only a broken row gets here
-        raise SpecInvalidError(
-            [f"row sums to {sum(row)}, not 1: variate {Fraction(k, _UNIT_DEN)} not covered"]
-        )
+        total, u = Fraction(sum(row), den), Fraction(k, _UNIT_DEN)
+        raise SpecInvalidError([f"row sums to {total}, not 1: variate {u} not covered"])
     return b
 
 

@@ -275,13 +275,13 @@ def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftCon
 def _check_candidate(spec: MarkovSpec, candidate: MarkovSpec) -> None:
     """Raise InputError unless the candidate is a MarkovSpec with the spec's
     generators and alphabet that passes validate's form checks (the form
-    halves of chains.problem_entries); its laws are not checked."""
+    halves of chains.problem_entries) and pi's laws, which a slide keeps."""
     if not isinstance(candidate, MarkovSpec):
         raise InputError(f"candidate must be a MarkovSpec, got {candidate!r}")
     if (candidate.generators, candidate.alphabet) != (spec.generators, spec.alphabet):
         raise InputError("candidate spec must have the spec's generators and alphabet")
-    problems = [m for form, _ in problem_entries(candidate) for m in form]
-    if problems:
+    forms = [m for form, _ in problem_entries(candidate) for m in form]
+    if problems := forms or candidate.pi_problems[1]:  # pi's laws, read once its form holds
         raise InputError("candidate: " + "; ".join(problems))
 
 

@@ -105,6 +105,9 @@ class Word(tuple):
     def __str__(self) -> str:
         return word_to_str(self)
 
+    def __reduce__(self):  # pickles and copies rebuild the word from its codes
+        return _word, (tuple(self),)
+
 
 # Word from a tuple of codes without the reducedness check, for tuples reduced by construction
 _word = partial(tuple.__new__, Word)
@@ -235,6 +238,9 @@ class LeftConnectedSet:
 
     def __hash__(self) -> int:
         return hash(self.words)
+
+    def __reduce__(self):
+        return LeftConnectedSet, (self.words,)
 
     def __repr__(self) -> str:
         return f"LeftConnectedSet([{', '.join(str(w) for w in self.words)}])"

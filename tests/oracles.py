@@ -13,8 +13,6 @@ from typing import Iterator, Sequence
 
 from treeshift import chains
 from treeshift.chains import (
-    ONE,
-    ZERO,
     Configuration,
     MarkovSpec,
     Matrix,
@@ -184,6 +182,31 @@ def oracle_draw(row, u: Fraction) -> int:
         if u < acc:
             return b
     raise SpecInvalidError([f"row sums to {acc}, not 1: variate {u} not covered"])
+
+
+def oracle_reverse_kernel(spec: MarkovSpec, gen: int) -> Matrix:
+    """The kernel along s_gen^-1, entrywise P_rev(a, b) = pi(b) P(b, a) / pi(a)
+    in Fraction arithmetic, as the package first computed it."""
+    k, pi, n = spec.kernels[gen], spec.pi, spec.size
+    return tuple(tuple(pi[b] * k[b][a] / pi[a] for b in range(n)) for a in range(n))
+
+
+def oracle_kernel(spec: MarkovSpec, code: int) -> Matrix:
+    """The kernel along the letter with the given code: the spec's own kernel
+    for s_i, oracle_reverse_kernel for s_i^-1."""
+    return oracle_reverse_kernel(spec, code >> 1) if code & 1 else spec.kernels[code >> 1]
+
+
+def oracle_thresholds(row) -> tuple[int, ...]:
+    """ceil(S_b 2^64) for the running Fraction sums S_b of the row, kept
+    nondecreasing by a running max: the sampler's thresholds as the package
+    first computed them."""
+    out, acc, top = [], Fraction(0), 0
+    for p in row:
+        acc += p
+        top = max(top, -(-acc.numerator * 2**64 // acc.denominator))
+        out.append(top)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +527,7 @@ def oracle_dense_pushforward(spec: MarkovSpec, params):
 # ---------------------------------------------------------------------------
 
 _MAX_CYLINDERS = 500_000
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 def oracle_enumerate_cylinders(
@@ -523,7 +547,7 @@ def oracle_enumerate_cylinders(
     kernels: list[Matrix | None] = [None] * len(words)
     for i, w in enumerate(words[1:], 1):
         parent_pos[i] = words.index(parent(w))
-        kernels[i] = spec.letter_kernels[w[0]]
+        kernels[i] = oracle_kernel(spec, w[0])
     n = spec.size
     values = [0] * len(words)
     yielded = 0
@@ -605,7 +629,7 @@ def oracle_scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     law: dict = {}
     failures: list = []
     windows = 0
-    kernels = spec.letter_kernels
+    kernels = [oracle_kernel(spec, c) for c in range(2 * spec.rank)]
 
     def run(assign: dict, weight: Fraction):
         nonlocal windows

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -18,6 +19,9 @@ from oracles import (
     marginal_table,
     oracle_draw,
     oracle_enumerate_cylinders,
+    oracle_kernel,
+    oracle_reverse_kernel,
+    oracle_thresholds,
     translate_configuration,
     window_marginal,
 )
@@ -35,6 +39,7 @@ from treeshift.chains import (
     kernel_for_letter,
     reverse_kernel,
     sample_ball,
+    scaled,
     spec_from_json,
     spec_to_json,
     validate,
@@ -46,7 +51,7 @@ from treeshift.errors import (
     MissingCoordinate,
     SpecInvalidError,
 )
-from treeshift.randspec import random_spec
+from treeshift.randspec import random_properly_ergodic_spec, random_spec
 from treeshift.words import (
     IDENTITY,
     LeftConnectedSet,
@@ -370,8 +375,9 @@ class TestSampling:
 
     def test_draw_rejects_row_not_summing_to_one(self):
         row = (Fraction(1, 4), Fraction(1, 2))
+        ints, den = scaled(row)
         with pytest.raises(SpecInvalidError, match="3/4"):
-            _draw(row, _thresholds(row), 7 << 61)  # the variate 7/8
+            _draw(ints, den, _thresholds([ints], den)[0], 7 << 61)  # the variate 7/8
 
     @given(
         st.lists(
@@ -386,17 +392,18 @@ class TestSampling:
     def test_threshold_draw_matches_fraction_draw(self, raw, normalise, k):
         total = sum(raw)
         row = tuple(p / total for p in raw) if normalise and total else tuple(raw)
-        thresholds = _thresholds(row)
+        ints, den = scaled(row)
+        thresholds = _thresholds([ints], den)[0]
         boundaries = {t + d for t in thresholds for d in (-1, 0)}
         for v in sorted({k} | {v for v in boundaries if 0 <= v < 2**64}):
             try:
                 expected = oracle_draw(row, Fraction(v, 2**64))
             except SpecInvalidError as exc:
                 with pytest.raises(SpecInvalidError) as got:
-                    _draw(row, thresholds, v)
+                    _draw(ints, den, thresholds, v)
                 assert got.value.args == exc.args
             else:
-                assert _draw(row, thresholds, v) == expected
+                assert _draw(ints, den, thresholds, v) == expected
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 2**64 - 1])
     def test_samples_match_fraction_draw(self, seed):
@@ -527,20 +534,20 @@ class TestSampling:
 
 class TestSpecTables:
     def test_spec_hashed_at_most_rank_times(self, monkeypatch):
-        """Sampling and window scans read the spec's own tables: only building
-        the reversed kernels (one reverse_kernel call per generator) hashes it."""
+        """Sampling and window scans read the spec's own tables, the reversed
+        kernels' ints included (derived from the forward ones): nothing hashes it."""
         spec = random_spec(7, 3, 3)
         hashes = []
         original = MarkovSpec.__hash__
         monkeypatch.setattr(MarkovSpec, "__hash__", lambda self: hashes.append(1) or original(self))
         sample_ball(spec, 4, 11)
         window_marginal(spec, lambda x: (x[W("s1^-1")], x[W("s2^-1.s3^-1")], x[W("s3.s1")]))
-        assert len(hashes) <= spec.rank
+        assert len(hashes) == 0
 
     def test_spec_pickles_after_tables_built(self, m3):
         sample_ball(m3, 2, 1)
         again = pickle.loads(pickle.dumps(m3))
-        assert again == m3 and "letter_kernels" not in vars(again)
+        assert again == m3 and "letter_scaled" not in vars(again)
         assert sample_ball(again, 2, 1) == sample_ball(m3, 2, 1)
 
     def test_with_kernel_keeps_untouched_tables(self):
@@ -548,7 +555,7 @@ class TestSpecTables:
         (the same objects, equal to a fresh spec's) and of pi; gen's two
         letters are built afresh, from the new kernel."""
         spec = random_spec(5, 3, 3)
-        tables = ("letter_kernels", "letter_thresholds", "letter_support", "letter_scaled")
+        tables = ("letter_scaled", "letter_thresholds", "letter_support")  # each before its readers
         for name in tables:
             for c in range(2 * spec.rank):
                 getattr(spec, name)[c]
@@ -568,8 +575,8 @@ class TestSpecTables:
                 assert getattr(new, name)[c] == getattr(fresh, name)[c]
         for name in ("pi_thresholds", "pi_scaled"):
             assert vars(new)[name] is vars(spec)[name]
-        assert new.letter_kernels[2 * gen] == new.kernels[gen]
-        assert new.letter_kernels[2 * gen + 1] == reverse_kernel(new, gen)
+        assert kernel_for_letter(new, 2 * gen) == new.kernels[gen]
+        assert kernel_for_letter(new, 2 * gen + 1) == oracle_reverse_kernel(new, gen)
 
     @pytest.mark.parametrize("gen", [-1, 2, 1.0, True])
     def test_with_kernel_rejects_generator_outside_rank(self, m3, gen):
@@ -582,15 +589,99 @@ class TestSpecTables:
         sample_ball(m3, 2, 1)
         new = m3.with_kernel(1, m3.kernels[0])
         again = pickle.loads(pickle.dumps(new))
-        assert again == new and "letter_kernels" in vars(new)
-        assert not {"letter_kernels", "letter_thresholds", "pi_thresholds"} & set(vars(again))
+        assert again == new and "letter_scaled" in vars(new)
+        assert not {"letter_scaled", "letter_thresholds", "pi_thresholds"} & set(vars(again))
         assert sample_ball(again, 2, 1) == sample_ball(new, 2, 1)
 
     def test_tables_match_direct_computation(self, m3):
-        assert m3.letter_kernels[Letter(0, 1)] == m3.kernels[0]
-        assert m3.letter_kernels[Letter(1, -1)] == reverse_kernel(m3, 1)
+        assert kernel_for_letter(m3, Letter(0, 1)) == m3.kernels[0]
+        assert kernel_for_letter(m3, Letter(1, -1)) == oracle_reverse_kernel(m3, 1)
         with pytest.raises(InputError):
             m3.letter_thresholds[Letter(2, -1)]
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 5),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse", "properly ergodic"]),
+        st.sampled_from(["valid", "row rotated", "entry zeroed"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tables_match_fraction_oracles(self, seed, size, rank, style, breakage):
+        """Every letter's scaled ints and draw thresholds are those of its
+        Fraction kernel (oracle_reverse_kernel along s_g^-1), pi's thresholds
+        those of pi, and s_g^-1's support graph is s_g's transposed and the
+        positive entries of the reversed kernel.  Also when one kernel is
+        form-valid but neither stochastic nor stationary: one row rotated, or
+        its first positive entry set to 0."""
+        if style == "properly ergodic":
+            spec = random_properly_ergodic_spec(seed, size, rank)
+        else:
+            spec = random_spec(seed, size, rank, style=style)
+        if breakage != "valid":
+            gen = seed % rank
+            k = [list(row) for row in spec.kernels[gen]]
+            if breakage == "row rotated":
+                a = next((a for a, row in enumerate(k) if row[1:] + row[:1] != row), 0)
+                k[a] = k[a][1:] + k[a][:1]
+            else:
+                a, b = next((a, b) for a, row in enumerate(k) for b, p in enumerate(row) if p)
+                k[a][b] = Fraction(0)
+            spec = spec.with_kernel(gen, tuple(map(tuple, k)))
+        assert spec.pi_thresholds == oracle_thresholds(spec.pi)
+        for c in range(2 * rank):
+            kernel = oracle_kernel(spec, c)
+            flat, den = scaled([x for row in kernel for x in row])
+            rows = tuple(tuple(flat[a * size : (a + 1) * size]) for a in range(size))
+            assert spec.letter_scaled[c] == (rows, den)
+            assert spec.letter_thresholds[c] == tuple(map(oracle_thresholds, kernel))
+            if c & 1:
+                forward = spec.letter_support[c - 1].edges
+                positive = {(a, b) for a, row in enumerate(kernel) for b, p in enumerate(row) if p}
+                assert spec.letter_support[c].edges == {(b, a) for a, b in forward} == positive
+
+    def test_list_field_spec_serves_inverse_letters(self):
+        """A spec whose fields are lists passes validate but cannot be hashed;
+        its inverse-letter tables are built without hashing it, so it samples
+        and enumerates along s1^-1 like the tuple spec."""
+        base = random_spec(0, 3, 2)
+        spec = MarkovSpec(
+            list(base.generators),
+            list(base.alphabet),
+            list(base.pi),
+            [[list(row) for row in k] for k in base.kernels],
+        )
+        assert validate(spec).ok
+        inv = Word((Letter(0, -1),))
+        assert SampledTree(spec, 1)[inv] == SampledTree(base, 1)[inv]
+        dom = LeftConnectedSet([IDENTITY, inv, W("s2.s1^-1")])
+        cylinders = list(enumerate_cylinders(spec, dom))
+        assert cylinders == list(enumerate_cylinders(base, dom))
+        assert sum(p for _, p in cylinders) == 1
+
+
+class TestCopies:
+    @pytest.mark.parametrize("protocol", [*range(pickle.HIGHEST_PROTOCOL + 1), "deepcopy"])
+    def test_words_configurations_and_misses_survive_copies(self, protocol):
+        """Pickle round trips (every protocol) and deep copies rebuild a Word
+        from its codes, a Configuration (and its domain) from its values, and
+        a MissingCoordinate with its word and message."""
+
+        def copy_of(x):
+            if protocol == "deepcopy":
+                return copy.deepcopy(x)
+            return pickle.loads(pickle.dumps(x, protocol))
+
+        w = W("s1.s2^-1")
+        again = copy_of(w)
+        assert type(again) is Word and again == w and again.letters == w.letters
+        phi = Configuration({IDENTITY: 0, W("s2^-1"): 1, w: 0})
+        again = copy_of(phi)
+        assert type(again) is Configuration and again == phi and again.domain == phi.domain
+        assert again[w] == 0 and copy_of(phi.domain) == phi.domain
+        miss = MissingCoordinate(w)
+        again = copy_of(miss)
+        assert type(again) is MissingCoordinate and again.word == w and str(again) == str(miss)
 
 
 class TestJson:

@@ -469,6 +469,13 @@ class TestVerifySlide:
             verify_slide(spec, params, candidate=5, samples=0)
         with pytest.raises(InputError, match="pi length"):
             verify_slide(spec, params, candidate=dataclasses.replace(spec, pi=None), samples=0)
+        # form-valid, but pi(0) = 0: the inverse letters' kernels, which divide by pi, are undefined
+        small = random_properly_ergodic_spec(1, 3, 2)
+        first = generator_ergodic_pipeline(small)[1][0]
+        rho = pushforward(small, first)
+        zeroed = dataclasses.replace(rho, pi=(Fraction(0), rho.pi[0] + rho.pi[1], *rho.pi[2:]))
+        with pytest.raises(InputError, match="is not positive"):
+            verify_slide(small, first, candidate=zeroed, samples=0)
 
     def test_default_candidate_derives_the_slide_once(self, monkeypatch, m3, m3_slide):
         """With candidate=None the pushforward's parameter check is the only
