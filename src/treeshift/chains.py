@@ -10,20 +10,22 @@ configurations map group elements (Word) to symbol indices.
 
 Each spec keeps lookup tables on its own instance, each entry built on first
 use: the kernel's scaled integers (see below), its rows' draw thresholds, the
-support graph and the validation problems along every letter s_i^{+-1}, and
-pi's.  Along s_i^-1 they derive from s_i's: the kernel there is P_i reversed,
-P_rev(a, b) = pi(b) P_i(b, a) / pi(a).  The tables are keyed by letter code
-(see words), also serve Letter keys and are read by code, so no path hashes
-the spec; reverse_kernel and kernel_for_letter, Fraction views, are kept for
-the benchmark's tracer.  A spec derived by with_kernel starts with the entries
-already built for pi and for the directions it keeps, so validating it checks
-only the replaced kernel.
+support graph (from those integers) and the validation problems along every
+letter s_i^{+-1}, and pi's.  Along s_i^-1 they derive from s_i's: the kernel
+there is P_i reversed, P_rev(a, b) = pi(b) P_i(b, a) / pi(a).  The tables
+are keyed by letter code (see words), also serve Letter keys and are read by
+code, so no path hashes the spec; reverse_kernel and kernel_for_letter,
+Fraction views, are kept for the benchmark's tracer.  A spec derived by
+with_kernel starts with the entries already built for pi and for the
+directions it keeps, so validating it checks only the replaced kernel.
 
 Validation problems come as (form, law) pairs.  The form is a field's shape
 and entry types; the law is positivity, sums and stationarity, checked only
 once the form holds.  validate reads the pairs in order (problem_entries)
-and keeps its report on the instance; a slide's candidate spec is held to
-the form halves alone.
+and keeps its report on the instance.  Where a valid spec is not required,
+one gate, require_form, holds a spec to the form halves and pi's laws before
+its tables are read: in the scan, cylinder_measure, graphs.support_edges and
+a slide's candidate check.
 
 Exact sums run on ints: scaled puts rationals over the lcm D of their
 denominators as the integers x*D, and scaling by D > 0 keeps signs, sums and
@@ -181,17 +183,18 @@ class MarkovSpec:
     @cached_property
     def letter_support(self) -> Mapping[Letter | int, graphs.TransitionGraph]:
         """Support graph along each letter: the edges (a, b) with positive
-        two-point mass pi(a) K(a, b); along s_i^-1, s_i's edges transposed."""
+        two-point mass pi(a) K(a, b), read as pi^(a) K^(a, b) > 0 on the ints
+        of pi_scaled and letter_scaled; along s_i^-1, s_i's edges transposed."""
 
         def graph(c: int) -> graphs.TransitionGraph:
             if c & 1:
                 edges = self.letter_support[c - 1].edges
                 return graphs.TransitionGraph(self.size, frozenset((b, a) for a, b in edges))
-            # the sign of the product, without it: pi(a) and K(a, b) nonzero, of one sign
-            signs = list(map(_sign, self.pi))
+            # scaling by D_pi D_K > 0 keeps the product's sign
+            pi, rows = self.pi_scaled[0], self.letter_scaled[c][0]
             return graphs.TransitionGraph(self.size, frozenset(
-                (a, b) for a, row in enumerate(self.kernels[c >> 1]) if (s := signs[a])
-                for b, sb in enumerate(map(_sign, row)) if sb == s
+                (a, b) for a, (p, row) in enumerate(zip(pi, rows))
+                for b, x in enumerate(row) if p * x > 0
             ))
 
         return _LetterTable(self.rank, graph)
@@ -259,6 +262,14 @@ class MarkovSpec:
         return _LetterTable(self.rank, make)
 
     @cached_property
+    def form_problems(self) -> tuple[str, ...]:
+        """What bars reading the spec's tables (require_form): validate's form
+        halves, or once they hold, pi's laws, since the reversed tables
+        divide by pi."""
+        forms = tuple(m for form, _ in problem_entries(self) for m in form)
+        return forms or self.pi_problems[1]
+
+    @cached_property
     def validation(self) -> ValidationReport:
         """validate's report, built on first use."""
         entries = problem_entries(self)
@@ -267,14 +278,6 @@ class MarkovSpec:
 
 _LETTER_TABLES = ("letter_thresholds", "letter_support", "letter_scaled", "letter_problems")
 _PI_TABLES = ("pi_thresholds", "pi_scaled", "pi_problems")
-
-
-def _sign(x) -> int:
-    """-1, 0 or 1: the sign of an int's or a Fraction's numerator, and of any
-    other entry (a float, say) by comparison with 0."""
-    if isinstance(x, (int, Fraction)):
-        x = x.numerator
-    return (x > 0) - (x < 0)
 
 
 class _LetterTable(dict):
@@ -358,6 +361,17 @@ def validate(spec: MarkovSpec) -> ValidationReport:
     if not isinstance(spec, MarkovSpec):
         raise InputError(f"chain spec must be a MarkovSpec, got {spec!r}")
     return spec.validation
+
+
+def require_form(spec: MarkovSpec) -> MarkovSpec:
+    """The gate before any table of the spec is read: InputError for anything
+    but a MarkovSpec, SpecInvalidError for its form_problems.  The kernels'
+    laws are not checked, so a corrupted kernel can still be scanned."""
+    if not isinstance(spec, MarkovSpec):
+        raise InputError(f"chain spec must be a MarkovSpec, got {spec!r}")
+    if spec.form_problems:
+        raise SpecInvalidError(spec.form_problems)
+    return spec
 
 
 def require_valid(spec: MarkovSpec) -> MarkovSpec:
@@ -449,9 +463,10 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
     The domain is swept parents-first; each element beyond the identity
     contributes one kernel factor along its tree edge, using the reversed
     kernel when the edge letter is an inverse generator, on the ints of
-    pi_scaled and letter_scaled.  A value that is not a symbol index (an int
-    in [0, size)) raises InputError.
+    pi_scaled and letter_scaled.  The spec must pass require_form, and a
+    value that is not a symbol index (an int in [0, size)) raises InputError.
     """
+    require_form(spec)
     for w, v in phi.items():
         if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < spec.size):
             raise InputError(
@@ -523,8 +538,10 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     num per (value, den) and at the end puts the whole law over one int, the
     lcm of all dens (WindowScan.weights and .den), so callers sum and compare
     it on ints.  Its Fractions (WindowScan.law) are the same, in the same key
-    order, as summing each window's weight as a Fraction.
+    order, as summing each window's weight as a Fraction.  The spec must
+    pass require_form; its kernels' laws are not checked.
     """
+    require_form(spec)
     sums: dict = {}  # {value: {den: sum of num}}, values in the order first seen
     failures: list = []
     windows = 0
@@ -604,8 +621,8 @@ def enumerate_cylinders(
     Values follow the domain's canonical order.  This is the window scan on
     a fixed domain: its window function reads the words in canonical order,
     parents first, so each window is one cylinder, zero-probability branches
-    are pruned, and the pairs come depth first in symbol order.  For a valid
-    spec the measures sum to exactly 1; the spec is not checked.
+    are pruned, and the pairs come depth first in symbol order.  The spec
+    must pass require_form; for a valid spec the measures sum to exactly 1.
     """
     words = domain.words
     yield from scan_positive_windows(spec, lambda x: tuple(x[w] for w in words)).law.items()

@@ -6,10 +6,12 @@ measure controls the restriction's dynamics: the restriction is ergodic
 exactly when the graph is connected (as an undirected graph) across the whole
 alphabet, and essentially free exactly when no class is a single directed
 cycle.  Each spec builds this graph once per direction (MarkovSpec.
-letter_support), and the graph derives its adjacency, classes and periodic
-flags once each, on first use.  This module also extracts the combinatorial
-data consumed by the edge-slide construction: branch points (reached by the
-forced walk along single out-edges), spanning trees and their bipartitions.
+letter_support) from its scaled ints, and the graph derives its adjacency,
+periodic flags and one breadth-first traversal (classes, 2-coloring and
+spanning trees) once each, on first use.  This module also extracts the
+combinatorial data consumed by the edge-slide construction: branch points
+(reached by the forced walk along single out-edges), spanning trees and
+their bipartitions.
 """
 
 from __future__ import annotations
@@ -48,32 +50,43 @@ class TransitionGraph:
         return self._adjacency[1].get(v, ())
 
     @cached_property
+    def _traversal(self) -> tuple[tuple, tuple[int, ...], tuple[int, ...], tuple]:
+        """One breadth-first walk of the graph, edge directions ignored:
+        (classes, class_of, color, trees).  Each vertex not yet reached, in
+        increasing order, roots a class; the walk goes level by level, through
+        each level's vertices and their neighbours in increasing order.  A
+        vertex's color is its level's parity, and its class's tree holds
+        (v, w) for every w first reached from v."""
+        outs, ins = self._adjacency
+        class_of, color, classes, trees = [-1] * self.size, [0] * self.size, [], []
+        for root in range(self.size):
+            if class_of[root] >= 0:
+                continue
+            class_of[root] = ci = len(classes)
+            pairs, frontier = [], [root]
+            while frontier:
+                nxt = []
+                for v in sorted(frontier):
+                    for w in sorted({*outs.get(v, ()), *ins.get(v, ())}):
+                        if class_of[w] < 0:
+                            class_of[w], color[w] = ci, 1 - color[v]
+                            pairs.append((v, w))
+                            nxt.append(w)
+                frontier = nxt
+            classes.append(frozenset([root, *(w for _, w in pairs)]))
+            trees.append(tuple(pairs))
+        return tuple(classes), tuple(class_of), tuple(color), tuple(trees)
+
+    @cached_property
     def classes(self) -> tuple[frozenset[int], ...]:
-        """Connected components ignoring edge direction (union-find), ordered
-        by smallest vertex."""
-        uf = list(range(self.size))
-
-        def find(i: int) -> int:
-            while uf[i] != i:
-                uf[i] = uf[uf[i]]
-                i = uf[i]
-            return i
-
-        for a, b in self.edges:
-            uf[find(a)] = find(b)
-        roots: dict[int, list[int]] = {}
-        for v in range(self.size):
-            roots.setdefault(find(v), []).append(v)
-        return tuple(frozenset(vs) for vs in sorted(roots.values(), key=lambda vs: vs[0]))
+        """Connected components ignoring edge direction, ordered by smallest
+        vertex: the classes of the one traversal."""
+        return self._traversal[0]
 
     @cached_property
     def class_of(self) -> tuple[int, ...]:
         """Index in classes of every vertex's class."""
-        class_of = [0] * self.size
-        for ci, cls in enumerate(self.classes):
-            for v in cls:
-                class_of[v] = ci
-        return tuple(class_of)
+        return self._traversal[1]
 
     @cached_property
     def periodic(self) -> tuple[bool, ...]:
@@ -93,11 +106,9 @@ def support_edges(spec: MarkovSpec, gen: int) -> TransitionGraph:
     """The support graph along generator gen: edges (a, b) with positive
     two-point mass pi(a) K(a, b).  The graph is the spec's table entry,
     built once per spec and direction (the reversed direction is
-    spec.letter_support at the inverse letter).  InputError for a non-spec;
-    the spec is not validated, so a candidate's graph can be read."""
-    if not isinstance(spec, chains.MarkovSpec):
-        raise InputError(f"chain spec must be a MarkovSpec, got {spec!r}")
-    return spec.letter_support[Letter(gen, 1)]
+    spec.letter_support at the inverse letter).  The spec must pass
+    chains.require_form, not require_valid, so a candidate's graph is read."""
+    return chains.require_form(spec).letter_support[Letter(gen, 1)]
 
 
 @dataclass(frozen=True)
@@ -218,12 +229,13 @@ def special_sets(spec: MarkovSpec, gen: int, a: int) -> SpecialSets:
     """Spanning tree of a's class in the given direction, split by a
     2-coloring into two one-way edge sets, each of which is special.
 
-    The tree is grown by BFS from the smallest vertex of the class, scanning
-    undirected edges in vertex order; each tree edge is then oriented in a
-    direction the support graph actually carries (smallest endpoint first
-    when both directions exist).  Coloring the BFS tree makes every tree
-    edge cross the two sides, so each oriented half has disjoint sources and
-    targets.  The spec must pass require_valid.
+    The tree and the coloring are those of the graph's one traversal
+    (TransitionGraph._traversal), from the smallest vertex of the class,
+    scanning undirected edges in vertex order; each tree edge is then
+    oriented in a direction the support graph actually carries (smallest
+    endpoint first when both directions exist).  Coloring the BFS tree makes
+    every tree edge cross the two sides, so each oriented half has disjoint
+    sources and targets.  The spec must pass require_valid.
     """
     chains.require_valid(spec)
     if isinstance(a, bool) or not (isinstance(a, int) and 0 <= a < spec.size):
@@ -231,26 +243,12 @@ def special_sets(spec: MarkovSpec, gen: int, a: int) -> SpecialSets:
     g = support_edges(spec, gen)
     if not g.aperiodic(a):
         raise InputError(f"class of {a} along {spec.generators[gen]} is periodic")
-    cls = g.classes[g.class_of[a]]
-    root = min(cls)
-    color = {root: 0}
-    tree_pairs = []
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in sorted(frontier):
-            for w in sorted({*g.out_neighbors(v), *g.in_neighbors(v)}):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    tree_pairs.append((v, w))
-                    nxt.append(w)
-        frontier = nxt
+    classes, class_of, color, trees = g._traversal
     # a pair carried both ways is oriented smallest endpoint first
     tree = frozenset(
         (v, w) if (v, w) in g.edges and (v < w or (w, v) not in g.edges) else (w, v)
-        for v, w in tree_pairs
+        for v, w in trees[class_of[a]]
     )
     halves = (frozenset(e for e in tree if color[e[0]] == side) for side in (0, 1))
-    sides = (frozenset(v for v in cls if color[v] == side) for side in (0, 1))
+    sides = (frozenset(v for v in classes[class_of[a]] if color[v] == side) for side in (0, 1))
     return SpecialSets(tree, *halves, *sides)
-

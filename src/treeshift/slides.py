@@ -29,7 +29,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .chains import Configuration, MarkovSpec, Matrix, SampledTree, covering_scan
-from .chains import derive_seed, enumerate_cylinders, problem_entries, require_valid
+from .chains import derive_seed, enumerate_cylinders, require_valid
 from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule
 from .errors import InputError, ParamsError, TreeshiftError
 from .graphs import BranchData, branch_data, classify, is_special, special_sets, support_edges
@@ -274,15 +274,14 @@ def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftCon
 
 def _check_candidate(spec: MarkovSpec, candidate: MarkovSpec) -> None:
     """Raise InputError unless the candidate is a MarkovSpec with the spec's
-    generators and alphabet that passes validate's form checks (the form
-    halves of chains.problem_entries) and pi's laws, which a slide keeps."""
+    generators and alphabet that passes the gate chains.require_form (its
+    form_problems: validate's form halves and pi's laws, which a slide keeps)."""
     if not isinstance(candidate, MarkovSpec):
         raise InputError(f"candidate must be a MarkovSpec, got {candidate!r}")
     if (candidate.generators, candidate.alphabet) != (spec.generators, spec.alphabet):
         raise InputError("candidate spec must have the spec's generators and alphabet")
-    forms = [m for form, _ in problem_entries(candidate) for m in form]
-    if problems := forms or candidate.pi_problems[1]:  # pi's laws, read once its form holds
-        raise InputError("candidate: " + "; ".join(problems))
+    if candidate.form_problems:
+        raise InputError("candidate: " + "; ".join(candidate.form_problems))
 
 
 def _orbit_covered(table: CocycleTable, ball2: LeftConnectedSet, ball4: LeftConnectedSet) -> bool:
@@ -319,9 +318,10 @@ def verify_slide(
 
     candidate defaults to the exact pushforward, which checks params.  A
     given candidate must be a MarkovSpec with the spec's generators and
-    alphabet that passes validate's form checks, or InputError is raised
-    before anything is scanned.  Its laws are not checked, so callers can
-    test that a corrupted kernel or a dropped transition is caught.
+    alphabet that passes the gate chains.require_form (validate's form checks
+    and pi's laws), or InputError is raised before anything is scanned.  Its
+    kernels' laws are not checked, so callers can test that a corrupted
+    kernel or a dropped transition is caught.
     """
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
         raise InputError(f"samples must be a non-negative int, not {samples!r}")
@@ -351,7 +351,7 @@ def verify_slide(
             markov_ok = False
 
     q = candidate.kernels[params.t]
-    rho_graph = support_edges(spec.with_kernel(params.t, q), params.t)
+    rho_graph = support_edges(candidate, params.t)  # both pis are positive: q_t's support
     mu_t = support_edges(spec, params.t)
     rho_edges, cls = rho_graph.edges, rho_graph.class_of
     support_ok = (

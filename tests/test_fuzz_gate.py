@@ -1,0 +1,120 @@
+"""Bad input raises a TreeshiftError: a fuzz gate over the public entry points.
+
+Each test pairs one mutation kind in KINDS with one entry point in
+ENTRY_POINTS.  Its examples corrupt one field of a small valid spec in that
+way and pass the result to the entry point twice: with the spec's fields
+(rows included) as tuples, then as lists.  Whatever it raises must be a
+TreeshiftError; returning is fine (a rotated constant row leaves a valid
+spec).  The kinds, the entry points and the example count are fixed here,
+and the examples are derandomized.
+"""
+
+from fractions import Fraction
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treeshift.chains import Configuration, MarkovSpec, cylinder_measure, enumerate_cylinders
+from treeshift.chains import sample_ball, scan_positive_windows, validate
+from treeshift.errors import TreeshiftError
+from treeshift.graphs import classify, special_sets, support_edges
+from treeshift.randspec import random_properly_ergodic_spec
+from treeshift.slides import build_slide_params, generator_ergodic_pipeline, pushforward
+from treeshift.slides import verify_slide
+from treeshift.words import IDENTITY, LeftConnectedSet, Letter, Word
+
+KINDS = (
+    "junk_pi",  # a non-rational entry in pi
+    "junk_kernel",  # a non-rational entry in a kernel
+    "pi_on_one_symbol",  # all of pi's mass moved onto one symbol: zero entries
+    "rotated_row",  # a kernel row rotated by one place
+    "duplicate_symbol",
+    "unhashable_symbol",
+    "dropped_kernel",
+    "dropped_row",
+)
+JUNK = (None, "1/2", 0.5, float("nan"), -1.5, [1], {}, object(), 1j)
+SEEDS = (0, 1, 2, 3)
+EXAMPLES = 10  # per kind and entry point
+
+INVERSE = Word((Letter(0, -1),))
+# e, s1^-1 and s2: the domain reads a reversed kernel, so a zero pi entry would divide by zero
+DOMAIN = LeftConnectedSet([IDENTITY, INVERSE, Word((Letter(1, 1),))])
+
+
+@cache
+def base(seed: int):
+    """A valid rank-2 spec on 3 symbols and its pipeline's first slide."""
+    spec = random_properly_ergodic_spec(seed, 3, 2)
+    _, slides = generator_ergodic_pipeline(spec)
+    return spec, slides[0]
+
+
+ENTRY_POINTS = {
+    "validate": lambda bad, spec, params: validate(bad),
+    "classify": lambda bad, spec, params: classify(bad),
+    "special_sets": lambda bad, spec, params: special_sets(bad, params.u, 0),
+    "build_slide_params": lambda bad, spec, params: build_slide_params(
+        bad, params.u, params.t, params.edges
+    ),
+    "pushforward": lambda bad, spec, params: pushforward(bad, params),
+    "verify_slide": lambda bad, spec, params: verify_slide(spec, params, candidate=bad, samples=1),
+    "sample_ball": lambda bad, spec, params: sample_ball(bad, 1, 7),
+    "pipeline": lambda bad, spec, params: generator_ergodic_pipeline(bad),
+    "enumerate_cylinders": lambda bad, spec, params: list(enumerate_cylinders(bad, DOMAIN)),
+    "cylinder_measure": lambda bad, spec, params: cylinder_measure(
+        bad, Configuration({w: 0 for w in DOMAIN})
+    ),
+    "support_edges": lambda bad, spec, params: support_edges(bad, 0),
+    "scan_positive_windows": lambda bad, spec, params: scan_positive_windows(
+        bad, lambda x: (x[IDENTITY], x[INVERSE])
+    ),
+}
+
+
+@st.composite
+def corrupted_fields(draw, kind: str):
+    """(generators, alphabet, pi, kernels) of a base spec, with one corruption
+    of the given kind, and the base spec and its first slide."""
+    spec, params = base(draw(st.sampled_from(SEEDS)))
+    n = spec.size
+    alphabet, pi = list(spec.alphabet), list(spec.pi)
+    kernels = [[list(row) for row in k] for k in spec.kernels]
+    gi = draw(st.integers(0, spec.rank - 1))
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "junk_pi":
+        pi[a] = draw(st.sampled_from(JUNK))
+    elif kind == "junk_kernel":
+        kernels[gi][a][b] = draw(st.sampled_from(JUNK))
+    elif kind == "pi_on_one_symbol":
+        pi = [Fraction(int(c == a)) for c in range(n)]
+    elif kind == "rotated_row":
+        row = kernels[gi][a]
+        kernels[gi][a] = row[1:] + row[:1]
+    elif kind == "duplicate_symbol":
+        alphabet[a] = alphabet[(a + 1) % n]
+    elif kind == "unhashable_symbol":
+        alphabet[a] = [alphabet[a]]
+    elif kind == "dropped_kernel":
+        del kernels[gi]
+    else:
+        del kernels[gi][a]
+    return (spec.generators, alphabet, pi, kernels), spec, params
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_bad_spec_raises_only_treeshift_errors(entry, kind, data):
+    (generators, alphabet, pi, kernels), spec, params = data.draw(corrupted_fields(kind))
+    for seq in (tuple, list):
+        bad = MarkovSpec(
+            seq(generators), seq(alphabet), seq(pi), seq(seq(map(seq, k)) for k in kernels)
+        )
+        try:
+            ENTRY_POINTS[entry](bad, spec, params)
+        except TreeshiftError:
+            pass

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import oracle_dense_pushforward, oracle_support, oracle_validate
 from treeshift.chains import MarkovSpec, require_valid, scaled, validate
 from treeshift.errors import SpecInvalidError
-from treeshift.graphs import classify
+from treeshift.graphs import classify, support_edges
 from treeshift.randspec import random_properly_ergodic_spec, random_spec
 from treeshift.slides import generator_ergodic_pipeline, pushforward
 from treeshift.words import Letter
@@ -134,27 +134,43 @@ class TestValidateMatchesOracle:
         )
 
 
-# floats kept off the subnormal range, where a float product underflows to 0 and
-# only the sign test still sees a positive mass
-normal_floats = st.floats(-2, 2).filter(lambda x: x == 0 or abs(x) > 1e-150)
-signed = st.fractions(-2, 2) | st.integers(-2, 2) | normal_floats | st.sampled_from([0.0, -0.0])
+signed = st.fractions(-2, 2) | st.integers(-2, 2)  # zeros included
+square_entries = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(signed, min_size=n, max_size=n),
+        st.lists(st.lists(signed, min_size=n, max_size=n), min_size=n, max_size=n),
+    )
+)
+
+
+def _square_spec(pi, kernel) -> MarkovSpec:
+    k = tuple(map(tuple, kernel))
+    return MarkovSpec(("s1", "s2"), tuple(range(len(pi))), tuple(pi), (k, k))
 
 
 class TestLetterSupportSign:
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.tuples(
-                st.lists(signed, min_size=n, max_size=n),
-                st.lists(st.lists(signed, min_size=n, max_size=n), min_size=n, max_size=n),
-            )
-        )
-    )
+    @given(square_entries)
     def test_same_edges_as_the_product(self, entries):
-        """Invalid specs included: signed, zero and float entries."""
+        """Invalid specs included: signed and zero int and Fraction entries.
+        The table's graph, read from the scaled ints, is the product's; once
+        the gate holds, support_edges serves that graph."""
+        spec = _square_spec(*entries)
+        graph = spec.letter_support[Letter(0, 1)]
+        assert graph.edges == oracle_support(spec, 0)
+        if not spec.form_problems:
+            assert support_edges(spec, 0) is graph
+
+    @given(square_entries, st.floats(), st.data())
+    def test_a_float_entry_is_refused(self, entries, x, data):
+        """A float entry in pi or the kernel fails the gate before any table is read."""
         pi, kernel = entries
-        k = tuple(map(tuple, kernel))
-        spec = MarkovSpec(("s1", "s2"), tuple(range(len(pi))), tuple(pi), (k, k))
-        assert spec.letter_support[Letter(0, 1)].edges == oracle_support(spec, 0)
+        a, b = (data.draw(st.integers(0, len(pi) - 1)) for _ in range(2))
+        if data.draw(st.booleans()):
+            pi[a] = x
+        else:
+            kernel[a][b] = x
+        with pytest.raises(SpecInvalidError, match="is not an int or a Fraction"):
+            support_edges(_square_spec(pi, kernel), 0)
 
 
 class TestPushforwardMatchesDenseProduct:
@@ -248,7 +264,9 @@ class TestDerivedSpecs:
         some not, validate and letter_support give what they give on a fresh
         spec of the same fields: oracle_validate's report (validate's own on
         a fresh spec where a float entry is named, a check the oracle lacks)
-        and oracle_support's edges."""
+        and, for each int and Fraction kernel of the right shape,
+        oracle_support's edges.  support_edges refuses a spec with a float
+        entry or a wrong shape (SpecInvalidError)."""
         spec = _base_spec(kind, seed, size, rank)
         original = spec.kernels
         for step in range(data.draw(st.integers(1, 6)), -1, -1):
@@ -264,7 +282,12 @@ class TestDerivedSpecs:
             else:
                 assert report == oracle_validate(fresh)
             for g, k in enumerate(spec.kernels):
-                if len(k) == size and all(len(row) == size for row in k):
+                if spec.form_problems:
+                    with pytest.raises(SpecInvalidError):
+                        support_edges(spec, g)
+                if len(k) == size and all(
+                    len(row) == size and not any(isinstance(x, float) for x in row) for row in k
+                ):
                     assert spec.letter_support[Letter(g, 1)].edges == oracle_support(fresh, g)
 
     def test_validating_a_derived_spec_checks_only_the_new_kernel(self):
