@@ -16,8 +16,9 @@ there is P_i reversed, P_rev(a, b) = pi(b) P_i(b, a) / pi(a).  The tables
 are keyed by letter code (see words), also serve Letter keys and are read by
 code, so no path hashes the spec; reverse_kernel and kernel_for_letter,
 Fraction views, are kept for the benchmark's tracer.  A spec derived by
-with_kernel starts with the entries already built for pi and for the
-directions it keeps, so validating it checks only the replaced kernel.
+with_kernel shares the entries built for pi and the directions it keeps, and
+may hold the new kernel as its ints (_Ints), the letter_scaled entry the
+engine reads: its Fractions are built on the first read of kernels.
 
 Validation problems come as (form, law) pairs.  The form is a field's shape
 and entry types; the law is positivity, sums and stationarity, checked only
@@ -93,12 +94,24 @@ def frac_from_str(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+class _Kernels:
+    """MarkovSpec.kernels of a spec that with_kernel made: built from its _held
+    on first read and kept on the instance, where later reads find it."""
+
+    def __get__(self, spec, owner=None):
+        if spec is None:  # read on the class: the dataclass field has no default
+            raise AttributeError("kernels")
+        held = spec._held
+        ks = vars(spec)["kernels"] = tuple(k.fractions() if type(k) is _Ints else k for k in held)
+        return ks
+
+
 @dataclass(frozen=True)
 class MarkovSpec:
     generators: tuple[str, ...]
     alphabet: tuple
     pi: tuple[Fraction, ...]
-    kernels: tuple[Matrix, ...]  # kernels[gen][a][b], indexed by alphabet position
+    kernels: tuple[Matrix, ...] = _Kernels()  # kernels[gen][a][b], by alphabet position
 
     @property
     def rank(self) -> int:
@@ -127,12 +140,13 @@ class MarkovSpec:
         every letter code c with c >> 1 != gen, and with pi's tables: they
         read only pi and kernels that stay the same, so they are shared, not
         copied.  gen's two letters are built afresh on first use, so
-        validate checks gen's kernel and reuses the other entries."""
+        validate checks gen's kernel and reuses the other entries.  kernels is
+        built on its first read, so an _Ints kernel stays ints in the engine."""
         if isinstance(gen, bool) or not (isinstance(gen, int) and 0 <= gen < self.rank):
             raise InputError(f"generator index {gen!r} outside rank {self.rank}")
-        ks = list(self.kernels)
-        ks[gen] = kernel
-        new = MarkovSpec(self.generators, self.alphabet, self.pi, tuple(ks))
+        held = (*self._held[:gen], kernel, *self._held[gen + 1 :])
+        new = MarkovSpec(self.generators, self.alphabet, self.pi, held)
+        new.__dict__["_held"] = new.__dict__.pop("kernels")  # see _Kernels
         built = self.__dict__
         for name in _LETTER_TABLES:
             if name in built:
@@ -143,6 +157,10 @@ class MarkovSpec:
             if name in built:
                 new.__dict__[name] = built[name]
         return new
+
+    @cached_property
+    def _held(self) -> tuple:  # the kernels as given, an _Ints one as its ints
+        return self.kernels
 
     def __reduce__(self):  # copies and pickles carry the fields, not the tables
         return MarkovSpec, (self.generators, self.alphabet, self.pi, self.kernels)
@@ -159,7 +177,9 @@ class MarkovSpec:
 
         def make(c: int):
             if not c & 1:
-                k = self.kernels[c >> 1]
+                k = self._held[c >> 1]
+                if type(k) is _Ints:
+                    return k
                 flat, den = scaled([x for row in k for x in row])
                 it = iter(flat)
                 return tuple(tuple(next(it) for _ in row) for row in k), den
@@ -232,24 +252,25 @@ class MarkovSpec:
 
         def make(c: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
             gi = c >> 1
-            k, n, alpha = self.kernels[gi], self.size, self.alphabet
+            k, n, alpha = self._held[gi], self.size, self.alphabet
             name = self.generators[gi]
-            if not isinstance(k, _ARRAYS) or len(k) != n or any(
-                not isinstance(row, _ARRAYS) or len(row) != n for row in k
-            ):
-                return (f"kernel {name} is not {n}x{n}",), ()
-            bad = [
-                m for a, row in enumerate(k) for m in _non_rational(f"kernel {name} row {a}", row)
-            ]
-            if bad:
-                return tuple(bad), ()
+            if type(k) is not _Ints:  # ints over one denominator have their form by construction
+                if not isinstance(k, _ARRAYS) or len(k) != n or any(
+                    not isinstance(row, _ARRAYS) or len(row) != n for row in k
+                ):
+                    return (f"kernel {name} is not {n}x{n}",), ()
+                bad = [m for a, row in enumerate(k)
+                       for m in _non_rational(f"kernel {name} row {a}", row)]
+                if bad:
+                    return tuple(bad), ()
             problems = []
             rows, d_k = self.letter_scaled[2 * gi]
             for a, row in enumerate(rows):
                 if any(x < 0 for x in row):
                     problems.append(f"kernel {name} row {alpha[a]!r} has a negative entry")
                 if sum(row) != d_k:
-                    problems.append(f"kernel {name} row {alpha[a]!r} sums to {sum(k[a])}, not 1")
+                    total = Fraction(sum(row), d_k)
+                    problems.append(f"kernel {name} row {alpha[a]!r} sums to {total}, not 1")
             pi = self.pi_scaled[0]
             for b, col in enumerate(zip(*rows)):
                 if sum(map(mul, pi, col)) != pi[b] * d_k:
@@ -278,6 +299,13 @@ class MarkovSpec:
 
 _LETTER_TABLES = ("letter_thresholds", "letter_support", "letter_scaled", "letter_problems")
 _PI_TABLES = ("pi_thresholds", "pi_scaled", "pi_problems")
+
+
+class _Ints(tuple):
+    """A kernel as (rows, D): its ints over one denominator, in lowest terms."""
+
+    def fractions(self) -> Matrix:
+        return tuple(tuple(Fraction(x, self[1]) for x in row) for row in self[0])
 
 
 class _LetterTable(dict):
@@ -340,7 +368,7 @@ def problem_entries(spec: MarkovSpec) -> Iterator[tuple[tuple[str, ...], tuple[s
     yield spec.pi_problems
     if spec.pi_problems[0]:
         return
-    if not isinstance(spec.kernels, _ARRAYS) or len(spec.kernels) != spec.rank:
+    if not isinstance(spec._held, _ARRAYS) or len(spec._held) != spec.rank:
         yield ("kernel count does not match generator count",), ()
         return
     for gi in range(spec.rank):
@@ -391,8 +419,7 @@ def reverse_kernel(spec: MarkovSpec, gen: int) -> Matrix:
 def kernel_for_letter(spec: MarkovSpec, letter: Letter) -> Matrix:
     """The kernel along the letter as Fractions: a view of spec.letter_scaled
     kept for the benchmark's tracer; the engine reads the ints."""
-    rows, den = spec.letter_scaled[letter]
-    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+    return _Ints(spec.letter_scaled[letter]).fractions()
 
 
 # ---------------------------------------------------------------------------

@@ -123,13 +123,22 @@ class GeneratorReport:
 @dataclass(frozen=True)
 class Classification:
     per_generator: tuple[GeneratorReport, ...]
-    ergodic: bool
-    properly_ergodic: bool
+    supports: tuple[TransitionGraph, ...]  # the forward support graph of each generator
 
     @property
     def generator_ergodic(self) -> bool:
         """Every restriction both ergodic and essentially free."""
         return all(r.ergodic and r.free for r in self.per_generator)
+
+    @cached_property
+    def ergodic(self) -> bool:
+        """Whether the union of the supports, built on first read, is one class."""
+        edges = frozenset().union(*(g.edges for g in self.supports))
+        return len(TransitionGraph(self.supports[0].size, edges).classes) == 1
+
+    @cached_property
+    def properly_ergodic(self) -> bool:
+        return self.ergodic and not all(all(r.periodic) for r in self.per_generator)
 
     def to_json(self, alphabet) -> dict:
         return {
@@ -156,18 +165,16 @@ def classify(spec: MarkovSpec) -> Classification:
 
     The global relation is generated by the union of all generator supports;
     edges along inverse directions are the reverses of forward edges, so the
-    union over forward directions generates the same relation.  The spec
-    must pass require_valid.
+    union over forward directions generates the same relation.  The union is
+    built only when a global flag is read.  The spec must pass require_valid.
     """
     chains.require_valid(spec)
-    supports = [support_edges(spec, gi) for gi in range(spec.rank)]
+    supports = tuple(support_edges(spec, gi) for gi in range(spec.rank))
     reports = tuple(
         GeneratorReport(name, len(g.classes) == 1, not any(g.periodic), g.classes, g.periodic)
         for name, g in zip(spec.generators, supports)
     )
-    union = TransitionGraph(spec.size, frozenset().union(*(g.edges for g in supports)))
-    ergodic = len(union.classes) == 1
-    return Classification(reports, ergodic, ergodic and not all(all(g.periodic) for g in supports))
+    return Classification(reports, supports)
 
 
 @dataclass(frozen=True)

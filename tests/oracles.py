@@ -599,6 +599,21 @@ def oracle_markov_factorization(spec, params, candidate) -> bool:
     return ok
 
 
+def oracle_composite_pair_law(spec: MarkovSpec, slides, gen: int) -> dict:
+    """Exact law of (x'_e, x'_s), s = s_gen, where x' is x ~ spec recoded by
+    every slide in order (a RecodedView tower, one per window), from a window
+    scan that must cover the space: {(a, b): probability} over positive pairs."""
+    s = single(Letter(gen, 1))
+
+    def fn(win):
+        view = win
+        for params in slides:
+            view = RecodedView(params.rule, view)
+        return view[IDENTITY], view[s]
+
+    return window_marginal(spec, fn)
+
+
 # ---------------------------------------------------------------------------
 # the window scan as it ran on Fractions: one product per branch and one sum
 # per window (budgets read from chains, so a monkeypatched budget applies)

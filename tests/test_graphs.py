@@ -185,6 +185,13 @@ class TestClassify:
             assert got["per_generator"][name]["ergodic"] == rep["ergodic"]
             assert got["per_generator"][name]["free"] == rep["free"]
 
+    def test_global_flags_built_on_first_read(self, m1):
+        """The union graph is built only when a global flag is read."""
+        c = classify(m1)
+        assert c.generator_ergodic is False
+        assert not {"ergodic", "properly_ergodic"} & set(vars(c))
+        assert c.properly_ergodic and "ergodic" in vars(c)
+
     def test_json_shape(self, m1):
         j = classify(m1).to_json(m1.alphabet)
         assert set(j) == {"per_generator", "ergodic", "properly_ergodic"}

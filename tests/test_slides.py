@@ -11,6 +11,7 @@ from oracles import (
     flag_triple,
     flagged,
     make_spec,
+    oracle_composite_pair_law,
     oracle_markov_factorization,
     oracle_orbit_covered,
     oracle_pushforward_kernel,
@@ -23,6 +24,7 @@ from treeshift.chains import (
     SampledTree,
     cylinder_measure,
     derive_seed,
+    enumerate_cylinders,
     scan_positive_windows,
     validate,
 )
@@ -477,6 +479,16 @@ class TestVerifySlide:
         with pytest.raises(InputError, match="is not positive"):
             verify_slide(small, first, candidate=zeroed, samples=0)
 
+    def test_candidate_with_list_fields_accepted(self):
+        """Once the form gate has passed, a candidate's generators and alphabet
+        are compared as sequences, so list fields give the tuple report."""
+        spec = random_properly_ergodic_spec(1, 4, 2)
+        params = generator_ergodic_pipeline(spec)[1][0]
+        rho = pushforward(spec, params)
+        listed = chains.MarkovSpec(*map(list, (rho.generators, rho.alphabet, rho.pi, rho.kernels)))
+        report = verify_slide(spec, params, candidate=listed, samples=3)
+        assert report == verify_slide(spec, params, candidate=rho, samples=3)
+
     def test_default_candidate_derives_the_slide_once(self, monkeypatch, m3, m3_slide):
         """With candidate=None the pushforward's parameter check is the only
         derivation of the slide: build_slide_params runs once."""
@@ -726,6 +738,57 @@ class TestPipeline:
         out, _ = generator_ergodic_pipeline(spec)
         assert classify(out).generator_ergodic
         assert out.pi == spec.pi
+
+    def test_loop_classification_leaves_the_union_unbuilt(self, monkeypatch):
+        """The loop reads only generator_ergodic, so its classifications never
+        build the union support graph; the input's, which also reads
+        properly_ergodic, builds it once."""
+        seen = []
+
+        def recording(spec):
+            seen.append(classify(spec))
+            return seen[-1]
+
+        monkeypatch.setattr(slides_module, "classify", recording)
+        generator_ergodic_pipeline(random_properly_ergodic_spec(2, 8, 3))
+        assert len(seen) >= 2 and "ergodic" in vars(seen[0])
+        assert not any({"ergodic", "properly_ergodic"} & set(vars(c)) for c in seen[1:])
+
+
+def pair_cylinders(spec, gen: int) -> dict:
+    """The spec's two-point law {(a, b): P(x_e = a, x_s = b)}, s = s_gen."""
+    return dict(enumerate_cylinders(spec, LeftConnectedSet([IDENTITY, single(Letter(gen, 1))])))
+
+
+class TestCompositePairLaw:
+    """The pipeline's output spec against the exact pair law of the composite
+    recoding (oracle_composite_pair_law)."""
+
+    @given(st.sampled_from(["proper", "sparse"]), st.integers(0, 10**6), st.integers(2, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_first_slide_is_the_recoded_pair_law(self, kind, seed, size):
+        if kind == "proper":
+            spec = random_properly_ergodic_spec(seed, size, 2)
+        else:
+            spec = random_spec(seed, size, 2, "sparse")
+        assume(classify(spec).properly_ergodic and not classify(spec).generator_ergodic)
+        first = generator_ergodic_pipeline(spec)[1][0]
+        rho = pushforward(spec, first)
+        for gen in range(spec.rank):
+            assert oracle_composite_pair_law(spec, [first], gen) == pair_cylinders(rho, gen)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="slide k+1 is built from pushforward(spec_k), which takes the u-line through "
+        "the new t-neighbour for a fresh Markov chain; an earlier slide conditioned it",
+    )
+    @pytest.mark.parametrize("seed, size", [(1, 3), (4, 4)])
+    def test_second_slide_is_the_recoded_pair_law(self, seed, size):
+        spec = random_spec(seed, size, 2, "sparse")
+        slides = generator_ergodic_pipeline(spec)[1]
+        second = pushforward(pushforward(spec, slides[0]), slides[1])
+        assert oracle_composite_pair_law(spec, slides[:2], 1) == pair_cylinders(second, 1)
 
 
 def verify_slide_target_unchanged(out, original):
