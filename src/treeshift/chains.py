@@ -6,19 +6,21 @@ tree product formula these data determine a unique shift-invariant measure on
 A^F whose cylinder probabilities this module evaluates exactly.
 
 Symbols are addressed by their index in the alphabet everywhere below;
-configurations map group elements (Word) to symbol indices.
+configurations map group elements (Word) to symbol indices, in a _Probe dict
+whose missing read raises MissingCoordinate, as a scan's window does.
 
 Each spec keeps lookup tables on its own instance, each entry built on first
 use: the kernel's scaled integers (see below), its rows' draw thresholds, the
 support graph (from those integers) and the validation problems along every
 letter s_i^{+-1}, and pi's.  Along s_i^-1 they derive from s_i's: the kernel
 there is P_i reversed, P_rev(a, b) = pi(b) P_i(b, a) / pi(a).  The tables
-are keyed by letter code (see words), also serve Letter keys and are read by
-code, so no path hashes the spec; reverse_kernel and kernel_for_letter,
-Fraction views, are kept for the benchmark's tracer.  A spec derived by
-with_kernel shares the entries built for pi and the directions it keeps, and
-may hold the new kernel as its ints (_Ints), the letter_scaled entry the
-engine reads: its Fractions are built on the first read of kernels.
+are keyed by int letter code only (see words), so no path hashes the spec.
+kernel_for_letter and reverse_kernel (Fraction views kept for the benchmark's
+tracer, holding no spec) and graphs.support_edges convert a Letter or a
+generator once with letter_code.  A spec derived by with_kernel shares the
+entries built for pi and the directions it keeps, and may hold the new kernel
+as its ints (_Ints), the letter_scaled entry the engine reads: its Fractions
+are built on the first read of kernels.
 
 Validation problems come as (form, law) pairs.  The form is a field's shape
 and entry types; the law is positivity, sums and stationarity, checked only
@@ -151,7 +153,7 @@ class MarkovSpec:
         for name in _LETTER_TABLES:
             if name in built:
                 getattr(new, name).update(
-                    (c, v) for c, v in built[name].items() if isinstance(c, int) and c >> 1 != gen
+                    (c, v) for c, v in built[name].items() if c >> 1 != gen
                 )
         for name in _PI_TABLES:
             if name in built:
@@ -309,21 +311,16 @@ class _Ints(tuple):
 
 
 class _LetterTable(dict):
-    """letter code -> make(code), built on first lookup.  A Letter key is
-    served from its code's entry; a letter outside the rank raises InputError."""
+    """letter code -> make(code), built on first lookup.  Keys are int codes
+    in [0, 2 rank) only; any other key (a Letter included) raises InputError."""
 
     def __init__(self, rank: int, make):
         self.rank, self.make = rank, make
 
-    def __missing__(self, key):
-        if isinstance(key, tuple):
-            value = self[letter_code(key)]
-        elif 0 <= key < 2 * self.rank:
-            value = self.make(key)
-        else:
-            name = Letter(key >> 1, -1 if key & 1 else 1).name
-            raise InputError(f"letter {name} outside rank {self.rank}")
-        self[key] = value
+    def __missing__(self, code):
+        if type(code) is not int or not 0 <= code < 2 * self.rank:
+            raise InputError(f"letter code {code!r} outside rank {self.rank}")
+        value = self[code] = self.make(code)
         return value
 
 
@@ -409,22 +406,32 @@ def require_valid(spec: MarkovSpec) -> MarkovSpec:
     return spec
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def reverse_kernel(spec: MarkovSpec, gen: int) -> Matrix:
-    """kernel_for_letter along s_gen^-1, cached per spec: a view kept for the
-    benchmark's tracer, which reads this cache's counters."""
+    """kernel_for_letter along s_gen^-1, a view kept for the benchmark's tracer,
+    which reads its cache_info: maxsize=0 holds (and hashes) no spec."""
     return kernel_for_letter(spec, Letter(gen, -1))
 
 
 def kernel_for_letter(spec: MarkovSpec, letter: Letter) -> Matrix:
-    """The kernel along the letter as Fractions: a view of spec.letter_scaled
-    kept for the benchmark's tracer; the engine reads the ints."""
-    return _Ints(spec.letter_scaled[letter]).fractions()
+    """The kernel along the letter as Fractions, a view of spec.letter_scaled at
+    letter_code(letter) kept for the benchmark's tracer; the engine reads the ints."""
+    return _Ints(spec.letter_scaled[letter_code(letter)]).fractions()
 
 
 # ---------------------------------------------------------------------------
 # configurations and cylinder measures
 # ---------------------------------------------------------------------------
+
+
+class _Probe(dict):
+    """{word: symbol}, a Configuration's values or a scan's window assignment:
+    the one place a missing read raises MissingCoordinate."""
+
+    __slots__ = ()
+
+    def __missing__(self, w: Word):
+        raise MissingCoordinate(w)
 
 
 class Configuration:
@@ -435,24 +442,21 @@ class Configuration:
     def __init__(self, assignment: Mapping[Word, int]):
         domain = LeftConnectedSet(assignment.keys())  # validates the domain
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_values", dict(assignment))
+        object.__setattr__(self, "_values", _Probe(assignment))
 
     @classmethod
     def _on(cls, domain: LeftConnectedSet, values: dict) -> "Configuration":
         """The configuration with the given values on a domain already built, unchecked."""
         self = object.__new__(cls)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_values", _Probe(values))
         return self
 
     def __setattr__(self, *a):
         raise AttributeError("Configuration is immutable")
 
     def __getitem__(self, w: Word) -> int:
-        try:
-            return self._values[w]
-        except KeyError:
-            raise MissingCoordinate(w) from None
+        return self._values[w]  # a miss raises MissingCoordinate (_Probe)
 
     def get(self, w: Word, default=None):
         return self._values.get(w, default)
@@ -477,7 +481,7 @@ class Configuration:
         return hash(tuple(self.items()))
 
     def __reduce__(self):  # slots behind a setattr that raises: rebuilt from the values
-        return Configuration, (self._values,)
+        return Configuration, (dict(self._values),)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{w}:{v}" for w, v in self.items())
@@ -510,15 +514,6 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
 # ---------------------------------------------------------------------------
 # the exact engine: demand-driven enumeration of positive-measure windows
 # ---------------------------------------------------------------------------
-
-
-class _Probe(dict):
-    """A scan's window assignment {word: symbol}; a missing read raises MissingCoordinate."""
-
-    __slots__ = ()
-
-    def __missing__(self, w: Word):
-        raise MissingCoordinate(w)
 
 
 @dataclass

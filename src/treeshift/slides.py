@@ -337,10 +337,11 @@ def verify_slide(
     ball4 = ball(rank, 4)
     for i in range(samples):
         x = SampledTree(spec, derive_seed(seed, i))
-        z = RecodedView(rule, RecodedView(rule, x))
+        y = RecodedView(rule, x)
+        z = RecodedView(rule, y)
         if any(z[h] != x[h] for h in ball2):
             double_ok = False
-        if not _orbit_covered(CocycleTable(rule, x), ball2, ball4):
+        if not _orbit_covered(y.table, ball2, ball4):  # y's table is w(., x)
             orbit_ok = False
 
     # recoded weights are positive and enumerate_cylinders drops zero cylinders, so the

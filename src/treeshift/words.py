@@ -17,8 +17,9 @@ rich comparison of its own: one defined in Python would give the class a
 Python-level compare slot, and every Word == Word (each dict hit on an equal
 but distinct key) would go through it.  The Letter NamedTuple is the public
 type at the boundary: Word(...), .letters, edge_letter, single, reduce,
-in_past and letters_of_rank take or give Letters, converted through caches
-indexed by code, so no Letter is allocated per lookup.
+in_past, letters_of_rank, RewriteRule and chains.kernel_for_letter take or
+give Letters, converted by letter_code or a cache indexed by code, so no
+Letter is allocated per lookup; a spec's tables take codes only.
 
 Words serialize as '.'-joined tokens "s1", "s2^-1", ...; the identity is "e".
 """
@@ -173,9 +174,11 @@ def ball(rank: int, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> "LeftConn
         raise InputError(f"rank and radius must be ints, got {rank!r} and {radius!r}")
     if rank < 1 or radius < 0:
         raise InputError("rank must be >= 1 and radius >= 0")
-    size = ball_size(rank, radius)
+    size, sphere, r = 1, 2 * rank, 0  # counted sphere by sphere until past the budget
+    while r < radius and size <= budget:
+        size, sphere, r = size + sphere, sphere * (2 * rank - 1), r + 1
     if size > budget:
-        raise BudgetError(f"ball({radius}) has {size} elements, budget {budget}")
+        raise BudgetError(f"ball of radius {radius} at rank {rank} exceeds budget {budget}")
     out, frontier = [IDENTITY], [IDENTITY]
     for _ in range(radius):
         frontier = [

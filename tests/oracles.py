@@ -8,6 +8,7 @@ preservation, inverse pairs) run on the package's own window scan.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -612,6 +613,50 @@ def oracle_composite_pair_law(spec: MarkovSpec, slides, gen: int) -> dict:
         return view[IDENTITY], view[s]
 
     return window_marginal(spec, fn)
+
+
+FOUR_SIGMA = math.erfc(4 / math.sqrt(2))  # P(|Z| > 4) for a standard normal Z, about 6.3e-5
+
+
+def oracle_sampled_pair_law(spec: MarkovSpec, slides, gen: int, n: int, seed: int, final=None):
+    """The cells of the pair law of (x'_e, x'_s), s = s_gen, where n sampled
+    recodings disagree with the final spec's law pi(a) K(a, b): a list of
+    ((a, b), count, probability), empty when they agree.
+
+    Sample i is replay(slides, x, 1) on x = SampledTree(spec, derive_seed(seed,
+    i)).  final defaults to the iterated pushforward of spec along the slides,
+    the spec the pipeline hands out; a test may plant another.  A pair of
+    probability 0 that is observed is flagged outright.  The m cells of
+    positive probability share the false-alarm rate of one two-sided 4 sigma
+    test, FOUR_SIGMA (Bonferroni, FOUR_SIGMA / m each): a cell is flagged when
+    |count - n p| exceeds the Bernstein bound t = L/3 + sqrt(L^2/9 + 2 n L
+    p(1 - p)), L = log(2 m / FOUR_SIGMA).  Bernstein's inequality holds for
+    every n and p, so when the final spec is the law of the recoded pair, one
+    call raises a false alarm with probability at most FOUR_SIGMA, about
+    6.3e-5.  For large n p the bound is about 5 sigma per cell at m = 9."""
+    from treeshift.slides import pushforward, replay
+
+    if final is None:
+        final = spec
+        for params in slides:
+            final = pushforward(final, params)
+    s = single(Letter(gen, 1))
+    counts: dict = {}
+    for i in range(n):
+        x = replay(slides, SampledTree(spec, derive_seed(seed, i)), 1, spec.rank)
+        pair = x[IDENTITY], x[s]
+        counts[pair] = counts.get(pair, 0) + 1
+    law = {
+        (a, b): final.pi[a] * p for a, row in enumerate(final.kernels[gen]) for b, p in enumerate(row)
+    }
+    level = math.log(2 * sum(1 for p in law.values() if p) / FOUR_SIGMA)
+    alarms = []
+    for pair, p in law.items():
+        k, q = counts.get(pair, 0), float(p)
+        t = level / 3 + math.sqrt(level**2 / 9 + 2 * n * level * q * (1 - q))  # Bernstein
+        if (k and not p) or abs(k - n * q) > t:
+            alarms.append((pair, k, p))
+    return alarms
 
 
 # ---------------------------------------------------------------------------

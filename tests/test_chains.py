@@ -4,6 +4,7 @@ import itertools
 import json
 import pickle
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,23 @@ class TestReverseKernel:
                 assert all(x >= 0 for x in row)
             back = MarkovSpec(spec.generators, spec.alphabet, spec.pi, (rev,) * spec.rank)
             assert reverse_kernel(back, 0) == spec.kernels[gen]
+
+    def test_list_field_spec_and_no_cached_spec(self):
+        """A list-field spec passes validate but cannot be hashed: reverse_kernel
+        serves it from the spec's own table, and its cache stays empty."""
+        base = random_spec(0, 3, 2)
+        spec = MarkovSpec(
+            list(base.generators),
+            list(base.alphabet),
+            list(base.pi),
+            [[list(row) for row in k] for k in base.kernels],
+        )
+        for s in (spec, base):
+            for gen in range(2):
+                assert reverse_kernel(s, gen) == oracle_reverse_kernel(base, gen)
+        assert reverse_kernel.cache_info().currsize == 0
+        with pytest.raises(InputError):
+            reverse_kernel(base, 2)
 
 
 class TestConfiguration:
@@ -531,6 +549,12 @@ class TestSampling:
         # exact binomial four-sigma bound: (hits/n - p)^2 <= 16 p(1-p)/n
         assert (Fraction(hits, n) - p) ** 2 <= 16 * p * (1 - p) / n
 
+    def test_sample_ball_budget_at_a_huge_radius(self, m1):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="radius 10000000 at rank 2"):
+            sample_ball(m1, 10**7, 1)
+        assert time.perf_counter() - start < 1
+
 
 class TestSpecTables:
     def test_spec_hashed_at_most_rank_times(self, monkeypatch):
@@ -575,8 +599,8 @@ class TestSpecTables:
                 assert getattr(new, name)[c] == getattr(fresh, name)[c]
         for name in ("pi_thresholds", "pi_scaled"):
             assert vars(new)[name] is vars(spec)[name]
-        assert kernel_for_letter(new, 2 * gen) == new.kernels[gen]
-        assert kernel_for_letter(new, 2 * gen + 1) == oracle_reverse_kernel(new, gen)
+        assert kernel_for_letter(new, Letter(gen, 1)) == new.kernels[gen]
+        assert kernel_for_letter(new, Letter(gen, -1)) == oracle_reverse_kernel(new, gen)
 
     @pytest.mark.parametrize("gen", [-1, 2, 1.0, True])
     def test_with_kernel_rejects_generator_outside_rank(self, m3, gen):
@@ -593,11 +617,25 @@ class TestSpecTables:
         assert not {"letter_scaled", "letter_thresholds", "pi_thresholds"} & set(vars(again))
         assert sample_ball(again, 2, 1) == sample_ball(new, 2, 1)
 
+    @pytest.mark.parametrize(
+        "name", ["letter_scaled", "letter_thresholds", "letter_support", "letter_problems"]
+    )
+    def test_tables_take_int_codes_only(self, m3, name):
+        """Anything but an int code in [0, 2 rank), a Letter included, raises
+        InputError and leaves nothing behind: every key held is an int code."""
+        table = getattr(m3, name)
+        built = {c: table[c] for c in range(2 * m3.rank)}
+        for key in ["x", None, 2.5, Letter(0, 1), -1, 2 * m3.rank]:
+            with pytest.raises(InputError):
+                table[key]
+        assert dict(vars(m3)[name]) == built
+        assert all(type(c) is int for t in chains._LETTER_TABLES for c in vars(m3).get(t, ()))
+
     def test_tables_match_direct_computation(self, m3):
         assert kernel_for_letter(m3, Letter(0, 1)) == m3.kernels[0]
         assert kernel_for_letter(m3, Letter(1, -1)) == oracle_reverse_kernel(m3, 1)
         with pytest.raises(InputError):
-            m3.letter_thresholds[Letter(2, -1)]
+            m3.letter_thresholds[5]  # s3^-1, beyond rank 2
 
     @given(
         st.integers(0, 10**6),
@@ -679,6 +717,10 @@ class TestCopies:
         again = copy_of(phi)
         assert type(again) is Configuration and again == phi and again.domain == phi.domain
         assert again[w] == 0 and copy_of(phi.domain) == phi.domain
+        for config in (phi, again):  # a miss raises MissingCoordinate; get does not
+            with pytest.raises(MissingCoordinate) as info:
+                config[W("s2")]
+            assert info.value.word == W("s2") and config.get(W("s2"), 7) == 7
         miss = MissingCoordinate(w)
         again = copy_of(miss)
         assert type(again) is MissingCoordinate and again.word == w and str(again) == str(miss)

@@ -24,7 +24,6 @@ from treeshift.graphs import (
     support_edges,
 )
 from treeshift.randspec import random_properly_ergodic_spec, random_spec
-from treeshift.words import Letter
 
 H = Fraction(1, 2)
 
@@ -72,7 +71,7 @@ class TestSupportEdges:
 
     def test_reverse_direction(self, m3):
         fwd = support_edges(m3, 0).edges
-        rev = m3.letter_support[Letter(0, -1)].edges
+        rev = m3.letter_support[1].edges
         assert rev == {(b, a) for a, b in fwd}
 
     def test_served_once_per_direction(self):
@@ -81,11 +80,11 @@ class TestSupportEdges:
             fwd = support_edges(spec, gen).edges
             assert fwd == oracle_support(spec, gen)
             assert support_edges(spec, gen).edges is fwd
-            for sign in (1, -1):  # the graph and its answers are built once
-                g = spec.letter_support[Letter(gen, sign)]
-                assert spec.letter_support[Letter(gen, sign)] is g
+            for code in (2 * gen, 2 * gen + 1):  # the graph and its answers are built once
+                g = spec.letter_support[code]
+                assert spec.letter_support[code] is g
                 assert g.classes is g.classes
-            assert spec.letter_support[Letter(gen, -1)].edges == {(b, a) for a, b in fwd}
+            assert spec.letter_support[2 * gen + 1].edges == {(b, a) for a, b in fwd}
         with pytest.raises(InputError):
             support_edges(spec, 3)
 

@@ -13,7 +13,6 @@ from treeshift.errors import SpecInvalidError
 from treeshift.graphs import classify, support_edges
 from treeshift.randspec import random_properly_ergodic_spec, random_spec
 from treeshift.slides import generator_ergodic_pipeline, pushforward
-from treeshift.words import Letter
 
 H = Fraction(1, 2)
 
@@ -155,7 +154,7 @@ class TestLetterSupportSign:
         The table's graph, read from the scaled ints, is the product's; once
         the gate holds, support_edges serves that graph."""
         spec = _square_spec(*entries)
-        graph = spec.letter_support[Letter(0, 1)]
+        graph = spec.letter_support[0]
         assert graph.edges == oracle_support(spec, 0)
         if not spec.form_problems:
             assert support_edges(spec, 0) is graph
@@ -288,7 +287,7 @@ class TestDerivedSpecs:
                 if len(k) == size and all(
                     len(row) == size and not any(isinstance(x, float) for x in row) for row in k
                 ):
-                    assert spec.letter_support[Letter(g, 1)].edges == oracle_support(fresh, g)
+                    assert spec.letter_support[2 * g].edges == oracle_support(fresh, g)
 
     def test_validating_a_derived_spec_checks_only_the_new_kernel(self):
         """with_kernel carries pi's entry and the kernel entries off gen, so

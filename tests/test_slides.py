@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     oracle_markov_factorization,
     oracle_orbit_covered,
     oracle_pushforward_kernel,
+    oracle_sampled_pair_law,
     oracle_slide_image,
     window_marginal,
 )
@@ -546,6 +548,21 @@ class TestVerifySlide:
         with pytest.raises(InputError):
             verify_slide(m3, m3_slide, samples=samples)
 
+    def test_two_cocycle_tables_per_sample(self, m3, m3_slide, monkeypatch):
+        """Each sample builds the tables of its two recodings, and the orbit
+        check reads the first one's, w(., x), rather than a third."""
+        built = []
+        init = CocycleTable.__init__
+        monkeypatch.setattr(
+            CocycleTable, "__init__", lambda self, *a: built.append(1) or init(self, *a)
+        )
+        counts = []
+        for samples in (0, 3):
+            built.clear()
+            assert verify_slide(m3, m3_slide, samples=samples).all_ok
+            counts.append(len(built))
+        assert counts[1] - counts[0] == 2 * 3
+
     def test_zero_samples_skips_sampled_checks(self, m3, m3_slide, monkeypatch):
         monkeypatch.setattr(slides_module, "SampledTree", None)
         report = verify_slide(m3, m3_slide, samples=0)
@@ -755,6 +772,14 @@ class TestPipeline:
         assert not any({"ergodic", "properly_ergodic"} & set(vars(c)) for c in seen[1:])
 
 
+COMPOSITE_DEFECT = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="slide k+1 is built from pushforward(spec_k), which takes the u-line through "
+    "the new t-neighbour for a fresh Markov chain; an earlier slide conditioned it",
+)
+
+
 def pair_cylinders(spec, gen: int) -> dict:
     """The spec's two-point law {(a, b): P(x_e = a, x_s = b)}, s = s_gen."""
     return dict(enumerate_cylinders(spec, LeftConnectedSet([IDENTITY, single(Letter(gen, 1))])))
@@ -777,18 +802,75 @@ class TestCompositePairLaw:
         for gen in range(spec.rank):
             assert oracle_composite_pair_law(spec, [first], gen) == pair_cylinders(rho, gen)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="slide k+1 is built from pushforward(spec_k), which takes the u-line through "
-        "the new t-neighbour for a fresh Markov chain; an earlier slide conditioned it",
-    )
+    @COMPOSITE_DEFECT
     @pytest.mark.parametrize("seed, size", [(1, 3), (4, 4)])
     def test_second_slide_is_the_recoded_pair_law(self, seed, size):
         spec = random_spec(seed, size, 2, "sparse")
         slides = generator_ergodic_pipeline(spec)[1]
         second = pushforward(pushforward(spec, slides[0]), slides[1])
         assert oracle_composite_pair_law(spec, slides[:2], 1) == pair_cylinders(second, 1)
+
+
+def sampled_gate_input(kind: str, seed: int, size: int, rank: int = 2):
+    """A spec the pipeline slides, and its slides."""
+    if kind == "proper":
+        spec = random_properly_ergodic_spec(seed, size, rank)
+    else:
+        spec = random_spec(seed, size, rank, "sparse")
+    slides = generator_ergodic_pipeline(spec)[1]
+    assert slides
+    return spec, slides
+
+
+class TestSampledPairLaw:
+    """The pipeline's output spec against sampled recodings
+    (oracle_sampled_pair_law): n and the seed are fixed here, before any run."""
+
+    N, SEED = 2_000, 2024  # 2,000 radius-1 replays of one slide take about 0.1 s
+    N_TOWER = 40_000  # two slides: about 2 s; the pair law's cells differ by up to 3e-3
+
+    @pytest.mark.parametrize(
+        "kind, seed, size",
+        [("proper", 0, 2), ("proper", 1, 3), ("proper", 2, 4), ("sparse", 1, 3), ("sparse", 4, 4)],
+    )
+    def test_first_slide_raises_no_alarm(self, kind, seed, size):
+        """Slide 0's pushforward is the recoded law (TestCompositePairLaw)."""
+        spec, slides = sampled_gate_input(kind, seed, size)
+        for gen in range(spec.rank):
+            assert oracle_sampled_pair_law(spec, slides[:1], gen, self.N, self.SEED) == []
+
+    def test_planted_kernels_are_flagged(self):
+        """On slide 0 of sparse random_spec(1, 3, 2): t's kernel swapped for
+        pi in every row (full support, wrong weights) trips the bound, and the
+        unslid kernel (without the slid edges) an observed pair of probability 0."""
+        spec, slides = sampled_gate_input("sparse", 1, 3)
+        t = slides[0].t
+        right = pushforward(spec, slides[0])
+        for kernel in ((spec.pi,) * spec.size, spec.kernels[t]):
+            final = right.with_kernel(t, kernel)
+            assert validate(final).ok
+            alarms = oracle_sampled_pair_law(spec, slides[:1], t, self.N, self.SEED, final)
+            assert alarms
+        assert any(p == 0 for _, _, p in alarms)
+
+    @COMPOSITE_DEFECT
+    @pytest.mark.parametrize("seed, size", [(1, 3), (4, 4)])
+    def test_second_slide_raises_no_alarm(self, seed, size):
+        """TestCompositePairLaw's sparse cases, seen by the sampled gate."""
+        spec, slides = sampled_gate_input("sparse", seed, size)
+        assert oracle_sampled_pair_law(spec, slides[:2], 1, self.N_TOWER, self.SEED) == []
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [0, pytest.param(3, marks=COMPOSITE_DEFECT), 7])
+    def test_frozen_sparse_towers_raise_no_alarm(self, seed):
+        """The frozen sparse (10, 5) pipelines (test_frozen_outputs), whole
+        towers of 8, 40 and 36 slides: up to 10 ms per replay, about 150 s
+        for the 40-slide tower."""
+        spec, slides = sampled_gate_input("sparse", seed, 10, 5)
+        alarms = {
+            gen: oracle_sampled_pair_law(spec, slides, gen, self.N, self.SEED) for gen in range(5)
+        }
+        assert alarms == {gen: [] for gen in range(5)}
 
 
 def verify_slide_target_unchanged(out, original):
@@ -838,6 +920,12 @@ class TestReplay:
         for slides in (["x"], [m1_slide, None], None, 5, iter([m1_slide])):
             with pytest.raises(InputError, match="SlideParams"):
                 replay(slides, x, 1)
+
+    def test_budget_at_a_huge_radius(self, m1, m1_slide):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="radius 10000000 at rank 2"):
+            replay([m1_slide], SampledTree(m1, 3), 10**7)
+        assert time.perf_counter() - start < 1
 
     def test_configuration_must_be_a_coordinate_map(self, m1_slide):
         for slides in ([], [m1_slide]):

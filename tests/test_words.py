@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,15 @@ class TestBall:
     def test_budget(self):
         with pytest.raises(BudgetError):
             ball(2, 20, budget=1000)
+
+    @pytest.mark.parametrize("rank", [1, 2, 5])
+    def test_budget_at_a_huge_radius(self, rank):
+        """The size is counted sphere by sphere up to the budget, never in
+        closed form: at radius 10^7 that number has millions of digits."""
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"radius 10000000 at rank {rank} exceeds budget 500000$"):
+            ball(rank, 10**7)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize(
         "rank, radius", [(2, True), (True, 1), (2, False), (2, 1.0), (2.0, 1), (2, "1"), (None, 1)]
