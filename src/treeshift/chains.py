@@ -38,10 +38,10 @@ The exact engine lives here too: scan_positive_windows enumerates the
 positive-measure windows that a window function reads, depth first, under one
 window budget (_MAX_WINDOWS), and carries each window's weight as an int
 numerator over an int denominator; the window function reads its assignment
-dict directly.  The law it collects stays on ints too, as weights over one
-common denominator, so callers sum marginals on ints; covering_scan checks
-that a scan covers the space, and enumerate_cylinders is the scan's form on a
-fixed domain.
+dict directly, and the recursion that runs it fills each miss.  The law it
+collects stays on ints too, as weights over one common denominator, so callers
+sum marginals on ints; covering_scan checks that a scan covers the space, and
+enumerate_cylinders is the scan's form on a fixed domain.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import graphs  # graphs calls require_valid, so each reads the other's names at call time
 from .errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
-from .words import LeftConnectedSet, Letter, Word, _word, ball, letter_code, parent, word_to_str
+from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, letter_code, parent, word_to_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -206,12 +206,9 @@ class MarkovSpec:
     def letter_support(self) -> Mapping[Letter | int, graphs.TransitionGraph]:
         """Support graph along each letter: the edges (a, b) with positive
         two-point mass pi(a) K(a, b), read as pi^(a) K^(a, b) > 0 on the ints
-        of pi_scaled and letter_scaled; along s_i^-1, s_i's edges transposed."""
+        of pi_scaled and letter_scaled (along s_i^-1, the reversed ints)."""
 
         def graph(c: int) -> graphs.TransitionGraph:
-            if c & 1:
-                edges = self.letter_support[c - 1].edges
-                return graphs.TransitionGraph(self.size, frozenset((b, a) for a, b in edges))
             # scaling by D_pi D_K > 0 keeps the product's sign
             pi, rows = self.pi_scaled[0], self.letter_scaled[c][0]
             return graphs.TransitionGraph(self.size, frozenset(
@@ -440,6 +437,8 @@ class Configuration:
     __slots__ = ("domain", "_values")
 
     def __init__(self, assignment: Mapping[Word, int]):
+        if not isinstance(assignment, Mapping):
+            raise InputError(f"assignment must be a mapping, got {assignment!r}")
         domain = LeftConnectedSet(assignment.keys())  # validates the domain
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_values", _Probe(assignment))
@@ -498,6 +497,8 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
     value that is not a symbol index (an int in [0, size)) raises InputError.
     """
     require_form(spec)
+    if not isinstance(phi, Configuration):
+        raise InputError(f"phi must be a Configuration, got {phi!r}")
     for w, v in phi.items():
         if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < spec.size):
             raise InputError(
@@ -550,9 +551,10 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     must be a deterministic function of the coordinates it reads, with
     hashable values; a read outside the assignment branches the enumeration
     over all extensions of positive probability along the geodesic to the
-    assigned region, depth first in symbol order.  The enumerated windows are prefix-free and cover
-    the space, so their weights sum to exactly 1.  Raises BudgetError beyond
-    _MAX_WINDOWS windows or a window of more than _MAX_COORDS coordinates.
+    assigned region, filled by the recursion that runs fn, depth first in
+    symbol order.  The windows are prefix-free and cover the space, so their
+    weights sum to exactly 1.  Raises BudgetError beyond _MAX_WINDOWS windows
+    or a window of more than _MAX_COORDS coordinates.
 
     A window's weight is carried as ints num / den: num is the product of its
     scaled pi and kernel entries (spec.pi_scaled, spec.letter_scaled) and den
@@ -570,43 +572,34 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     rows = spec.letter_scaled
     pi, d_pi = spec.pi_scaled
 
-    def run(assign: _Probe, num: int, den: int):
+    def run(assign: _Probe, num: int, den: int, path: tuple = ()):
         nonlocal windows
+        if path:  # fill path[-1], the unassigned word next to the assigned region, then the rest
+            h = path[-1]
+            if h:
+                k, d = rows[h[0]]
+                row = k[assign[parent(h)]]
+            else:
+                row, d = pi, d_pi
+            den *= d
+            for b, p in enumerate(row):
+                if p:
+                    assign[h] = b
+                    run(assign, num * p, den, path[:-1])
+                    del assign[h]
+            return
         try:
             value = fn(assign)
         except MissingCoordinate as miss:
             g = miss.word
             if g in assign:
                 raise InputError("window function missed an assigned coordinate")
-            path = []
-            v = g
-            while v not in assign and v:
-                path.append(v)
-                v = parent(v)
-            if not v and v not in assign:
+            path = [g]  # the geodesic from g down to the first unassigned word
+            while path[-1] and (v := parent(path[-1])) not in assign:
                 path.append(v)
             if len(assign) + len(path) > _MAX_COORDS:
                 raise BudgetError(f"window grew beyond {_MAX_COORDS} coordinates")
-
-            def fill(i: int, num: int, den: int):
-                if i < 0:
-                    run(assign, num, den)
-                    return
-                h = path[i]
-                if h:
-                    k, d = rows[h[0]]
-                    row = k[assign[parent(h)]]
-                else:
-                    row, d = pi, d_pi
-                den *= d
-                for b, p in enumerate(row):
-                    if p == 0:
-                        continue
-                    assign[h] = b
-                    fill(i - 1, num * p, den)
-                    del assign[h]
-
-            fill(len(path) - 1, num, den)
+            run(assign, num, den, tuple(path))
             return
         windows += 1
         if windows > _MAX_WINDOWS:
@@ -646,6 +639,8 @@ def enumerate_cylinders(
     are pruned, and the pairs come depth first in symbol order.  The spec
     must pass require_form; for a valid spec the measures sum to exactly 1.
     """
+    if not isinstance(domain, LeftConnectedSet):
+        raise InputError(f"domain must be a LeftConnectedSet, got {domain!r}")
     words = domain.words
     yield from scan_positive_windows(spec, lambda x: tuple(x[w] for w in words)).law.items()
 
@@ -663,14 +658,14 @@ class SampledTree:
     The value at g is a function of (seed, g) alone: a variate k in [0, 2^64)
     is derived by hashing the serialized word with a keyed blake2b, and the
     symbol is the first b with k / 2^64 < S_b, S_b the running sums of the
-    kernel row of g's parent value (of pi at the identity).  Lookups
-    therefore do not depend on evaluation order and never miss.  The hash
-    input of g = l.h is built from its parent's text, token(l) + "." + text(h),
-    kept per tree: the same bytes as word_to_str(g).encode().  The draw
-    bisects the spec's integer thresholds ceil(S_b 2^64) instead of comparing
-    Fractions; for integer k, k < ceil(S_b 2^64) iff k / 2^64 < S_b, so it
-    picks the same symbol.  Keys are checked before the memo is read, so a
-    hit and a miss agree: anything but a tuple of reduced letter codes below
+    kernel row of g's parent value (of pi at the identity, drawn when the tree
+    is made).  Lookups do not depend on evaluation order and never miss.  The
+    hash input of g = l.h is built from its parent's text, token(l) + "." +
+    text(h), kept per tree: the same bytes as word_to_str(g).encode().  The
+    draw bisects the spec's integer thresholds ceil(S_b 2^64) instead of
+    comparing Fractions; for integer k, k < ceil(S_b 2^64) iff k / 2^64 < S_b,
+    so it picks the same symbol.  Keys are checked before the memo is read, so
+    a hit and a miss agree: anything but a tuple of reduced letter codes below
     2 rank raises InputError.  The spec must pass require_valid.
     """
 
@@ -681,8 +676,11 @@ class SampledTree:
         self.seed = _hash_key(seed, "seed")
         key = self.seed.to_bytes(8, "big", signed=False)
         self._keyed = hashlib.blake2b(key=key, digest_size=8)  # copied per draw
-        self._tokens = tuple(word_to_str(_word((c,))).encode() for c in range(2 * spec.rank))
-        self._memo: dict[Word, int] = {}
+        self._tokens = tuple(word_to_str((c,)).encode() for c in range(2 * spec.rank))
+        h = self._keyed.copy()
+        h.update(b"e")
+        root = _draw(*spec.pi_scaled, spec.pi_thresholds, int.from_bytes(h.digest(), "big"))
+        self._memo: dict[Word, int] = {IDENTITY: root}
         self._texts: dict[Word, bytes] = {}  # drawn non-identity word -> its hash input
 
     def __getitem__(self, w: Word) -> int:
@@ -694,17 +692,12 @@ class SampledTree:
         if value is not None:
             return value
         spec, keyed, tokens, texts = self.spec, self._keyed, self._tokens, self._texts
-        # the geodesic from w down to its closest memoized ancestor v, walked without recursion
+        # the geodesic from w down to its closest memoized ancestor v (the root is memoized)
         chain, v = [], w
-        while v and value is None:
+        while value is None:
             chain.append(v)
             v = v[1:]
             value = memo.get(v)
-        if value is None:  # v is the identity
-            h = keyed.copy()
-            h.update(b"e")
-            k = int.from_bytes(h.digest(), "big")
-            value = memo[v] = _draw(*spec.pi_scaled, spec.pi_thresholds, k)
         text, thresholds = texts.get(v, b""), spec.letter_thresholds
         for g in reversed(chain):
             c = g[0]

@@ -52,8 +52,8 @@ class Letter(NamedTuple):
 
 def letter_code(l: Letter) -> int:
     """The int a Word stores for the letter: 2 gen, plus 1 for an inverse.
-    Raises InputError for anything but a Letter with gen >= 0 and sign +-1."""
-    if not (isinstance(l, Letter) and isinstance(l.gen, int) and l.gen >= 0 and l.sign in (1, -1)):
+    Raises InputError for anything but a Letter with an int (not bool) gen >= 0 and sign +-1."""
+    if not (isinstance(l, Letter) and type(l.gen) is int and l.gen >= 0 and l.sign in (1, -1)):
         raise InputError(f"not a letter: {l!r}")
     return 2 * l.gen + (l.sign < 0)
 
@@ -206,6 +206,12 @@ class LeftConnectedSet:
     __slots__ = ("words", "_index")
 
     def __init__(self, words: Iterable[Word]):
+        if not isinstance(words, Iterable):
+            raise InputError(f"words must be an iterable, got {words!r}")
+        words = list(words)
+        for w in words:
+            if not (isinstance(w, tuple) and all(type(c) is int and c >= 0 for c in w)):
+                raise InputError(f"not a word of letter codes: {w!r}")
         ordered = sorted(set(words), key=Word.sort_key)
         if not ordered or ordered[0]:
             raise DomainError("left-connected set must contain the identity")

@@ -488,12 +488,14 @@ class TestSampling:
     def test_bad_keys_raise_input_error(self, m1):
         """A key that is not a tuple of reduced letter codes within the rank
         raises InputError on its lookup and draws nothing; a Word (reduced by
-        construction) with a code beyond the rank raises it from the letter table."""
+        construction) with a code beyond the rank raises it from the letter table.
+        A new tree holds only its root, drawn when it is made."""
         tree = SampledTree(m1, 5)
+        assert list(tree._memo) == [IDENTITY]
         for bad in [None, "s1", ["s1"], ("s1",), ([0],), (0, 1), (2, 3, 1), (4,), (-1,), (True,)]:
             with pytest.raises(InputError, match="not a reduced word of rank 2"):
                 tree[bad]
-        assert not tree._memo
+        assert list(tree._memo) == [IDENTITY]
         with pytest.raises(InputError, match="outside rank 2"):
             tree[Word([Letter(2, 1), Letter(0, 1)])]
         assert tree[(0, 2)] == tree[W("s1.s2")] == SampledTree(m1, 5)[W("s1.s2")]

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from treeshift.cocycles import (
     identity_rule,
 )
 from treeshift.errors import BudgetError, InputError, MissingCoordinate
-from treeshift.randspec import random_spec
+from treeshift.randspec import random_properly_ergodic_spec, random_spec
 from treeshift.slides import _checked, build_slide_params
 from treeshift.words import (
     IDENTITY,
@@ -207,6 +208,22 @@ class TestWindowScan:
         with pytest.raises(BudgetError):
             scan_positive_windows(m1, fn)
 
+    def test_coordinate_budget(self):
+        """A read of s2^399 fills its whole geodesic from one miss: 400
+        coordinates, the most a window may hold.  s2 is a 3-cycle here, so each
+        symbol at e gives one window.  One more letter raises BudgetError.
+        Both finish fast: the geodesic is filled in the scan's recursion,
+        without running fn again per coordinate."""
+        spec = random_properly_ergodic_spec(1, 3, 2)
+        assert chains._MAX_COORDS == 400
+        start = time.perf_counter()
+        assert scan_positive_windows(spec, lambda win: win[Word((T,) * 399)]).windows == 3
+        assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="beyond 400 coordinates"):
+            scan_positive_windows(spec, lambda win: win[Word((T,) * 400)])
+        assert time.perf_counter() - start < 1
+
     def test_marginal(self, m1):
         law = window_marginal(m1, lambda win: (win[IDENTITY], win[W("s2")]))
         assert law == {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
@@ -220,7 +237,7 @@ class TestWindowScan:
         st.integers(2, 3),
         st.integers(2, 3),
         st.sampled_from(["mixed", "sparse"]),
-        st.lists(st.lists(st.integers(0, 5), max_size=2), min_size=1, max_size=4),
+        st.lists(st.lists(st.integers(0, 5), max_size=3), min_size=1, max_size=4),
         st.integers(2, 3),
         st.booleans(),
     )
@@ -228,8 +245,9 @@ class TestWindowScan:
     def test_matches_fraction_oracle(self, seed, size, rank, style, reads, mod, zero_row):
         """The integer scan gives the Fraction scan's law (values, Fractions and
         key order), window count and failures.  The window function reads words
-        of mixed letters and stops early depending on what it read, so windows
-        differ in size and letters and carry different denominators; its value
+        of up to three mixed letters, so one miss fills up to four coordinates,
+        and stops early depending on what it read, so windows differ in size
+        and letters and carry different denominators; its value
         is 0 (falsy) on some windows.  With zero_row one kernel row is zeroed
         (left unnormalised, as in a dropped-transition candidate)."""
         spec = random_spec(seed, size, rank, style=style)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from treeshift.chains import Configuration, MarkovSpec, cylinder_measure, enumerate_cylinders
 from treeshift.chains import sample_ball, scan_positive_windows, validate
-from treeshift.errors import TreeshiftError
+from treeshift.errors import InputError, TreeshiftError
 from treeshift.graphs import classify, special_sets, support_edges
 from treeshift.randspec import random_properly_ergodic_spec
 from treeshift.slides import build_slide_params, generator_ergodic_pipeline, pushforward
@@ -118,3 +118,40 @@ def test_bad_spec_raises_only_treeshift_errors(entry, kind, data):
             ENTRY_POINTS[entry](bad, spec, params)
         except TreeshiftError:
             pass
+
+
+NON_SPEC_ARGUMENTS = {
+    "enumerate_cylinders-list": lambda spec: list(enumerate_cylinders(spec, [IDENTITY])),
+    "enumerate_cylinders-None": lambda spec: list(enumerate_cylinders(spec, None)),
+    "cylinder_measure-dict": lambda spec: cylinder_measure(spec, {IDENTITY: 0}),
+    "cylinder_measure-None": lambda spec: cylinder_measure(spec, None),
+    "LeftConnectedSet-ints": lambda spec: LeftConnectedSet([1, 2]),
+    "LeftConnectedSet-None": lambda spec: LeftConnectedSet(None),
+    "LeftConnectedSet-list-word": lambda spec: LeftConnectedSet([IDENTITY, [0]]),
+    "LeftConnectedSet-str-code": lambda spec: LeftConnectedSet([IDENTITY, ("a",)]),
+    "LeftConnectedSet-negative-code": lambda spec: LeftConnectedSet([IDENTITY, (-1,)]),
+    "LeftConnectedSet-bool-code": lambda spec: LeftConnectedSet([IDENTITY, (True,)]),
+    "Configuration-int-key": lambda spec: Configuration({1: 0}),
+    "Configuration-None": lambda spec: Configuration(None),
+    "Configuration-pairs": lambda spec: Configuration([(IDENTITY, 0)]),
+}
+
+
+@pytest.mark.parametrize("entry", NON_SPEC_ARGUMENTS)
+def test_bad_non_spec_argument_raises_input_error(entry):
+    """The exact engine's other arguments are checked too: a domain that is not
+    a LeftConnectedSet, a phi that is not a Configuration, an assignment that
+    is not a Mapping, and words that are not tuples of non-negative int letter
+    codes raise InputError, whether they would raise a bare error or pass."""
+    with pytest.raises(InputError):
+        NON_SPEC_ARGUMENTS[entry](base(0)[0])
+
+
+def test_words_pass_as_words_or_plain_tuples():
+    """A plain reduced tuple of letter codes is taken as the Word it equals."""
+    spec, s1, s2 = base(0)[0], Word((Letter(0, 1),)), Word((Letter(1, 1),))
+    domain = LeftConnectedSet([(), (0,), s2])
+    assert domain == LeftConnectedSet([IDENTITY, s1, (2,)])
+    assert sum(p for _, p in enumerate_cylinders(spec, domain)) == 1
+    by_tuples, by_words = Configuration({(): 0, (0,): 1}), Configuration({IDENTITY: 0, s1: 1})
+    assert cylinder_measure(spec, by_tuples) == cylinder_measure(spec, by_words)

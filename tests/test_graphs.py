@@ -69,6 +69,11 @@ class TestSupportEdges:
             (a, b) for a in range(3) for b in range(3)
         }
 
+    def test_bool_generator_rejected(self, m1):
+        """A bool is not a generator index here, as in with_kernel and build_slide_params."""
+        with pytest.raises(InputError, match="not a letter"):
+            support_edges(m1, True)
+
     def test_reverse_direction(self, m3):
         fwd = support_edges(m3, 0).edges
         rev = m3.letter_support[1].edges

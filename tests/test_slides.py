@@ -789,13 +789,18 @@ class TestCompositePairLaw:
     """The pipeline's output spec against the exact pair law of the composite
     recoding (oracle_composite_pair_law)."""
 
-    @given(st.sampled_from(["proper", "sparse"]), st.integers(0, 10**6), st.integers(2, 4))
+    @given(
+        st.sampled_from(["proper", "sparse"]),
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+    )
     @settings(max_examples=100, deadline=None)
-    def test_first_slide_is_the_recoded_pair_law(self, kind, seed, size):
+    def test_first_slide_is_the_recoded_pair_law(self, kind, seed, size, rank):
         if kind == "proper":
-            spec = random_properly_ergodic_spec(seed, size, 2)
+            spec = random_properly_ergodic_spec(seed, size, rank)
         else:
-            spec = random_spec(seed, size, 2, "sparse")
+            spec = random_spec(seed, size, rank, "sparse")
         assume(classify(spec).properly_ergodic and not classify(spec).generator_ergodic)
         first = generator_ergodic_pipeline(spec)[1][0]
         rho = pushforward(spec, first)

@@ -331,8 +331,8 @@ class TestLetterBoundary:
 
     @pytest.mark.parametrize(
         "bad",
-        [(0, 1), Letter(-1, 1), Letter(0, 0), Letter(0, 2), Letter("s1", 1), "s1", 0],
-        ids=["plain-tuple", "negative-gen", "sign-0", "sign-2", "str-gen", "str", "int"],
+        [(0, 1), Letter(-1, 1), Letter(0, 0), Letter(0, 2), Letter("s1", 1), Letter(True, 1), "s1", 0],
+        ids=["plain-tuple", "negative-gen", "sign-0", "sign-2", "str-gen", "bool-gen", "str", "int"],
     )
     def test_malformed_letters_rejected(self, bad):
         with pytest.raises(InputError):
