@@ -7,12 +7,13 @@ A^F whose cylinder probabilities this module evaluates exactly.
 
 Symbols are addressed by their index in the alphabet everywhere below;
 configurations map group elements (Word) to symbol indices, in a _Probe dict
-whose missing read raises MissingCoordinate, as a scan's window does.
+whose missing read raises MissingCoordinate.
 
 Each spec keeps lookup tables on its own instance, each entry built on first
-use: the kernel's scaled integers (see below), its rows' draw thresholds, the
-support graph (from those integers) and the validation problems along every
-letter s_i^{+-1}, and pi's.  Along s_i^-1 they derive from s_i's: the kernel
+use: the kernel's scaled integers (see below), its rows' successors (the
+nonzero integers), its rows' draw thresholds, the support graph (from those
+integers) and the validation problems along every letter s_i^{+-1}, and
+pi's.  Along s_i^-1 they derive from s_i's: the kernel
 there is P_i reversed, P_rev(a, b) = pi(b) P_i(b, a) / pi(a).  The tables
 are keyed by int letter code only (see words), so no path hashes the spec.
 kernel_for_letter and reverse_kernel (Fraction views kept for the benchmark's
@@ -37,11 +38,13 @@ equalities, so a Fraction (one gcd) is built per result rather than per term.
 The exact engine lives here too: scan_positive_windows enumerates the
 positive-measure windows that a window function reads, depth first, under one
 window budget (_MAX_WINDOWS), and carries each window's weight as an int
-numerator over an int denominator; the window function reads its assignment
-dict directly, and the recursion that runs it fills each miss.  The law it
-collects stays on ints too, as weights over one common denominator, so callers
-sum marginals on ints; covering_scan checks that a scan covers the space, and
-enumerate_cylinders is the scan's form on a fixed domain.
+numerator over an int denominator; the window function reads its window (a
+_Window dict) directly and runs once per window: a read of an unassigned word
+fills the window in place from the successor rows, and the function reads
+on.  The law it collects stays on ints too, as weights over one common
+denominator, so callers sum marginals on ints; covering_scan checks that a
+scan covers the space, and enumerate_cylinders is the scan's form on a fixed
+domain.
 """
 
 from __future__ import annotations
@@ -194,6 +197,23 @@ class MarkovSpec:
         return _LetterTable(self.rank, make)
 
     @cached_property
+    def letter_successors(self) -> Mapping[int, tuple[tuple[tuple[tuple[int, int], ...], int], ...]]:
+        """Per source symbol a, the row of letter_scaled as (successors, D):
+        the (b, weight) pairs with a nonzero int weight, in symbol order."""
+
+        def make(c: int):
+            rows, den = self.letter_scaled[c]
+            return tuple((tuple((b, x) for b, x in enumerate(row) if x), den) for row in rows)
+
+        return _LetterTable(self.rank, make)
+
+    @cached_property
+    def pi_successors(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """pi_scaled as (successors, D), in the form of a letter_successors row."""
+        pi, den = self.pi_scaled
+        return tuple((b, x) for b, x in enumerate(pi) if x), den
+
+    @cached_property
     def pi_thresholds(self) -> tuple[int, ...]:
         return _thresholds([self.pi_scaled[0]], self.pi_scaled[1])[0]
 
@@ -296,8 +316,10 @@ class MarkovSpec:
         return ValidationReport(tuple(m for form, law in entries for m in form + law))
 
 
-_LETTER_TABLES = ("letter_thresholds", "letter_support", "letter_scaled", "letter_problems")
-_PI_TABLES = ("pi_thresholds", "pi_scaled", "pi_problems")
+_LETTER_TABLES = (
+    "letter_thresholds", "letter_support", "letter_scaled", "letter_successors", "letter_problems"
+)
+_PI_TABLES = ("pi_thresholds", "pi_scaled", "pi_successors", "pi_problems")
 
 
 class _Ints(tuple):
@@ -422,8 +444,8 @@ def kernel_for_letter(spec: MarkovSpec, letter: Letter) -> Matrix:
 
 
 class _Probe(dict):
-    """{word: symbol}, a Configuration's values or a scan's window assignment:
-    the one place a missing read raises MissingCoordinate."""
+    """{word: symbol}, a Configuration's values: a missing read raises
+    MissingCoordinate.  (A scan's window fills a missing read instead: _Window.)"""
 
     __slots__ = ()
 
@@ -544,79 +566,124 @@ class WindowScan:
         return Fraction(sum(self.weights.values()), self.den)
 
 
+class _DeadEnd(Exception):
+    """A window's fill reached a row with no successor: the branch is dropped."""
+
+
+class _Window(dict):
+    """{word: symbol}, a scan's window assignment, which the window function
+    reads.  A read of an unassigned word fills, in place, the geodesic from it
+    down to the assigned region, nearest the region first: each word gets the
+    first successor of its row (spec.pi_successors at the identity, else
+    letter_successors of its edge letter at its parent's symbol), and one
+    branch record (word, successors, index, num, den, position) per word goes
+    on stack, so the function reads on.  num / den is the window's weight; a
+    record keeps num before the word's factor and den after its D.  A row with
+    no successor raises _DeadEnd, which drops the branch."""
+
+    __slots__ = ("rows", "pi", "stack", "num", "den")
+
+    def __init__(self, spec: MarkovSpec):
+        self.rows, self.pi = spec.letter_successors, spec.pi_successors
+        self.stack, self.num, self.den = [], 1, 1
+
+    def __missing__(self, g: Word) -> int:
+        path = [g]  # g, then its ancestors down to the first unassigned word
+        while path[-1] and (v := parent(path[-1])) not in self:
+            path.append(v)
+        n = len(self)
+        if n + len(path) > _MAX_COORDS:
+            raise BudgetError(f"window grew beyond {_MAX_COORDS} coordinates")
+        rows, stack, num, den = self.rows, self.stack, self.num, self.den
+        h = path.pop()
+        succ, d = rows[h[0]][self[parent(h)]] if h else self.pi
+        while True:
+            if not succ:
+                raise _DeadEnd
+            den *= d
+            stack.append((h, succ, 0, num, den, n))
+            b, p = succ[0]
+            num *= p
+            self[h] = b
+            if not path:
+                self.num, self.den = num, den
+                return b
+            h, n = path.pop(), n + 1
+            succ, d = rows[h[0]][b]
+
+
 def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     """Run fn against every minimal positive-measure window it can observe.
 
-    fn receives the current assignment (a _Probe dict, not to be written) and
-    must be a deterministic function of the coordinates it reads, with
-    hashable values; a read outside the assignment branches the enumeration
-    over all extensions of positive probability along the geodesic to the
-    assigned region, filled by the recursion that runs fn, depth first in
-    symbol order.  The windows are prefix-free and cover the space, so their
-    weights sum to exactly 1.  Raises BudgetError beyond _MAX_WINDOWS windows
-    or a window of more than _MAX_COORDS coordinates.
+    fn receives the window (a _Window dict, not to be written) and must be a
+    deterministic function of the coordinates it reads, with hashable values.
+    It runs once per window: a read outside the window fills it in place (see
+    _Window), and after each window the scan advances the deepest branch with
+    a next successor, the window truncated to it last in first out, so the
+    windows come depth first in symbol order.  A row with no successor (an
+    unnormalised candidate's) drops its branch.  If fn itself raises
+    MissingCoordinate, the word is filled and fn runs again, or InputError is
+    raised if the word is assigned.  The windows are prefix-free and cover
+    the space, so their weights sum to exactly 1.  Raises BudgetError beyond
+    _MAX_WINDOWS windows or a window of more than _MAX_COORDS coordinates.
 
     A window's weight is carried as ints num / den: num is the product of its
-    scaled pi and kernel entries (spec.pi_scaled, spec.letter_scaled) and den
-    the product of their denominators D, one per coordinate.  The scan sums
-    num per (value, den) and at the end puts the whole law over one int, the
-    lcm of all dens (WindowScan.weights and .den), so callers sum and compare
-    it on ints.  Its Fractions (WindowScan.law) are the same, in the same key
-    order, as summing each window's weight as a Fraction.  The spec must
-    pass require_form; its kernels' laws are not checked.
+    scaled pi and kernel entries (spec.pi_successors, spec.letter_successors)
+    and den the product of their denominators D, one per coordinate.  The
+    scan sums num per (value, den) and at the end puts the whole law over one
+    int, the lcm of all dens (WindowScan.weights and .den), so callers sum and
+    compare it on ints.  Its Fractions (WindowScan.law) are the same, in the
+    same key order, as summing each window's weight as a Fraction.  The spec
+    must pass require_form; its kernels' laws are not checked.
     """
     require_form(spec)
     sums: dict = {}  # {value: {den: sum of num}}, values in the order first seen
     failures: list = []
     windows = 0
-    rows = spec.letter_scaled
-    pi, d_pi = spec.pi_scaled
-
-    def run(assign: _Probe, num: int, den: int, path: tuple = ()):
-        nonlocal windows
-        if path:  # fill path[-1], the unassigned word next to the assigned region, then the rest
-            h = path[-1]
-            if h:
-                k, d = rows[h[0]]
-                row = k[assign[parent(h)]]
-            else:
-                row, d = pi, d_pi
-            den *= d
-            for b, p in enumerate(row):
-                if p:
-                    assign[h] = b
-                    run(assign, num * p, den, path[:-1])
-                    del assign[h]
-            return
+    window = _Window(spec)
+    stack, popitem = window.stack, window.popitem
+    while True:
         try:
-            value = fn(assign)
-        except MissingCoordinate as miss:
-            g = miss.word
-            if g in assign:
+            value = fn(window)
+        except _DeadEnd:
+            pass
+        except MissingCoordinate as miss:  # raised by fn itself: no read of the window raises
+            if miss.word in window:
                 raise InputError("window function missed an assigned coordinate")
-            path = [g]  # the geodesic from g down to the first unassigned word
-            while path[-1] and (v := parent(path[-1])) not in assign:
-                path.append(v)
-            if len(assign) + len(path) > _MAX_COORDS:
-                raise BudgetError(f"window grew beyond {_MAX_COORDS} coordinates")
-            run(assign, num, den, tuple(path))
-            return
-        windows += 1
-        if windows > _MAX_WINDOWS:
-            raise BudgetError(f"more than {_MAX_WINDOWS} positive windows")
-        by_den = sums.get(value)
-        if by_den is None:
-            by_den = sums[value] = {}
-        by_den[den] = by_den.get(den, 0) + num
-        if not value and len(failures) < 5:
-            failures.append((dict(assign), value))
-
-    run(_Probe(), 1, 1)
+            try:
+                window[miss.word]
+                continue
+            except _DeadEnd:
+                pass
+        else:
+            windows += 1
+            if windows > _MAX_WINDOWS:
+                raise BudgetError(f"more than {_MAX_WINDOWS} positive windows")
+            by_den = sums.get(value)
+            if by_den is None:
+                by_den = sums[value] = {}
+            den = window.den
+            by_den[den] = by_den.get(den, 0) + window.num
+            if not value and len(failures) < 5:
+                failures.append((dict(window), value))
+        while stack:  # the deepest branch with a next successor
+            h, succ, i, num, den, n = stack[-1]
+            i += 1
+            if i < len(succ):
+                break
+            stack.pop()
+        else:
+            break
+        for _ in range(len(window) - n):
+            popitem()
+        b, p = succ[i]
+        stack[-1] = h, succ, i, num, den, n
+        window[h] = b
+        window.num, window.den = num * p, den
     den = lcm(*{d for by_den in sums.values() for d in by_den})
     weights = {
         value: sum(num * (den // d) for d, num in by_den.items()) for value, by_den in sums.items()
     }
-    sums.clear()  # run, a recursive closure, keeps sums alive until the cyclic collector runs
     return WindowScan(windows, weights, tuple(failures), den)
 
 
@@ -635,8 +702,9 @@ def enumerate_cylinders(
 
     Values follow the domain's canonical order.  This is the window scan on
     a fixed domain: its window function reads the words in canonical order,
-    parents first, so each window is one cylinder, zero-probability branches
-    are pruned, and the pairs come depth first in symbol order.  The spec
+    parents first, each read filling one word in place, so each window is
+    one cylinder and one run of the function, zero-probability branches are
+    pruned, and the pairs come depth first in symbol order.  The spec
     must pass require_form; for a valid spec the measures sum to exactly 1.
     """
     if not isinstance(domain, LeftConnectedSet):

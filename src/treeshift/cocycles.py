@@ -11,10 +11,12 @@ cocycle w(g, x) with
 
 and the recoding (Omega x)_h = x_{w(h, x)} intertwines the rewritten action
 with the plain shift.  All of it is evaluated lazily on partial
-configurations: a lookup outside the domain raises MissingCoordinate, which
-the window scan of chains uses to extend exactly the coordinates a check
-reads.  Cocycles step on letter codes, an inactive code put on at the seam
-inline.  The claims of a slide's rule are checked in slides.verify_slide.
+configurations, reading only the coordinates it needs: a Configuration's
+lookup outside its domain raises MissingCoordinate, and a window of the
+window scan of chains fills such a lookup in place, so the scan extends
+exactly the coordinates a check reads.  Cocycles step on letter codes, an
+inactive code put on at the seam inline.  The claims of a slide's rule are
+checked in slides.verify_slide.
 """
 
 from __future__ import annotations

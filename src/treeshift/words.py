@@ -200,7 +200,9 @@ class LeftConnectedSet:
 
     Because connected subsets of a tree contain the geodesic between any two
     of their points, such a set is exactly a parent-closed set; validation
-    and canonical (length, lexicographic) ordering both rely on this.
+    and canonical (length, lexicographic) ordering both rely on this.  Each
+    element is a reduced tuple of letter codes, a Word or a plain tuple;
+    anything else raises InputError.
     """
 
     __slots__ = ("words", "_index")
@@ -212,6 +214,8 @@ class LeftConnectedSet:
         for w in words:
             if not (isinstance(w, tuple) and all(type(c) is int and c >= 0 for c in w)):
                 raise InputError(f"not a word of letter codes: {w!r}")
+            if any(a ^ b == 1 for a, b in zip(w, w[1:])):
+                raise InputError(f"not a reduced word: {w!r}")
         ordered = sorted(set(words), key=Word.sort_key)
         if not ordered or ordered[0]:
             raise DomainError("left-connected set must contain the identity")

@@ -581,12 +581,13 @@ class TestSpecTables:
         (the same objects, equal to a fresh spec's) and of pi; gen's two
         letters are built afresh, from the new kernel."""
         spec = random_spec(5, 3, 3)
-        tables = ("letter_scaled", "letter_thresholds", "letter_support")  # each before its readers
+        # each before its readers
+        tables = ("letter_scaled", "letter_thresholds", "letter_support", "letter_successors")
         for name in tables:
             for c in range(2 * spec.rank):
                 getattr(spec, name)[c]
         sample_ball(spec, 1, 3)  # builds pi_thresholds
-        spec.pi_scaled
+        spec.pi_scaled, spec.pi_successors
         gen = 1
         new = spec.with_kernel(gen, tuple(spec.pi for _ in spec.pi))
         fresh = MarkovSpec(new.generators, new.alphabet, new.pi, new.kernels)
@@ -599,7 +600,7 @@ class TestSpecTables:
             for c in (2 * gen, 2 * gen + 1):
                 assert getattr(new, name)[c] is not getattr(spec, name)[c]
                 assert getattr(new, name)[c] == getattr(fresh, name)[c]
-        for name in ("pi_thresholds", "pi_scaled"):
+        for name in ("pi_thresholds", "pi_scaled", "pi_successors"):
             assert vars(new)[name] is vars(spec)[name]
         assert kernel_for_letter(new, Letter(gen, 1)) == new.kernels[gen]
         assert kernel_for_letter(new, Letter(gen, -1)) == oracle_reverse_kernel(new, gen)
@@ -620,7 +621,8 @@ class TestSpecTables:
         assert sample_ball(again, 2, 1) == sample_ball(new, 2, 1)
 
     @pytest.mark.parametrize(
-        "name", ["letter_scaled", "letter_thresholds", "letter_support", "letter_problems"]
+        "name",
+        ["letter_scaled", "letter_thresholds", "letter_support", "letter_successors", "letter_problems"],
     )
     def test_tables_take_int_codes_only(self, m3, name):
         """Anything but an int code in [0, 2 rank), a Letter included, raises
@@ -632,6 +634,28 @@ class TestSpecTables:
                 table[key]
         assert dict(vars(m3)[name]) == built
         assert all(type(c) is int for t in chains._LETTER_TABLES for c in vars(m3).get(t, ()))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_successors_are_the_nonzero_scaled_entries(self, seed):
+        """Each successor row holds exactly the nonzero ints of its
+        letter_scaled row, as (b, weight) in symbol order, with its D; pi's
+        likewise.  Sparse specs, one row zeroed and one entry negative."""
+        spec = random_spec(seed, 4, 2, style="sparse")
+        k = [list(row) for row in spec.kernels[1]]
+        k[0] = [Fraction(0)] * 4
+        k[1][seed % 4] = Fraction(-1, 3)
+        spec = spec.with_kernel(1, tuple(map(tuple, k)))
+
+        def nonzero(row):
+            return tuple((b, x) for b, x in enumerate(row) if x != 0)
+
+        pi, d_pi = spec.pi_scaled
+        assert spec.pi_successors == (nonzero(pi), d_pi)
+        for c in range(2 * spec.rank):
+            rows, den = spec.letter_scaled[c]
+            assert spec.letter_successors[c] == tuple((nonzero(row), den) for row in rows)
+        assert spec.letter_successors[2][0] == ((), spec.letter_scaled[2][1])
+        assert any(x < 0 for _, x in spec.letter_successors[2][1][0])
 
     def test_tables_match_direct_computation(self, m3):
         assert kernel_for_letter(m3, Letter(0, 1)) == m3.kernels[0]

@@ -21,6 +21,7 @@ from treeshift.chains import (
     Configuration,
     SampledTree,
     derive_seed,
+    enumerate_cylinders,
     sample_ball,
     scan_positive_windows,
 )
@@ -36,6 +37,7 @@ from treeshift.randspec import random_properly_ergodic_spec, random_spec
 from treeshift.slides import _checked, build_slide_params
 from treeshift.words import (
     IDENTITY,
+    LeftConnectedSet,
     Letter,
     Word,
     ball,
@@ -212,8 +214,8 @@ class TestWindowScan:
         """A read of s2^399 fills its whole geodesic from one miss: 400
         coordinates, the most a window may hold.  s2 is a 3-cycle here, so each
         symbol at e gives one window.  One more letter raises BudgetError.
-        Both finish fast: the geodesic is filled in the scan's recursion,
-        without running fn again per coordinate."""
+        Both finish fast: the window fills the geodesic in place, without
+        running fn again per coordinate."""
         spec = random_properly_ergodic_spec(1, 3, 2)
         assert chains._MAX_COORDS == 400
         start = time.perf_counter()
@@ -270,6 +272,81 @@ class TestWindowScan:
         assert list(scan.law.items()) == list(oracle.law.items())
         assert all(type(p) is Fraction for p in scan.law.values())
         assert (scan.windows, scan.failures) == (oracle.windows, oracle.failures)
+
+    def test_fn_runs_once_per_window(self):
+        """A read outside the window fills it in place and fn reads on, so fn
+        runs once per window, also when it misses several times per window
+        (here on up to four separate geodesics, of one to three words)."""
+        spec = random_spec(3, 3, 2)
+        reads = [W("s1.s2"), W("s2^-1"), W("s1^-1.s2^-1.s1"), W("s2.s2")]
+        calls = []
+
+        def fn(win):
+            calls.append(1)
+            acc = win[IDENTITY]
+            for w in reads:
+                acc += win[w]
+                if acc % 3 == 0:
+                    break
+            return acc
+
+        scan = scan_positive_windows(spec, fn)
+        assert len(calls) == scan.windows > 20
+        assert scan.total_weight == 1
+
+    def test_enumerate_cylinders_runs_its_function_once_per_cylinder(self, m3, monkeypatch):
+        """enumerate_cylinders' function misses on every domain word; it runs
+        once per cylinder all the same."""
+        calls, scans = [], []
+        scan = chains.scan_positive_windows
+
+        def counted(spec, fn):
+            scans.append(scan(spec, lambda win: calls.append(1) or fn(win)))
+            return scans[-1]
+
+        monkeypatch.setattr(chains, "scan_positive_windows", counted)
+        domain = LeftConnectedSet([IDENTITY, W("s1"), W("s2^-1")])
+        cylinders = list(enumerate_cylinders(m3, domain))
+        assert len(calls) == scans[0].windows == len(cylinders) > 3
+
+    def test_own_miss_of_an_unassigned_word_is_filled(self, m3):
+        """fn may raise MissingCoordinate itself for a word it has not read:
+        the word is filled and fn runs again, giving the law of reading it."""
+        far = W("s2.s1^-1")
+
+        def reads(win):
+            return win[IDENTITY] + 2 * win[far]
+
+        def raises(win):
+            if far not in win:
+                raise MissingCoordinate(far)
+            return win[IDENTITY] + 2 * win[far]
+
+        by_read, by_raise = scan_positive_windows(m3, reads), scan_positive_windows(m3, raises)
+        assert list(by_raise.law.items()) == list(by_read.law.items())
+        assert (by_raise.windows, by_raise.failures) == (by_read.windows, by_read.failures)
+
+    def test_own_miss_of_an_assigned_word_raises_input_error(self, m3):
+        def fn(win):
+            win[IDENTITY]
+            raise MissingCoordinate(IDENTITY)
+
+        with pytest.raises(InputError, match="missed an assigned coordinate"):
+            scan_positive_windows(m3, fn)
+
+    def test_dead_end_inside_a_fill(self, m3):
+        """A zero row met in the middle of a geodesic fill drops that branch:
+        reading s1.s2.s1 fills e, s1, s2.s1 and s1.s2.s1 from one miss, and
+        the s2 row of symbol 0 is zeroed, so every window with 0 at s1 ends at
+        s2.s1.  The windows, law and failures are the Fraction oracle's."""
+        k = m3.kernels[1]
+        spec = m3.with_kernel(1, ((Fraction(0),) * 3,) + k[1:])
+        fn = lambda win: win[W("s1.s2.s1")] - win[IDENTITY]  # noqa: E731
+        scan, oracle = scan_positive_windows(spec, fn), oracle_scan_positive_windows(spec, fn)
+        assert list(scan.law.items()) == list(oracle.law.items())
+        assert (scan.windows, scan.failures) == (oracle.windows, oracle.failures)
+        assert 0 < scan.windows < scan_positive_windows(m3, fn).windows
+        assert scan.total_weight < 1
 
 
 class TestOutputLength:

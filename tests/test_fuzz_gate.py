@@ -131,6 +131,10 @@ NON_SPEC_ARGUMENTS = {
     "LeftConnectedSet-str-code": lambda spec: LeftConnectedSet([IDENTITY, ("a",)]),
     "LeftConnectedSet-negative-code": lambda spec: LeftConnectedSet([IDENTITY, (-1,)]),
     "LeftConnectedSet-bool-code": lambda spec: LeftConnectedSet([IDENTITY, (True,)]),
+    "LeftConnectedSet-unreduced": lambda spec: LeftConnectedSet([(), (1,), (0, 1)]),
+    "cylinder_measure-unreduced": lambda spec: cylinder_measure(
+        spec, Configuration({(): 0, (1,): 0, (0, 1): 1})
+    ),
     "Configuration-int-key": lambda spec: Configuration({1: 0}),
     "Configuration-None": lambda spec: Configuration(None),
     "Configuration-pairs": lambda spec: Configuration([(IDENTITY, 0)]),
@@ -141,8 +145,9 @@ NON_SPEC_ARGUMENTS = {
 def test_bad_non_spec_argument_raises_input_error(entry):
     """The exact engine's other arguments are checked too: a domain that is not
     a LeftConnectedSet, a phi that is not a Configuration, an assignment that
-    is not a Mapping, and words that are not tuples of non-negative int letter
-    codes raise InputError, whether they would raise a bare error or pass."""
+    is not a Mapping, and words that are not reduced tuples of non-negative
+    int letter codes raise InputError, whether they would raise a bare error
+    or pass."""
     with pytest.raises(InputError):
         NON_SPEC_ARGUMENTS[entry](base(0)[0])
 
