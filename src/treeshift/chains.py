@@ -28,8 +28,8 @@ and entry types; the law is positivity, sums and stationarity, checked only
 once the form holds.  validate reads the pairs in order (problem_entries)
 and keeps its report on the instance.  Where a valid spec is not required,
 one gate, require_form, holds a spec to the form halves and pi's laws before
-its tables are read: in the scan, cylinder_measure, graphs.support_edges and
-a slide's candidate check.
+its tables are read: in the scan, cylinder_measure, kernel_for_letter, spec_to_json,
+graphs.support_edges and a slide's candidate check.
 
 Exact sums run on ints: scaled puts rationals over the lcm D of their
 denominators as the integers x*D, and scaling by D > 0 keeps signs, sums and
@@ -62,7 +62,8 @@ from typing import Iterator, Mapping, Sequence
 
 from . import graphs  # graphs calls require_valid, so each reads the other's names at call time
 from .errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
-from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, letter_code, parent, word_to_str
+from .words import IDENTITY, LeftConnectedSet, Letter, Word, _is_word, ball, letter_code, parent
+from .words import word_to_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -434,8 +435,8 @@ def reverse_kernel(spec: MarkovSpec, gen: int) -> Matrix:
 
 def kernel_for_letter(spec: MarkovSpec, letter: Letter) -> Matrix:
     """The kernel along the letter as Fractions, a view of spec.letter_scaled at
-    letter_code(letter) kept for the benchmark's tracer; the engine reads the ints."""
-    return _Ints(spec.letter_scaled[letter_code(letter)]).fractions()
+    letter_code(letter) behind require_form, kept for the benchmark's tracer."""
+    return _Ints(require_form(spec).letter_scaled[letter_code(letter)]).fractions()
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +622,11 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     _Window), and after each window the scan advances the deepest branch with
     a next successor, the window truncated to it last in first out, so the
     windows come depth first in symbol order.  A row with no successor (an
-    unnormalised candidate's) drops its branch.  If fn itself raises
-    MissingCoordinate, the word is filled and fn runs again, or InputError is
-    raised if the word is assigned.  The windows are prefix-free and cover
-    the space, so their weights sum to exactly 1.  Raises BudgetError beyond
-    _MAX_WINDOWS windows or a window of more than _MAX_COORDS coordinates.
+    unnormalised candidate's) drops its branch.  No read of the window
+    raises, so what fn raises itself, MissingCoordinate included, propagates.
+    The windows are prefix-free and cover the space, so their weights sum to
+    exactly 1.  Raises BudgetError beyond _MAX_WINDOWS windows or a window of
+    more than _MAX_COORDS coordinates.
 
     A window's weight is carried as ints num / den: num is the product of its
     scaled pi and kernel entries (spec.pi_successors, spec.letter_successors)
@@ -647,14 +648,6 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
             value = fn(window)
         except _DeadEnd:
             pass
-        except MissingCoordinate as miss:  # raised by fn itself: no read of the window raises
-            if miss.word in window:
-                raise InputError("window function missed an assigned coordinate")
-            try:
-                window[miss.word]
-                continue
-            except _DeadEnd:
-                pass
         else:
             windows += 1
             if windows > _MAX_WINDOWS:
@@ -781,12 +774,6 @@ class SampledTree:
         return value
 
 
-def _is_word(w, n: int) -> bool:
-    """Whether w is a tuple of letter codes, ints in [0, n), with no code next to its inverse."""
-    codes = isinstance(w, tuple) and all(type(c) is int and 0 <= c < n for c in w)
-    return codes and all(a ^ b != 1 for a, b in zip(w, w[1:]))
-
-
 def _thresholds(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple[int, ...], ...]:
     """For each row of ints over den, ceil(S_b 2^64) for its running sums S_b,
     kept nondecreasing (a running max) so that bisection finds the first b with k below it."""
@@ -836,6 +823,7 @@ def sample_ball(spec: MarkovSpec, radius: int, seed: int) -> Configuration:
 
 
 def spec_to_json(spec: MarkovSpec) -> dict:
+    require_form(spec)
     return {
         "generators": list(spec.generators),
         "alphabet": list(spec.alphabet),

@@ -108,17 +108,11 @@ def cocycle(rule: RewriteRule, g: Word, x) -> Word:
     return CocycleTable(rule, x).omega(g)
 
 
-class RecodedView:
-    """The recoding (Omega x)_h = x_{w(h, x)}, as a lazy configuration."""
+class RecodedView(CocycleTable):
+    """The recoding (Omega x)_h = x_{w(h, x)}, as a lazy configuration: the cocycle
+    table of (rule, x) read through at x, with no memo beyond the table's words."""
 
-    __slots__ = ("table", "_memo")
-
-    def __init__(self, rule: RewriteRule, base):
-        self.table = CocycleTable(rule, base)
-        self._memo: dict[Word, int] = {}
+    __slots__ = ()
 
     def __getitem__(self, h: Word) -> int:
-        value = self._memo.get(h)
-        if value is None:
-            value = self._memo[h] = self.table.base[self.table.omega(h)]
-        return value
+        return self.base[self.omega(h)]

@@ -24,9 +24,9 @@ class DomainError(TreeshiftError):
 class MissingCoordinate(TreeshiftError):
     """A computation needed a coordinate outside the configuration's domain.
 
-    Carries the absolute group element that was requested, so demand-driven
-    enumerators can extend the domain and retry.  The message is written
-    only when asked for: scans raise and catch thousands of these.
+    Carries the absolute group element that was requested.  A Configuration
+    raises it for a read outside its domain; a window of the exact scan fills
+    such a read in place, so no scan raises one.  The message is built lazily.
     """
 
     def __init__(self, word):

@@ -27,10 +27,10 @@ from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .chains import Configuration, MarkovSpec, Matrix, SampledTree, covering_scan
-from .chains import _Ints, derive_seed, enumerate_cylinders, require_valid
+from .chains import _hash_key, _Ints, derive_seed, enumerate_cylinders, require_valid
 from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule
 from .errors import InputError, ParamsError, TreeshiftError
 from .graphs import BranchData, branch_data, classify, is_special, special_sets, support_edges
@@ -314,7 +314,7 @@ def verify_slide(
     stops once they do (_orbit_covered); with checked parameters the slide's
     conflict branch is unreachable, so the skipped words hide no error.
     samples=0 skips both sampled checks and reports them True; a negative or
-    non-int samples raises InputError.
+    non-int samples, or a seed that derive_seed rejects, raises InputError.
 
     candidate defaults to the exact pushforward, which checks params.  A
     given candidate must be a MarkovSpec with the spec's generators and
@@ -325,6 +325,7 @@ def verify_slide(
     """
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
         raise InputError(f"samples must be a non-negative int, not {samples!r}")
+    _hash_key(seed, "seed")  # derive_seed's check, made before anything runs
     if candidate is None:
         candidate = pushforward(spec, params)
     else:
@@ -341,7 +342,7 @@ def verify_slide(
         z = RecodedView(rule, y)
         if any(z[h] != x[h] for h in ball2):
             double_ok = False
-        if not _orbit_covered(y.table, ball2, ball4):  # y's table is w(., x)
+        if not _orbit_covered(y, ball2, ball4):  # y's words are w(., x)
             orbit_ok = False
 
     # recoded weights are positive and enumerate_cylinders drops zero cylinders, so the
@@ -427,9 +428,10 @@ def replay(
 
     The recodings compose lazily, so x may be any coordinate map (a sampled
     tree, a large configuration); coordinates are pulled through the tower on
-    demand.  rank is taken from the slides when present; every slide must
-    have that rank, and slides must be a list or tuple of SlideParams
-    (InputError otherwise).
+    demand.  A Mapping is read as the Configuration it gives: a word outside
+    its domain raises MissingCoordinate, and a bad domain DomainError.  rank
+    is taken from the slides when present; every slide must have that rank,
+    and slides must be a list or tuple of SlideParams (InputError otherwise).
     """
     if not isinstance(slides, (list, tuple)) or not all(
         isinstance(params, SlideParams) for params in slides
@@ -443,7 +445,7 @@ def replay(
         raise InputError(f"replay at rank {rank} of slides of ranks {[p.rank for p in slides]}")
     if not hasattr(x, "__getitem__"):
         raise InputError(f"replay reads a coordinate map, got {x!r}")
-    view = x
+    view = Configuration(x) if isinstance(x, Mapping) else x
     for params in slides:
         view = RecodedView(params.rule, view)
     dom = ball(rank, radius)

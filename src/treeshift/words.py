@@ -122,6 +122,12 @@ def single(letter: Letter) -> Word:
     return Word((letter,))
 
 
+def _is_word(w, n: float = float("inf")) -> bool:
+    """Whether w is a tuple of letter codes, ints in [0, n), with no code next to its inverse."""
+    codes = isinstance(w, tuple) and all(type(c) is int and 0 <= c < n for c in w)
+    return codes and all(a ^ b != 1 for a, b in zip(w, w[1:]))
+
+
 def reduce(seq: Iterable[Letter]) -> Word:
     """Free reduction of an arbitrary letter sequence (stack-based)."""
     stack: list[int] = []
@@ -170,8 +176,8 @@ def in_past(g: Word, s: Letter) -> bool:
 def ball(rank: int, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> "LeftConnectedSet":
     """All reduced words of length <= radius, as a LeftConnectedSet, built in
     canonical order: each sphere loops over the first letter, then the shorter sphere."""
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (rank, radius)):
-        raise InputError(f"rank and radius must be ints, got {rank!r} and {radius!r}")
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (rank, radius, budget)):
+        raise InputError(f"rank, radius, budget must be ints: {rank!r}, {radius!r}, {budget!r}")
     if rank < 1 or radius < 0:
         raise InputError("rank must be >= 1 and radius >= 0")
     size, sphere, r = 1, 2 * rank, 0  # counted sphere by sphere until past the budget
@@ -212,10 +218,8 @@ class LeftConnectedSet:
             raise InputError(f"words must be an iterable, got {words!r}")
         words = list(words)
         for w in words:
-            if not (isinstance(w, tuple) and all(type(c) is int and c >= 0 for c in w)):
-                raise InputError(f"not a word of letter codes: {w!r}")
-            if any(a ^ b == 1 for a, b in zip(w, w[1:])):
-                raise InputError(f"not a reduced word: {w!r}")
+            if not _is_word(w):
+                raise InputError(f"not a reduced word of letter codes: {w!r}")
         ordered = sorted(set(words), key=Word.sort_key)
         if not ordered or ordered[0]:
             raise DomainError("left-connected set must contain the identity")

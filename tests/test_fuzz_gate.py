@@ -9,6 +9,7 @@ spec).  The kinds, the entry points and the example count are fixed here,
 and the examples are derandomized.
 """
 
+import inspect
 from fractions import Fraction
 from functools import cache
 
@@ -16,14 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshift.chains import Configuration, MarkovSpec, cylinder_measure, enumerate_cylinders
-from treeshift.chains import sample_ball, scan_positive_windows, validate
+from treeshift import chains, graphs, slides
+from treeshift.chains import Configuration, MarkovSpec, SampledTree, covering_scan
+from treeshift.chains import cylinder_measure, enumerate_cylinders, kernel_for_letter
+from treeshift.chains import problem_entries, require_form, require_valid, reverse_kernel
+from treeshift.chains import sample_ball, scan_positive_windows, spec_to_json, validate
 from treeshift.errors import InputError, TreeshiftError
 from treeshift.graphs import classify, special_sets, support_edges
 from treeshift.randspec import random_properly_ergodic_spec
-from treeshift.slides import build_slide_params, generator_ergodic_pipeline, pushforward
-from treeshift.slides import verify_slide
-from treeshift.words import IDENTITY, LeftConnectedSet, Letter, Word
+from treeshift.slides import build_slide_params, generator_ergodic_pipeline, params_from_json
+from treeshift.slides import params_to_json, pushforward, verify_slide
+from treeshift.words import IDENTITY, LeftConnectedSet, Letter, Word, ball
 
 KINDS = (
     "junk_pi",  # a non-rational entry in pi
@@ -48,8 +52,7 @@ DOMAIN = LeftConnectedSet([IDENTITY, INVERSE, Word((Letter(1, 1),))])
 def base(seed: int):
     """A valid rank-2 spec on 3 symbols and its pipeline's first slide."""
     spec = random_properly_ergodic_spec(seed, 3, 2)
-    _, slides = generator_ergodic_pipeline(spec)
-    return spec, slides[0]
+    return spec, generator_ergodic_pipeline(spec)[1][0]
 
 
 ENTRY_POINTS = {
@@ -71,7 +74,25 @@ ENTRY_POINTS = {
     "scan_positive_windows": lambda bad, spec, params: scan_positive_windows(
         bad, lambda x: (x[IDENTITY], x[INVERSE])
     ),
+    "kernel_for_letter": lambda bad, spec, params: kernel_for_letter(bad, Letter(0, 1)),
+    "reverse_kernel": lambda bad, spec, params: reverse_kernel(bad, 0),
+    "spec_to_json": lambda bad, spec, params: spec_to_json(bad),
+    "covering_scan": lambda bad, spec, params: covering_scan(
+        bad, lambda x: (x[IDENTITY], x[INVERSE])
+    ),
+    "SampledTree": lambda bad, spec, params: SampledTree(bad, 7)[INVERSE],
+    "require_form": lambda bad, spec, params: require_form(bad),
+    "require_valid": lambda bad, spec, params: require_valid(bad),
+    "problem_entries": lambda bad, spec, params: list(problem_entries(bad)),
+    "params_to_json": lambda bad, spec, params: params_to_json(bad, params),
+    "params_from_json": lambda bad, spec, params: params_from_json(
+        bad, params_to_json(spec, params)
+    ),
 }
+# public callables whose first parameter is spec, under another name in ENTRY_POINTS
+COVERED_AS = {"pipeline": "generator_ergodic_pipeline"}
+# public callables whose first parameter is spec, not in ENTRY_POINTS, and why
+EXEMPT: dict[str, str] = {}
 
 
 @st.composite
@@ -120,6 +141,22 @@ def test_bad_spec_raises_only_treeshift_errors(entry, kind, data):
             pass
 
 
+def test_every_public_spec_reader_is_an_entry_point():
+    """Each public callable of chains, graphs and slides whose first parameter
+    is named spec is fuzzed here (ENTRY_POINTS), or exempt with a reason."""
+    readers = {
+        name
+        for module in (chains, graphs, slides)
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and callable(obj)
+        and getattr(obj, "__module__", None) == module.__name__
+        and next(iter(inspect.signature(obj).parameters), None) == "spec"
+    }
+    covered = {COVERED_AS.get(entry, entry) for entry in ENTRY_POINTS}
+    assert readers - covered - set(EXEMPT) == set()
+    assert covered <= readers and set(EXEMPT) <= readers and all(EXEMPT.values())
+
+
 NON_SPEC_ARGUMENTS = {
     "enumerate_cylinders-list": lambda spec: list(enumerate_cylinders(spec, [IDENTITY])),
     "enumerate_cylinders-None": lambda spec: list(enumerate_cylinders(spec, None)),
@@ -138,6 +175,10 @@ NON_SPEC_ARGUMENTS = {
     "Configuration-int-key": lambda spec: Configuration({1: 0}),
     "Configuration-None": lambda spec: Configuration(None),
     "Configuration-pairs": lambda spec: Configuration([(IDENTITY, 0)]),
+    "ball-str-budget": lambda spec: ball(2, 1, budget="x"),
+    "ball-None-budget": lambda spec: ball(2, 1, budget=None),
+    "ball-float-budget": lambda spec: ball(2, 1, budget=1.5),
+    "verify_slide-str-seed": lambda spec: verify_slide(spec, base(0)[1], seed="x", samples=0),
 }
 
 

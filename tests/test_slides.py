@@ -34,6 +34,7 @@ from treeshift import slides as slides_module
 from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle
 from treeshift.errors import (
     BudgetError,
+    DomainError,
     InputError,
     MissingCoordinate,
     ParamsError,
@@ -936,6 +937,14 @@ class TestReplay:
         for slides in ([], [m1_slide]):
             with pytest.raises(InputError, match="coordinate map"):
                 replay(slides, None, 2, rank=2)
+
+    def test_plain_dict_is_read_as_a_configuration(self, m1_slide):
+        """A Mapping is checked as a Configuration: an empty one has no
+        identity, and a word outside its domain is a missing coordinate."""
+        with pytest.raises(DomainError):
+            replay([m1_slide], {}, 1)
+        with pytest.raises(MissingCoordinate):
+            replay([m1_slide], {IDENTITY: 0}, 1)
 
     def test_pipeline_replay_roundtrip(self, m4):
         _, slides = generator_ergodic_pipeline(m4)
