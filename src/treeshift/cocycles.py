@@ -14,9 +14,13 @@ with the plain shift.  All of it is evaluated lazily on partial
 configurations, reading only the coordinates it needs: a Configuration's
 lookup outside its domain raises MissingCoordinate, and a window of the
 window scan of chains fills such a lookup in place, so the scan extends
-exactly the coordinates a check reads.  Cocycles step on letter codes, an
-inactive code put on at the seam inline.  The claims of a slide's rule are
-checked in slides.verify_slide.
+exactly the coordinates a check reads.
+
+There are two readers, and one step rule under both (_next_word): a
+CocycleTable (RecodedView) serves arbitrary words, memoizing w(., x) for one
+configuration; recode_on serves a fixed domain, planning each word's step
+and parent once and stepping every domain word once per configuration.  The
+claims of a slide's rule are checked in slides.verify_slide.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Iterable, Mapping
 # bound here for the benchmark tracer, which wraps the scan at this module's binding
 from .chains import scan_positive_windows  # noqa: F401
 from .errors import InputError
-from .words import IDENTITY, Letter, Word, _word, letter_code, multiply, single
+from .words import IDENTITY, LeftConnectedSet, Letter, Word, _word, letter_code, multiply, single
 
 
 class RewriteRule:
@@ -92,15 +96,19 @@ class CocycleTable:
         base, steps = self.base, self.rule.steps
         for h in reversed(chain):
             c = h[0]
-            step = steps.get(c)
-            if step is not None:
-                prior = multiply(step(base, prior), prior)
-            elif prior and prior[0] == c ^ 1:
-                prior = _word(prior[1:])
-            else:
-                prior = _word(h[:1] + prior)
-            words[h] = prior
+            prior = words[h] = _next_word(steps.get(c), c, prior, base)
         return prior
+
+
+def _next_word(step, c: int, prior: Word, x) -> Word:
+    """w(h, x) for h = c.k, from prior = w(k, x): an active code's step image,
+    read at prior.x, times prior; an inactive code is its own image, read from
+    no coordinate, cancelled at the seam or put on."""
+    if step is not None:
+        return multiply(step(x, prior), prior)
+    if prior and prior[0] == c ^ 1:
+        return _word(prior[1:])
+    return _word((c,) + prior)
 
 
 def cocycle(rule: RewriteRule, g: Word, x) -> Word:
@@ -116,3 +124,28 @@ class RecodedView(CocycleTable):
 
     def __getitem__(self, h: Word) -> int:
         return self.base[self.omega(h)]
+
+
+def recode_on(rule: RewriteRule, domain: LeftConnectedSet) -> Callable[[object], tuple]:
+    """x -> tuple((Omega x)_h for h in domain.words), the recoding on a fixed domain.
+
+    The plan is built once: per non-identity word h = c.k, the rule's step
+    for its code c, c itself and the index of k, which comes earlier in the
+    canonical order.  Per x, each w(h, x) is stepped once from its parent's
+    and x is read at it at once, so x is read in the order of a RecodedView
+    read in domain order.  A domain that is not a LeftConnectedSet raises
+    InputError."""
+    if not isinstance(domain, LeftConnectedSet):
+        raise InputError(f"recode_on reads a LeftConnectedSet, got {domain!r}")
+    steps, index = rule.steps, domain._index
+    plan = tuple((steps.get(h[0]), h[0], index[h[1:]]) for h in domain.words[1:])
+
+    def recode(x) -> tuple:
+        words, values = [IDENTITY], [x[IDENTITY]]
+        for step, c, i in plan:
+            w = _next_word(step, c, words[i], x)
+            words.append(w)
+            values.append(x[w])
+        return tuple(values)
+
+    return recode

@@ -30,8 +30,9 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .chains import Configuration, MarkovSpec, Matrix, SampledTree, covering_scan
-from .chains import _hash_key, _Ints, derive_seed, enumerate_cylinders, require_valid
-from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule
+from .chains import _hash_key, _Ints, derive_seed, enumerate_cylinders
+from .chains import require_form, require_valid
+from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule, recode_on
 from .errors import InputError, ParamsError, TreeshiftError
 from .graphs import BranchData, branch_data, classify, is_special, special_sets, support_edges
 from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, inverse, letters_of_rank
@@ -94,7 +95,7 @@ def build_slide_params(
     if pairs is None or not all(type(a) is type(b) is int for a, b in pairs):
         raise InputError(f"slide edges must be pairs of symbol indices, got {edges!r}")
     for gi in (u, t):
-        if type(gi) is not int or not 0 <= gi < spec.rank:
+        if not _below(gi, spec.rank):
             raise ParamsError(f"generator index {gi!r} is not an int in [0, {spec.rank})")
     if u == t:
         raise ParamsError("slide directions u and t must be distinct generators")
@@ -108,6 +109,11 @@ def build_slide_params(
         (b, branch_data(g, b)) for b in sorted({b for _, b in edge_set})
     )
     return SlideParams(spec.rank, u, t, edge_set, branch)
+
+
+def _below(i, n: int) -> bool:
+    """Whether i is an int index (not a bool) in [0, n)."""
+    return type(i) is int and 0 <= i < n
 
 
 def _flag_test(params: SlideParams, shift: Word):
@@ -246,9 +252,11 @@ def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftCon
     """(domain, exact recoded law) for every _markov_check_domains domain.
 
     Domains are grouped by their edge letter at e, the last letter of their
-    words ({e} joins the first group), and each group's union is scanned once.
-    A domain's law is the joint law's marginal, summed on the scan's ints over
-    its one denominator (WindowScan.weights, .den), one Fraction per value."""
+    words ({e} joins the first group), and each group's union is scanned once,
+    its window function the recoding on the union (cocycles.recode_on), whose
+    plan is built once per scan.  A domain's law is the joint law's marginal,
+    summed on the scan's ints over its one denominator (WindowScan.weights,
+    .den), one Fraction per value."""
     rule = params.rule
     groups: dict[int, list[LeftConnectedSet]] = {}
     for domain in _markov_check_domains(spec, params):
@@ -256,12 +264,7 @@ def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftCon
         groups.setdefault(edge, []).append(domain)
     for members in groups.values():
         union = LeftConnectedSet(w for domain in members for w in domain)
-
-        def fn(win, words=union.words):
-            omega = CocycleTable(rule, win).omega
-            return tuple(win[omega(g)] for g in words)
-
-        scan = covering_scan(spec, fn)
+        scan = covering_scan(spec, recode_on(rule, union))
         for domain in members:
             at = [union.words.index(w) for w in domain.words]
             sums: dict[tuple, int] = {}
@@ -428,8 +431,11 @@ def replay(
 
     The recodings compose lazily, so x may be any coordinate map (a sampled
     tree, a large configuration); coordinates are pulled through the tower on
-    demand.  A Mapping is read as the Configuration it gives: a word outside
-    its domain raises MissingCoordinate, and a bad domain DomainError.  rank
+    demand: each inner slide is a RecodedView, and the last slide's recoding
+    (the identity rule's, for no slides) is read on the ball in one pass,
+    cocycles.recode_on.  A Mapping is read as the Configuration it gives: a
+    word outside its domain raises MissingCoordinate, and a bad domain
+    DomainError.  rank
     is taken from the slides when present; every slide must have that rank,
     and slides must be a list or tuple of SlideParams (InputError otherwise).
     """
@@ -446,10 +452,11 @@ def replay(
     if not hasattr(x, "__getitem__"):
         raise InputError(f"replay reads a coordinate map, got {x!r}")
     view = Configuration(x) if isinstance(x, Mapping) else x
-    for params in slides:
+    for params in slides[:-1]:
         view = RecodedView(params.rule, view)
     dom = ball(rank, radius)
-    return Configuration._on(dom, {h: view[h] for h in dom})
+    outer = slides[-1].rule if slides else identity_rule(rank)
+    return Configuration._on(dom, dict(zip(dom.words, recode_on(outer, dom)(view))))
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +465,21 @@ def replay(
 
 
 def params_to_json(spec: MarkovSpec, params: SlideParams) -> dict:
+    """The parameters by generator name and symbol.  The spec must pass the
+    gate chains.require_form, and the parameters must be SlideParams
+    (InputError otherwise) that fit it: its rank, u and t generators of it,
+    and every edge and branch symbol one of its symbols (ParamsError otherwise)."""
+    require_form(spec)
+    if not isinstance(params, SlideParams):
+        raise InputError(f"slide parameters must be SlideParams, got {params!r}")
+    symbols = [v for edge in params.edges for v in edge]
+    symbols += [v for b, data in params.branch for v in (b, *data.path, data.eta)]
+    if not (
+        params.rank == spec.rank
+        and all(_below(gi, spec.rank) for gi in (params.u, params.t))
+        and all(_below(v, spec.size) for v in symbols)
+    ):
+        raise ParamsError("slide parameters do not fit the spec's rank and alphabet")
     alpha = spec.alphabet
     return {
         "u": spec.generators[params.u],

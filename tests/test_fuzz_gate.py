@@ -22,6 +22,7 @@ from treeshift.chains import Configuration, MarkovSpec, SampledTree, covering_sc
 from treeshift.chains import cylinder_measure, enumerate_cylinders, kernel_for_letter
 from treeshift.chains import problem_entries, require_form, require_valid, reverse_kernel
 from treeshift.chains import sample_ball, scan_positive_windows, spec_to_json, validate
+from treeshift.cocycles import recode_on
 from treeshift.errors import InputError, TreeshiftError
 from treeshift.graphs import classify, special_sets, support_edges
 from treeshift.randspec import random_properly_ergodic_spec
@@ -179,6 +180,7 @@ NON_SPEC_ARGUMENTS = {
     "ball-None-budget": lambda spec: ball(2, 1, budget=None),
     "ball-float-budget": lambda spec: ball(2, 1, budget=1.5),
     "verify_slide-str-seed": lambda spec: verify_slide(spec, base(0)[1], seed="x", samples=0),
+    "recode_on-list": lambda spec: recode_on(base(0)[1].rule, [IDENTITY]),
 }
 
 

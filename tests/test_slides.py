@@ -24,6 +24,7 @@ from treeshift import chains
 from treeshift.chains import (
     Configuration,
     SampledTree,
+    covering_scan,
     cylinder_measure,
     derive_seed,
     enumerate_cylinders,
@@ -31,7 +32,7 @@ from treeshift.chains import (
     validate,
 )
 from treeshift import slides as slides_module
-from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle
+from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle, recode_on
 from treeshift.errors import (
     BudgetError,
     DomainError,
@@ -113,6 +114,25 @@ class TestParams:
         obj = params_to_json(m3, m3_slide)
         assert obj["u"] == "s1" and obj["t"] == "s2" and obj["E"] == [[0, 1]]
         assert params_from_json(m3, {"u": "s1", "t": "s2", "E": [[0, 1]]}) == m3_slide
+
+    def test_json_writer_checks_the_params_fit_the_spec(self, m1, m3, m3_slide):
+        """params_to_json gates the spec and checks that the parameters fit it:
+        a rank-3 pipeline's last slide (t = s3, symbols up to 3) with a rank-2
+        spec on 3 symbols, m3's slide (eta = 2) with the 2-symbol m1, and a t
+        beyond the rank raise ParamsError instead of a bare IndexError."""
+        last = generator_ergodic_pipeline(random_properly_ergodic_spec(1, 4, 3))[1][-1]
+        for spec, params in (
+            (random_properly_ergodic_spec(0, 3, 2), last),
+            (m1, m3_slide),
+            (m3, dataclasses.replace(m3_slide, t=2)),
+            (m3, dataclasses.replace(m3_slide, u=-1)),
+        ):
+            with pytest.raises(ParamsError):
+                params_to_json(spec, params)
+        with pytest.raises(InputError):
+            params_to_json(m3, None)
+        with pytest.raises(InputError):
+            params_to_json(None, m3_slide)
 
     @pytest.mark.parametrize(
         "u, t, edges, error",
@@ -643,7 +663,7 @@ class TestVerifySlide:
 
 
 def _recoded(rule, words, win):
-    """The recoded values on words, as verify_slide's Markov check reads them."""
+    """The recoded values on words, read through a RecodedView word by word."""
     view = RecodedView(rule, win)
     return tuple(view[g] for g in words)
 
@@ -671,6 +691,45 @@ class TestGroupedLaws:
             for domain, law in laws:
                 alone = window_marginal(spec, lambda win: _recoded(params.rule, domain.words, win))
                 assert law == alone
+            spec = pushforward(spec, params)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_union_scans_match_recoded_view_scans(self, seed, size, rank, style):
+        """Each union scan of _check_laws, whose window function is recode_on
+        on the union, equals the scan of the per-window RecodedView function
+        _recoded: the same windows, weights in the same order, den and
+        failures, on every pipeline slide."""
+        spec = random_spec(seed, size, rank, style=style)
+        assume(classify(spec).properly_ergodic)
+        _, slides = generator_ergodic_pipeline(spec)
+        assume(slides)
+        for params in slides:
+            unions, scans = [], []
+
+            def recording_recode_on(rule, domain):
+                unions.append(domain)
+                return recode_on(rule, domain)
+
+            def recording_scan(spec, fn):
+                scans.append(covering_scan(spec, fn))
+                return scans[-1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(slides_module, "recode_on", recording_recode_on)
+                mp.setattr(slides_module, "covering_scan", recording_scan)
+                list(_check_laws(spec, params))
+            assert len(unions) == len(scans) == len({d.words[-1][-1] for d in unions})
+            for union, scan in zip(unions, scans):
+                old = covering_scan(spec, lambda win: _recoded(params.rule, union.words, win))
+                assert scan.windows == old.windows
+                assert list(scan.weights.items()) == list(old.weights.items())
+                assert (scan.den, scan.failures) == (old.den, old.failures)
             spec = pushforward(spec, params)
 
     def test_union_scan_is_under_the_window_budget(self, m1, m1_slide, monkeypatch):
@@ -945,6 +1004,30 @@ class TestReplay:
             replay([m1_slide], {}, 1)
         with pytest.raises(MissingCoordinate):
             replay([m1_slide], {IDENTITY: 0}, 1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            random_properly_ergodic_spec(1, 4, 3),
+            random_spec(1, 3, 2, style="sparse"),
+            random_spec(1, 3, 3, style="sparse"),
+        ],
+    )
+    def test_matches_the_recoded_view_tower(self, spec):
+        """replay, which reads its last recoding on the ball in one pass
+        (recode_on), equals the tower of RecodedViews read word by word on
+        ball(rank, r), r <= 3: for a multi-slide tower, the tower followed by
+        its reverse, and no slides at an explicit rank."""
+        slides = list(generator_ergodic_pipeline(spec)[1])
+        assert len(slides) >= 2
+        for tower in (slides, slides + slides[::-1], []):
+            for r in range(4):
+                view = x = SampledTree(spec, derive_seed(9, r))
+                for params in tower:
+                    view = RecodedView(params.rule, view)
+                dom = ball(spec.rank, r)
+                out = replay(tower, x, r, rank=spec.rank)
+                assert list(out.items()) == [(h, view[h]) for h in dom]
 
     def test_pipeline_replay_roundtrip(self, m4):
         _, slides = generator_ergodic_pipeline(m4)
