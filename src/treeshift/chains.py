@@ -147,7 +147,11 @@ class MarkovSpec:
         read only pi and kernels that stay the same, so they are shared, not
         copied.  gen's two letters are built afresh on first use, so
         validate checks gen's kernel and reuses the other entries.  kernels is
-        built on its first read, so an _Ints kernel stays ints in the engine."""
+        built on its first read, so an _Ints kernel stays ints in the engine.
+        generators and kernels must be tuples or lists (SpecInvalidError
+        otherwise); problems inside them are left to validate."""
+        if not (isinstance(self.generators, _ARRAYS) and isinstance(self._held, _ARRAYS)):
+            raise SpecInvalidError(["generators and kernels must be tuples or lists"])
         if isinstance(gen, bool) or not (isinstance(gen, int) and 0 <= gen < self.rank):
             raise InputError(f"generator index {gen!r} outside rank {self.rank}")
         held = (*self._held[:gen], kernel, *self._held[gen + 1 :])
@@ -722,25 +726,25 @@ class SampledTree:
     kernel row of g's parent value (of pi at the identity, drawn when the tree
     is made).  Lookups do not depend on evaluation order and never miss.  The
     hash input of g = l.h is built from its parent's text, token(l) + "." +
-    text(h), kept per tree: the same bytes as word_to_str(g).encode().  The
-    draw bisects the spec's integer thresholds ceil(S_b 2^64) instead of
-    comparing Fractions; for integer k, k < ceil(S_b 2^64) iff k / 2^64 < S_b,
-    so it picks the same symbol.  Keys are checked before the memo is read, so
-    a hit and a miss agree: anything but a tuple of reduced letter codes below
-    2 rank raises InputError.  The spec must pass require_valid.
+    text(h), kept per tree: the same bytes as word_to_str(g).encode().  Each
+    draw, the root's too, bisects the spec's integer thresholds ceil(S_b 2^64):
+    for integer k, k < ceil(S_b 2^64) iff k / 2^64 < S_b.  The spec must pass
+    require_valid, checked here once, so every row's last threshold is
+    2^64 > k.  Keys are checked before the memo is read, so a hit and a miss
+    agree: anything but a tuple of reduced letter codes below 2 rank raises
+    InputError.
     """
 
-    __slots__ = ("spec", "seed", "_keyed", "_tokens", "_memo", "_texts")
+    __slots__ = ("spec", "_keyed", "_tokens", "_memo", "_texts")
 
     def __init__(self, spec: MarkovSpec, seed: int):
         self.spec = require_valid(spec)
-        self.seed = _hash_key(seed, "seed")
-        key = self.seed.to_bytes(8, "big", signed=False)
+        key = _hash_key(seed, "seed").to_bytes(8, "big", signed=False)
         self._keyed = hashlib.blake2b(key=key, digest_size=8)  # copied per draw
         self._tokens = tuple(word_to_str((c,)).encode() for c in range(2 * spec.rank))
         h = self._keyed.copy()
         h.update(b"e")
-        root = _draw(*spec.pi_scaled, spec.pi_thresholds, int.from_bytes(h.digest(), "big"))
+        root = bisect_right(spec.pi_thresholds, int.from_bytes(h.digest(), "big"))
         self._memo: dict[Word, int] = {IDENTITY: root}
         self._texts: dict[Word, bytes] = {}  # drawn non-identity word -> its hash input
 
@@ -752,43 +756,30 @@ class SampledTree:
         value = memo.get(w)
         if value is not None:
             return value
-        spec, keyed, tokens, texts = self.spec, self._keyed, self._tokens, self._texts
+        keyed, tokens, texts = self._keyed, self._tokens, self._texts
         # the geodesic from w down to its closest memoized ancestor v (the root is memoized)
         chain, v = [], w
         while value is None:
             chain.append(v)
             v = v[1:]
             value = memo.get(v)
-        text, thresholds = texts.get(v, b""), spec.letter_thresholds
+        text, thresholds = texts.get(v, b""), self.spec.letter_thresholds
         for g in reversed(chain):
             c = g[0]
-            row = thresholds[c][value]
+            row = thresholds[c][value]  # the letter table checks c before the token is read
             text = texts[g] = tokens[c] + b"." + text if text else tokens[c]
             h = keyed.copy()
             h.update(text)
-            k = int.from_bytes(h.digest(), "big")
-            b = bisect_right(row, k)
-            if b == len(row):
-                b = _draw(spec.letter_scaled[c][0][value], spec.letter_scaled[c][1], row, k)
-            value = memo[g] = b
+            value = memo[g] = bisect_right(row, int.from_bytes(h.digest(), "big"))
         return value
 
 
 def _thresholds(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple[int, ...], ...]:
-    """For each row of ints over den, ceil(S_b 2^64) for its running sums S_b,
-    kept nondecreasing (a running max) so that bisection finds the first b with k below it."""
-    ceils = ([-(-s * _UNIT_DEN // den) for s in accumulate(row)] for row in rows)
-    return tuple(tuple(accumulate(c, max)) for c in ceils)
-
-
-def _draw(row: Sequence[int], den: int, thresholds: Sequence[int], k: int) -> int:
-    """The first b with k < thresholds[b]: the symbol k / 2^64 picks from the ints over den."""
-    b = bisect_right(thresholds, k)
-    if b == len(thresholds):
-        # a valid row's last threshold is 2^64 > k, so only a broken row gets here
-        total, u = Fraction(sum(row), den), Fraction(k, _UNIT_DEN)
-        raise SpecInvalidError([f"row sums to {total}, not 1: variate {u} not covered"])
-    return b
+    """For each row of ints over den, ceil(S_b 2^64) for its running sums S_b:
+    nondecreasing, as a valid row's entries are nonnegative, so bisection
+    finds the first b with k below it, and ending at exactly 2^64, as a valid
+    row sums to den."""
+    return tuple(tuple(-(-s * _UNIT_DEN // den) for s in accumulate(row)) for row in rows)
 
 
 def _hash_key(value: int, what: str) -> int:

@@ -71,13 +71,14 @@ class CocycleTable:
 
     Values are derived along the tree: for h with parent k and edge letter l,
     w(h, x) = letter_image(l, w(k,x).x) . w(k, x).  The table is a pure cache:
-    entries depend only on (rule, x).
+    entries depend only on (rule, x).  A rule that is not a RewriteRule
+    raises InputError when the table is made.
     """
 
     __slots__ = ("rule", "base", "_words")
 
     def __init__(self, rule: RewriteRule, base):
-        self.rule = rule
+        self.rule = _checked_rule(rule)
         self.base = base
         self._words: dict[Word, Word] = {IDENTITY: IDENTITY}
 
@@ -98,6 +99,13 @@ class CocycleTable:
             c = h[0]
             prior = words[h] = _next_word(steps.get(c), c, prior, base)
         return prior
+
+
+def _checked_rule(rule) -> RewriteRule:
+    """rule, checked once per table or plan to be a RewriteRule."""
+    if not isinstance(rule, RewriteRule):
+        raise InputError(f"not a RewriteRule: {rule!r}")
+    return rule
 
 
 def _next_word(step, c: int, prior: Word, x) -> Word:
@@ -133,11 +141,11 @@ def recode_on(rule: RewriteRule, domain: LeftConnectedSet) -> Callable[[object],
     for its code c, c itself and the index of k, which comes earlier in the
     canonical order.  Per x, each w(h, x) is stepped once from its parent's
     and x is read at it at once, so x is read in the order of a RecodedView
-    read in domain order.  A domain that is not a LeftConnectedSet raises
-    InputError."""
+    read in domain order.  A rule that is not a RewriteRule, or a domain that
+    is not a LeftConnectedSet, raises InputError."""
     if not isinstance(domain, LeftConnectedSet):
         raise InputError(f"recode_on reads a LeftConnectedSet, got {domain!r}")
-    steps, index = rule.steps, domain._index
+    steps, index = _checked_rule(rule).steps, domain._index
     plan = tuple((steps.get(h[0]), h[0], index[h[1:]]) for h in domain.words[1:])
 
     def recode(x) -> tuple:

@@ -10,8 +10,8 @@ letter_support) from its scaled ints, and the graph derives its adjacency,
 periodic flags and one breadth-first traversal (classes, 2-coloring and
 spanning trees) once each, on first use.  This module also extracts the
 combinatorial data consumed by the edge-slide construction: branch points
-(reached by the forced walk along single out-edges), spanning trees and
-their bipartitions.
+(reached by the forced walk along single out-edges) and the two special
+halves of a spanning tree.
 """
 
 from __future__ import annotations
@@ -212,9 +212,14 @@ def branch_data(g: TransitionGraph, b: int) -> BranchData:
 def is_special(g: TransitionGraph, edge_set) -> bool:
     """Whether an edge subset can drive an edge slide: no vertex carries both
     an incoming and an outgoing edge of the subset, and every endpoint lies
-    in an aperiodic class."""
-    edge_set = frozenset(edge_set)
-    if not edge_set <= g.edges:
+    in an aperiodic class.  Anything but a set of g's edges, as pairs of
+    ints, raises InputError."""
+    try:
+        edge_set = frozenset(edge_set)
+    except TypeError:  # not iterable, or an unhashable edge such as a list
+        raise InputError(f"edge set must be an iterable of pairs, got {edge_set!r}") from None
+    # a pair equal to a support edge may still hold 0.0 or True where an int belongs
+    if not edge_set <= g.edges or not all(type(a) is type(b) is int for a, b in edge_set):
         raise InputError("edge set is not a subset of the support edges")
     sources = {a for a, _ in edge_set}
     targets = {b for _, b in edge_set}
@@ -225,15 +230,15 @@ def is_special(g: TransitionGraph, edge_set) -> bool:
 
 @dataclass(frozen=True)
 class SpecialSets:
-    tree: frozenset[tuple[int, int]]
+    """The two halves of a spanning tree of a class: one-way edge sets, each
+    special, whose union is the tree."""
+
     e1: frozenset[tuple[int, int]]
     e2: frozenset[tuple[int, int]]
-    side0: frozenset[int]
-    side1: frozenset[int]
 
 
 def special_sets(spec: MarkovSpec, gen: int, a: int) -> SpecialSets:
-    """Spanning tree of a's class in the given direction, split by a
+    """A spanning tree of a's class in the given direction, split by a
     2-coloring into two one-way edge sets, each of which is special.
 
     The tree and the coloring are those of the graph's one traversal
@@ -241,8 +246,9 @@ def special_sets(spec: MarkovSpec, gen: int, a: int) -> SpecialSets:
     scanning undirected edges in vertex order; each tree edge is then
     oriented in a direction the support graph actually carries (smallest
     endpoint first when both directions exist).  Coloring the BFS tree makes
-    every tree edge cross the two sides, so each oriented half has disjoint
-    sources and targets.  The spec must pass require_valid.
+    every tree edge cross the two sides, so each oriented half, the edges
+    leaving one side, has disjoint sources and targets.  The spec must pass
+    require_valid.
     """
     chains.require_valid(spec)
     if isinstance(a, bool) or not (isinstance(a, int) and 0 <= a < spec.size):
@@ -250,12 +256,10 @@ def special_sets(spec: MarkovSpec, gen: int, a: int) -> SpecialSets:
     g = support_edges(spec, gen)
     if not g.aperiodic(a):
         raise InputError(f"class of {a} along {spec.generators[gen]} is periodic")
-    classes, class_of, color, trees = g._traversal
+    _, class_of, color, trees = g._traversal
     # a pair carried both ways is oriented smallest endpoint first
     tree = frozenset(
         (v, w) if (v, w) in g.edges and (v < w or (w, v) not in g.edges) else (w, v)
         for v, w in trees[class_of[a]]
     )
-    halves = (frozenset(e for e in tree if color[e[0]] == side) for side in (0, 1))
-    sides = (frozenset(v for v in classes[class_of[a]] if color[v] == side) for side in (0, 1))
-    return SpecialSets(tree, *halves, *sides)
+    return SpecialSets(*(frozenset(e for e in tree if color[e[0]] == side) for side in (0, 1)))

@@ -30,7 +30,7 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .chains import Configuration, MarkovSpec, Matrix, SampledTree, covering_scan
-from .chains import _hash_key, _Ints, derive_seed, enumerate_cylinders
+from .chains import _Ints, derive_seed, enumerate_cylinders
 from .chains import require_form, require_valid
 from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule, recode_on
 from .errors import InputError, ParamsError, TreeshiftError
@@ -299,12 +299,14 @@ def _orbit_covered(table: CocycleTable, ball2: LeftConnectedSet, ball4: LeftConn
     return False
 
 
+_SAMPLE_SEED = 2024  # verify_slide's sampled trees are derive_seed(_SAMPLE_SEED, i)
+
+
 def verify_slide(
     spec: MarkovSpec,
     params: SlideParams,
     *,
     candidate: MarkovSpec | None = None,
-    seed: int = 2024,
     samples: int = 25,
 ) -> SlideReport:
     """Check the slide's claims against the given spec.
@@ -312,12 +314,12 @@ def verify_slide(
     The Markov check compares every check domain's recoded law with the
     candidate's cylinders; the laws come from one window scan per edge letter
     at e, as marginals (_check_laws).  The map-level checks run on `samples`
-    sampled trees x: recoding twice restores x on ball(rank, 2), and the
-    cocycle words of ball(rank, 4) cover ball(rank, 2).  The orbit check
-    stops once they do (_orbit_covered); with checked parameters the slide's
-    conflict branch is unreachable, so the skipped words hide no error.
-    samples=0 skips both sampled checks and reports them True; a negative or
-    non-int samples, or a seed that derive_seed rejects, raises InputError.
+    sampled trees x, the i-th seeded derive_seed(_SAMPLE_SEED, i): recoding
+    twice restores x on ball(rank, 2), and the cocycle words of ball(rank, 4)
+    cover ball(rank, 2).  The orbit check stops once they do (_orbit_covered);
+    with checked parameters the slide's conflict branch is unreachable, so the
+    skipped words hide no error.  samples=0 skips both sampled checks and
+    reports them True; a negative or non-int samples raises InputError.
 
     candidate defaults to the exact pushforward, which checks params.  A
     given candidate must be a MarkovSpec with the spec's generators and
@@ -328,7 +330,6 @@ def verify_slide(
     """
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
         raise InputError(f"samples must be a non-negative int, not {samples!r}")
-    _hash_key(seed, "seed")  # derive_seed's check, made before anything runs
     if candidate is None:
         candidate = pushforward(spec, params)
     else:
@@ -340,7 +341,7 @@ def verify_slide(
     ball2 = ball(rank, 2)
     ball4 = ball(rank, 4)
     for i in range(samples):
-        x = SampledTree(spec, derive_seed(seed, i))
+        x = SampledTree(spec, derive_seed(_SAMPLE_SEED, i))
         y = RecodedView(rule, x)
         z = RecodedView(rule, y)
         if any(z[h] != x[h] for h in ball2):
@@ -435,9 +436,10 @@ def replay(
     (the identity rule's, for no slides) is read on the ball in one pass,
     cocycles.recode_on.  A Mapping is read as the Configuration it gives: a
     word outside its domain raises MissingCoordinate, and a bad domain
-    DomainError.  rank
-    is taken from the slides when present; every slide must have that rank,
-    and slides must be a list or tuple of SlideParams (InputError otherwise).
+    DomainError; a Sequence (a list, tuple, str or bytes) is no coordinate
+    map.  rank is taken from the slides when present; every slide must have
+    that rank, and slides must be a list or tuple of SlideParams (InputError
+    otherwise, as for x).
     """
     if not isinstance(slides, (list, tuple)) or not all(
         isinstance(params, SlideParams) for params in slides
@@ -449,7 +451,7 @@ def replay(
         rank = slides[0].rank
     if any(params.rank != rank for params in slides):
         raise InputError(f"replay at rank {rank} of slides of ranks {[p.rank for p in slides]}")
-    if not hasattr(x, "__getitem__"):
+    if not hasattr(x, "__getitem__") or isinstance(x, Sequence):
         raise InputError(f"replay reads a coordinate map, got {x!r}")
     view = Configuration(x) if isinstance(x, Mapping) else x
     for params in slides[:-1]:

@@ -194,13 +194,6 @@ def ball(rank: int, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> "LeftConn
     return LeftConnectedSet._canonical(out)
 
 
-def ball_size(rank: int, radius: int) -> int:
-    if radius == 0:
-        return 1
-    q = 2 * rank - 1
-    return 1 + 2 * rank * (q**radius - 1) // (q - 1) if q > 1 else 1 + 2 * radius
-
-
 class LeftConnectedSet:
     """A finite left-connected set of words containing the identity.
 

@@ -5,10 +5,11 @@ import json
 import pickle
 import re
 import time
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -31,7 +32,7 @@ from treeshift.chains import (
     Configuration,
     MarkovSpec,
     SampledTree,
-    _draw,
+    _Ints,
     _thresholds,
     cylinder_measure,
     derive_seed,
@@ -52,7 +53,9 @@ from treeshift.errors import (
     MissingCoordinate,
     SpecInvalidError,
 )
+from treeshift.graphs import classify
 from treeshift.randspec import random_properly_ergodic_spec, random_spec
+from treeshift.slides import generator_ergodic_pipeline, pushforward
 from treeshift.words import (
     IDENTITY,
     LeftConnectedSet,
@@ -391,12 +394,6 @@ class TestSampling:
             fresh[w]
         assert fresh[deep] == v
 
-    def test_draw_rejects_row_not_summing_to_one(self):
-        row = (Fraction(1, 4), Fraction(1, 2))
-        ints, den = scaled(row)
-        with pytest.raises(SpecInvalidError, match="3/4"):
-            _draw(ints, den, _thresholds([ints], den)[0], 7 << 61)  # the variate 7/8
-
     @given(
         st.lists(
             st.one_of(st.just(Fraction(0)), st.fractions(0, 1, max_denominator=10**6)),
@@ -408,6 +405,9 @@ class TestSampling:
     )
     @settings(max_examples=300)
     def test_threshold_draw_matches_fraction_draw(self, raw, normalise, k):
+        """On any nonnegative row, normalised or not, bisecting the thresholds
+        picks oracle_draw's symbol, and falls past the row (len(row)) exactly
+        where the oracle finds the variate not covered."""
         total = sum(raw)
         row = tuple(p / total for p in raw) if normalise and total else tuple(raw)
         ints, den = scaled(row)
@@ -416,12 +416,37 @@ class TestSampling:
         for v in sorted({k} | {v for v in boundaries if 0 <= v < 2**64}):
             try:
                 expected = oracle_draw(row, Fraction(v, 2**64))
-            except SpecInvalidError as exc:
-                with pytest.raises(SpecInvalidError) as got:
-                    _draw(ints, den, thresholds, v)
-                assert got.value.args == exc.args
-            else:
-                assert _draw(ints, den, thresholds, v) == expected
+            except SpecInvalidError:
+                expected = len(row)
+            assert bisect_right(thresholds, v) == expected
+
+    @given(
+        st.sampled_from(["mixed", "sparse", "properly ergodic"]),
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_valid_thresholds_end_at_the_unit(self, style, seed, size, rank):
+        """On a valid spec every threshold row, forward and reversed, and pi's
+        end at exactly 2^64, above every variate, so no draw falls past its row;
+        so do the specs the pipeline's slides derive, whose slid kernel is held
+        as ints (_Ints)."""
+        if style == "properly ergodic":
+            spec = random_properly_ergodic_spec(seed, size, rank)
+        else:
+            spec = random_spec(seed, size, rank, style=style)
+        assume(validate(spec).ok)
+        specs = [spec]
+        if classify(spec).properly_ergodic:
+            for params in generator_ergodic_pipeline(spec)[1]:
+                specs.append(pushforward(specs[-1], params))
+                assert type(specs[-1]._held[params.t]) is _Ints
+        for s in specs:
+            assert s.pi_thresholds[-1] == 2**64
+            for c in range(2 * rank):
+                assert len(s.letter_thresholds[c]) == size
+                assert all(row[-1] == 2**64 for row in s.letter_thresholds[c])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 2**64 - 1])
     def test_samples_match_fraction_draw(self, seed):

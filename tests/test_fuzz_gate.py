@@ -22,12 +22,12 @@ from treeshift.chains import Configuration, MarkovSpec, SampledTree, covering_sc
 from treeshift.chains import cylinder_measure, enumerate_cylinders, kernel_for_letter
 from treeshift.chains import problem_entries, require_form, require_valid, reverse_kernel
 from treeshift.chains import sample_ball, scan_positive_windows, spec_to_json, validate
-from treeshift.cocycles import recode_on
+from treeshift.cocycles import CocycleTable, RecodedView, cocycle, recode_on
 from treeshift.errors import InputError, TreeshiftError
-from treeshift.graphs import classify, special_sets, support_edges
+from treeshift.graphs import classify, is_special, special_sets, support_edges
 from treeshift.randspec import random_properly_ergodic_spec
 from treeshift.slides import build_slide_params, generator_ergodic_pipeline, params_from_json
-from treeshift.slides import params_to_json, pushforward, verify_slide
+from treeshift.slides import params_to_json, pushforward, replay, verify_slide
 from treeshift.words import IDENTITY, LeftConnectedSet, Letter, Word, ball
 
 KINDS = (
@@ -179,8 +179,17 @@ NON_SPEC_ARGUMENTS = {
     "ball-str-budget": lambda spec: ball(2, 1, budget="x"),
     "ball-None-budget": lambda spec: ball(2, 1, budget=None),
     "ball-float-budget": lambda spec: ball(2, 1, budget=1.5),
-    "verify_slide-str-seed": lambda spec: verify_slide(spec, base(0)[1], seed="x", samples=0),
     "recode_on-list": lambda spec: recode_on(base(0)[1].rule, [IDENTITY]),
+    "recode_on-None-rule": lambda spec: recode_on(None, ball(2, 1)),
+    "CocycleTable-None-rule": lambda spec: CocycleTable(None, SampledTree(spec, 1)).omega((0,)),
+    "RecodedView-None-rule": lambda spec: RecodedView(None, SampledTree(spec, 1))[(0,)],
+    "cocycle-None-rule": lambda spec: cocycle(None, (0,), SampledTree(spec, 1)),
+    "replay-list": lambda spec: replay([], [0, 1], 1, 2),
+    "replay-str": lambda spec: replay([], "ab", 1, 2),
+    "is_special-list-edge": lambda spec: is_special(support_edges(spec, 0), [[0, 1]]),
+    "is_special-None": lambda spec: is_special(support_edges(spec, 0), None),
+    "is_special-float-vertex": lambda spec: is_special(support_edges(spec, 0), {(0.0, 1)}),
+    "is_special-bool-vertex": lambda spec: is_special(support_edges(spec, 0), {(True, 0)}),
 }
 
 
@@ -188,9 +197,10 @@ NON_SPEC_ARGUMENTS = {
 def test_bad_non_spec_argument_raises_input_error(entry):
     """The exact engine's other arguments are checked too: a domain that is not
     a LeftConnectedSet, a phi that is not a Configuration, an assignment that
-    is not a Mapping, and words that are not reduced tuples of non-negative
-    int letter codes raise InputError, whether they would raise a bare error
-    or pass."""
+    is not a Mapping, words that are not reduced tuples of non-negative int
+    letter codes, a rule that is not a RewriteRule, a coordinate map that is
+    a sequence and an edge set that is not a set of int pairs raise
+    InputError, whether they would raise a bare error or pass."""
     with pytest.raises(InputError):
         NON_SPEC_ARGUMENTS[entry](base(0)[0])
 

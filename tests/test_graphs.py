@@ -281,6 +281,23 @@ class TestIsSpecial:
             is_special(EXAMPLE_GRAPH, {(0, 2)})
 
 
+def sides(out) -> tuple[set, set]:
+    """The 2-coloring the halves carry: e1 runs from side 0 to side 1, e2 back."""
+    return (
+        {a for a, _ in out.e1} | {b for _, b in out.e2},
+        {b for _, b in out.e1} | {a for a, _ in out.e2},
+    )
+
+
+def spanning_tree_of(n: int, edges, cls) -> bool:
+    """Whether the edges, directions ignored, are a spanning tree of the class:
+    |class| - 1 of them, connecting every vertex of it."""
+    touched = {v for e in edges for v in e}
+    if len(edges) != len(cls) - 1 or not touched <= cls:
+        return False
+    return any(comp == cls for comp in bfs_components(n, edges))
+
+
 class TestSpecialSets:
     def test_two_vertex_class(self):
         spec = make_spec(
@@ -290,9 +307,9 @@ class TestSpecialSets:
             [[[H, H], [H, H]], [[H, H], [H, H]]],
         )
         out = special_sets(spec, 0, 0)
-        assert out.tree == {(0, 1)}
+        assert out.e1 | out.e2 == {(0, 1)}
         assert out.e1 == {(0, 1)} and out.e2 == frozenset()
-        assert out.side0 == {0} and out.side1 == {1}
+        assert sides(out) == ({0}, {1})
 
     def test_periodic_class_rejected(self, m1):
         with pytest.raises(InputError):
@@ -306,11 +323,13 @@ class TestSpecialSets:
     def test_four_vertex_tree_size(self):
         spec = bernoulli_spec([0, 1, 2, 3], [Fraction(1, 4)] * 4)
         out = special_sets(spec, 0, 0)
-        assert len(out.tree) == 3
-        assert out.e1 | out.e2 == out.tree
+        assert len(out.e1 | out.e2) == 3 and not out.e1 & out.e2
+        assert spanning_tree_of(4, out.e1 | out.e2, {0, 1, 2, 3})
         # 2-coloring: every tree edge crosses the bipartition
-        for a, b in out.tree:
-            assert (a in out.side0) != (b in out.side0)
+        side0, side1 = sides(out)
+        assert not side0 & side1 and side0 | side1 == {0, 1, 2, 3}
+        for a, b in out.e1 | out.e2:
+            assert (a in side0) != (b in side0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_halves_are_special(self, seed):
@@ -323,6 +342,5 @@ class TestSpecialSets:
             out = special_sets(spec, 0, a)
             assert is_special(g, out.e1)
             assert is_special(g, out.e2)
-            assert out.e1 | out.e2 == out.tree
-            assert len(out.tree) == len(cls) - 1
-
+            assert spanning_tree_of(spec.size, out.e1 | out.e2, cls)
+            assert len(out.e1 | out.e2) == len(cls) - 1

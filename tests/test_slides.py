@@ -1048,6 +1048,12 @@ def _gate_probes():
         ("validate-None", lambda: validate(None)),
         ("validate-kernel-None", lambda: validate(spec.with_kernel(0, None))),
         ("validate-row-None", lambda: validate(spec.with_kernel(0, (None,) * 3))),
+        ("with_kernel-kernels-None", lambda: replace(spec, kernels=None).with_kernel(0, ())),
+        ("with_kernel-generators-None", lambda: replace(spec, generators=None).with_kernel(0, ())),
+        (
+            "with_kernel-kernels-dict",
+            lambda: replace(spec, kernels=dict(enumerate(spec.kernels))).with_kernel(0, ()),
+        ),
         ("validate-pi-None", lambda: validate(replace(spec, pi=None))),
         ("validate-kernels-None", lambda: validate(replace(spec, kernels=None))),
         ("validate-alphabet-None", lambda: validate(replace(spec, alphabet=None))),

@@ -13,7 +13,6 @@ from treeshift.words import (
     Letter,
     Word,
     ball,
-    ball_size,
     edge_letter,
     in_past,
     inverse,
@@ -159,10 +158,8 @@ class TestPast:
 
 class TestBall:
     def test_sizes_rank2(self):
-        assert len(ball(2, 0)) == 1
-        assert len(ball(2, 1)) == 5
-        assert len(ball(2, 2)) == 17
-        assert ball_size(2, 2) == 17
+        # 1 + 4 (3^radius - 1) / 2: four words of length 1, three children for each word past e
+        assert [len(ball(2, r)) for r in range(5)] == [1, 5, 17, 53, 161]
 
     def test_matches_brute_enumeration(self):
         for rank, radius in [(2, 3), (3, 2)]:
@@ -300,7 +297,9 @@ class TestCanonicalOrder:
         """ball skips the sort and the parent checks; it equals the checked set."""
         b = ball(rank, radius)
         assert list(b.words) == sorted(b.words, key=oracle_word_key)
-        assert len(set(b.words)) == len(b) == ball_size(rank, radius)
+        # closed form: 1 + 2 rank sum_{r < radius} (2 rank - 1)^r words
+        size = 1 + 2 * rank * sum((2 * rank - 1) ** r for r in range(radius))
+        assert len(set(b.words)) == len(b) == size
         again = LeftConnectedSet(reversed(b.words))
         assert again == b and all(w in b for w in again)
 
