@@ -6,8 +6,8 @@ tree product formula these data determine a unique shift-invariant measure on
 A^F whose cylinder probabilities this module evaluates exactly.
 
 Symbols are addressed by their index in the alphabet everywhere below;
-configurations map group elements (Word) to symbol indices, in a _Probe dict
-whose missing read raises MissingCoordinate.
+configurations hold symbol indices in their domain's canonical order, and
+a read outside the domain raises MissingCoordinate.
 
 Each spec keeps lookup tables on its own instance, each entry built on first
 use: the kernel's scaled integers (see below), its rows' successors (the
@@ -100,24 +100,19 @@ def frac_from_str(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class _Kernels:
-    """MarkovSpec.kernels of a spec that with_kernel made: built from its _held
-    on first read and kept on the instance, where later reads find it."""
-
-    def __get__(self, spec, owner=None):
-        if spec is None:  # read on the class: the dataclass field has no default
-            raise AttributeError("kernels")
-        held = spec._held
-        ks = vars(spec)["kernels"] = tuple(k.fractions() if type(k) is _Ints else k for k in held)
-        return ks
-
-
 @dataclass(frozen=True)
 class MarkovSpec:
     generators: tuple[str, ...]
     alphabet: tuple
     pi: tuple[Fraction, ...]
-    kernels: tuple[Matrix, ...] = _Kernels()  # kernels[gen][a][b], by alphabet position
+    kernels: tuple[Matrix, ...]  # kernels[gen][a][b], by alphabet position
+
+    def __getattr__(self, name: str):  # a miss: with_kernel's kernels, built once from _held
+        if name != "kernels":  # copy and pickle probe names such as __deepcopy__
+            raise AttributeError(name)
+        held = self._held
+        ks = vars(self)["kernels"] = tuple(k.fractions() if type(k) is _Ints else k for k in held)
+        return ks
 
     @property
     def rank(self) -> int:
@@ -156,7 +151,7 @@ class MarkovSpec:
             raise InputError(f"generator index {gen!r} outside rank {self.rank}")
         held = (*self._held[:gen], kernel, *self._held[gen + 1 :])
         new = MarkovSpec(self.generators, self.alphabet, self.pi, held)
-        new.__dict__["_held"] = new.__dict__.pop("kernels")  # see _Kernels
+        new.__dict__["_held"] = new.__dict__.pop("kernels")  # kernels: see __getattr__
         built = self.__dict__
         for name in _LETTER_TABLES:
             if name in built:
@@ -448,18 +443,10 @@ def kernel_for_letter(spec: MarkovSpec, letter: Letter) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-class _Probe(dict):
-    """{word: symbol}, a Configuration's values: a missing read raises
-    MissingCoordinate.  (A scan's window fills a missing read instead: _Window.)"""
-
-    __slots__ = ()
-
-    def __missing__(self, w: Word):
-        raise MissingCoordinate(w)
-
-
 class Configuration:
-    """A partial assignment of symbols to a left-connected domain containing e."""
+    """A partial assignment of symbols to a left-connected domain containing e:
+    its values in the domain's canonical order, read through domain._index; a
+    word outside the domain raises MissingCoordinate."""
 
     __slots__ = ("domain", "_values")
 
@@ -468,27 +455,31 @@ class Configuration:
             raise InputError(f"assignment must be a mapping, got {assignment!r}")
         domain = LeftConnectedSet(assignment.keys())  # validates the domain
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_values", _Probe(assignment))
+        object.__setattr__(self, "_values", tuple(assignment[w] for w in domain.words))
 
     @classmethod
-    def _on(cls, domain: LeftConnectedSet, values: dict) -> "Configuration":
-        """The configuration with the given values on a domain already built, unchecked."""
+    def _on(cls, domain: LeftConnectedSet, values: tuple) -> "Configuration":
+        """The configuration with values in domain.words order on a built domain, unchecked."""
         self = object.__new__(cls)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_values", _Probe(values))
+        object.__setattr__(self, "_values", values)
         return self
 
     def __setattr__(self, *a):
         raise AttributeError("Configuration is immutable")
 
     def __getitem__(self, w: Word) -> int:
-        return self._values[w]  # a miss raises MissingCoordinate (_Probe)
+        try:
+            return self._values[self.domain._index[w]]
+        except KeyError:
+            raise MissingCoordinate(w) from None
 
     def get(self, w: Word, default=None):
-        return self._values.get(w, default)
+        i = self.domain._index.get(w)
+        return default if i is None else self._values[i]
 
     def __contains__(self, w: Word) -> bool:
-        return w in self._values
+        return w in self.domain
 
     def __len__(self) -> int:
         return len(self._values)
@@ -497,17 +488,17 @@ class Configuration:
         return iter(self.domain)
 
     def items(self):
-        for w in self.domain:
-            yield w, self._values[w]
+        return zip(self.domain.words, self._values)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Configuration) and self._values == other._values
+        same = isinstance(other, Configuration) and self.domain == other.domain
+        return same and self._values == other._values
 
     def __hash__(self) -> int:
         return hash(tuple(self.items()))
 
     def __reduce__(self):  # slots behind a setattr that raises: rebuilt from the values
-        return Configuration, (dict(self._values),)
+        return Configuration, (dict(self.items()),)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{w}:{v}" for w, v in self.items())
@@ -639,9 +630,12 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     int, the lcm of all dens (WindowScan.weights and .den), so callers sum and
     compare it on ints.  Its Fractions (WindowScan.law) are the same, in the
     same key order, as summing each window's weight as a Fraction.  The spec
-    must pass require_form; its kernels' laws are not checked.
+    must pass require_form; its kernels' laws are not checked.  An fn that
+    is not callable raises InputError before any table is read.
     """
     require_form(spec)
+    if not callable(fn):
+        raise InputError(f"window function must be callable, got {fn!r}")
     sums: dict = {}  # {value: {den: sum of num}}, values in the order first seen
     failures: list = []
     windows = 0
@@ -802,10 +796,11 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def sample_ball(spec: MarkovSpec, radius: int, seed: int) -> Configuration:
-    """One exact sample of the chain restricted to the ball of given radius."""
+    """One exact sample of the chain restricted to the ball of given radius:
+    the sampled tree's values on the ball, in its canonical order."""
     tree = SampledTree(spec, seed)
     dom = ball(spec.rank, radius, budget=_MAX_SAMPLE_BALL)
-    return Configuration._on(dom, {w: tree[w] for w in dom})
+    return Configuration._on(dom, tuple(tree[w] for w in dom.words))
 
 
 # ---------------------------------------------------------------------------

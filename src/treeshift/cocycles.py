@@ -25,7 +25,7 @@ claims of a slide's rule are checked in slides.verify_slide.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 # bound here for the benchmark tracer, which wraps the scan at this module's binding
 from .chains import scan_positive_windows  # noqa: F401
@@ -71,15 +71,16 @@ class CocycleTable:
 
     Values are derived along the tree: for h with parent k and edge letter l,
     w(h, x) = letter_image(l, w(k,x).x) . w(k, x).  The table is a pure cache:
-    entries depend only on (rule, x).  A rule that is not a RewriteRule
-    raises InputError when the table is made.
+    entries depend only on (rule, x).  A rule that is not a RewriteRule, or
+    an x that is not a coordinate map (_coordinate_map), raises InputError
+    when the table is made.
     """
 
     __slots__ = ("rule", "base", "_words")
 
     def __init__(self, rule: RewriteRule, base):
         self.rule = _checked_rule(rule)
-        self.base = base
+        self.base = _coordinate_map(base)
         self._words: dict[Word, Word] = {IDENTITY: IDENTITY}
 
     def omega(self, g: Word) -> Word:
@@ -106,6 +107,15 @@ def _checked_rule(rule) -> RewriteRule:
     if not isinstance(rule, RewriteRule):
         raise InputError(f"not a RewriteRule: {rule!r}")
     return rule
+
+
+def _coordinate_map(x):
+    """x, checked once per table or recoding to be a coordinate map: a dict
+    (a scan's window), or else it has __getitem__ and is no Sequence (a list,
+    tuple, str or bytes)."""
+    if not isinstance(x, dict) and (not hasattr(x, "__getitem__") or isinstance(x, Sequence)):
+        raise InputError(f"a cocycle reads a coordinate map, got {x!r}")
+    return x
 
 
 def _next_word(step, c: int, prior: Word, x) -> Word:
@@ -142,14 +152,15 @@ def recode_on(rule: RewriteRule, domain: LeftConnectedSet) -> Callable[[object],
     canonical order.  Per x, each w(h, x) is stepped once from its parent's
     and x is read at it at once, so x is read in the order of a RecodedView
     read in domain order.  A rule that is not a RewriteRule, or a domain that
-    is not a LeftConnectedSet, raises InputError."""
+    is not a LeftConnectedSet, raises InputError, and so does an x that is
+    not a coordinate map, checked at its first read, not per step."""
     if not isinstance(domain, LeftConnectedSet):
         raise InputError(f"recode_on reads a LeftConnectedSet, got {domain!r}")
     steps, index = _checked_rule(rule).steps, domain._index
     plan = tuple((steps.get(h[0]), h[0], index[h[1:]]) for h in domain.words[1:])
 
     def recode(x) -> tuple:
-        words, values = [IDENTITY], [x[IDENTITY]]
+        words, values = [IDENTITY], [_coordinate_map(x)[IDENTITY]]
         for step, c, i in plan:
             w = _next_word(step, c, words[i], x)
             words.append(w)

@@ -196,7 +196,11 @@ def branch_data(g: TransitionGraph, b: int) -> BranchData:
     vertex until it reaches one with two or more, whose two smallest
     out-neighbors are b_n and eta.  Every vertex before the branch vertex has
     exactly one out-edge, so the route is forced.  A walk that stops at a vertex
-    without out-edges, or that closes a deterministic cycle, raises."""
+    without out-edges, or that closes a deterministic cycle, raises InputError,
+    as do a g that is not a TransitionGraph and a b that is not its vertex."""
+    size = _graph(g).size
+    if type(b) is not int or not 0 <= b < size:
+        raise InputError(f"vertex {b!r} is not an int in [0, {size})")
     path = [b]
     while len(outs := g.out_neighbors(path[-1])) == 1:
         if outs[0] in path:
@@ -209,17 +213,33 @@ def branch_data(g: TransitionGraph, b: int) -> BranchData:
     return BranchData(len(path), (*path, outs[0]), outs[1])
 
 
+def _graph(g) -> TransitionGraph:
+    if not isinstance(g, TransitionGraph):
+        raise InputError(f"not a TransitionGraph: {g!r}")
+    return g
+
+
+def _edge_set(edges) -> frozenset[tuple[int, int]]:
+    """The one rule for an edge set: an iterable of (int, int) tuples, as a
+    frozenset, or InputError.  Each element is checked before the set is
+    built, since a set merges (0, 1.0) into (0, 1)."""
+    try:
+        pairs = list(edges)
+    except TypeError:  # not iterable: fails the check below
+        pairs = [None]
+    if not all(type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in pairs):
+        raise InputError(f"edge set must be (int, int) tuples, got {edges!r}")
+    return frozenset(pairs)
+
+
 def is_special(g: TransitionGraph, edge_set) -> bool:
     """Whether an edge subset can drive an edge slide: no vertex carries both
     an incoming and an outgoing edge of the subset, and every endpoint lies
-    in an aperiodic class.  Anything but a set of g's edges, as pairs of
-    ints, raises InputError."""
-    try:
-        edge_set = frozenset(edge_set)
-    except TypeError:  # not iterable, or an unhashable edge such as a list
-        raise InputError(f"edge set must be an iterable of pairs, got {edge_set!r}") from None
-    # a pair equal to a support edge may still hold 0.0 or True where an int belongs
-    if not edge_set <= g.edges or not all(type(a) is type(b) is int for a, b in edge_set):
+    in an aperiodic class.  A g that is not a TransitionGraph, and anything
+    but a subset of g's edges that passes _edge_set, raise InputError."""
+    edges = _graph(g).edges
+    edge_set = _edge_set(edge_set)
+    if not edge_set <= edges:
         raise InputError("edge set is not a subset of the support edges")
     sources = {a for a, _ in edge_set}
     targets = {b for _, b in edge_set}
@@ -228,18 +248,10 @@ def is_special(g: TransitionGraph, edge_set) -> bool:
     return all(g.aperiodic(v) for v in sources | targets)
 
 
-@dataclass(frozen=True)
-class SpecialSets:
-    """The two halves of a spanning tree of a class: one-way edge sets, each
-    special, whose union is the tree."""
-
-    e1: frozenset[tuple[int, int]]
-    e2: frozenset[tuple[int, int]]
-
-
-def special_sets(spec: MarkovSpec, gen: int, a: int) -> SpecialSets:
-    """A spanning tree of a's class in the given direction, split by a
-    2-coloring into two one-way edge sets, each of which is special.
+def special_sets(spec: MarkovSpec, gen: int, a: int) -> tuple[frozenset, frozenset]:
+    """The two halves (e1, e2) of a spanning tree of a's class in the given
+    direction: split by a 2-coloring into two one-way edge sets, each of
+    which is special, whose union is the tree; e1 leaves side 0, e2 side 1.
 
     The tree and the coloring are those of the graph's one traversal
     (TransitionGraph._traversal), from the smallest vertex of the class,
@@ -262,4 +274,4 @@ def special_sets(spec: MarkovSpec, gen: int, a: int) -> SpecialSets:
         (v, w) if (v, w) in g.edges and (v < w or (w, v) not in g.edges) else (w, v)
         for v, w in trees[class_of[a]]
     )
-    return SpecialSets(*(frozenset(e for e in tree if color[e[0]] == side) for side in (0, 1)))
+    return tuple(frozenset(e for e in tree if color[e[0]] == side) for side in (0, 1))

@@ -34,7 +34,8 @@ from .chains import _Ints, derive_seed, enumerate_cylinders
 from .chains import require_form, require_valid
 from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule, recode_on
 from .errors import InputError, ParamsError, TreeshiftError
-from .graphs import BranchData, branch_data, classify, is_special, special_sets, support_edges
+from .graphs import BranchData, _edge_set, branch_data, classify, is_special, special_sets
+from .graphs import support_edges
 from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, inverse, letters_of_rank
 from .words import multiply, reduce, single
 
@@ -55,7 +56,10 @@ class SlideParams:
 
     @cached_property
     def rule(self) -> RewriteRule:
-        """The slide's rewrite rule, built from the parameters alone."""
+        """The slide's rewrite rule, built from the parameters alone: ParamsError
+        unless the branch targets are exactly the edges' targets."""
+        if {b for b, _ in self.branch} != {b for _, b in self.edges}:
+            raise ParamsError("slide branch targets are not the slide edges' targets")
         if not self.edges:
             return identity_rule(self.rank)
         u, t = Letter(self.u, 1), Letter(self.t, 1)
@@ -85,21 +89,15 @@ def build_slide_params(
     spec: MarkovSpec, u: int, t: int, edges: Iterable[tuple[int, int]]
 ) -> SlideParams:
     """Validate a slide edge set against the spec and derive its branch data:
-    the spec must pass require_valid, InputError unless the edges are pairs
-    of ints, ParamsError on any misfit."""
+    the spec must pass require_valid, the edges is_special's rule (InputError
+    unless (int, int) tuples: graphs._edge_set), ParamsError on any misfit."""
     require_valid(spec)
-    try:
-        pairs = [(a, b) for a, b in edges]
-    except (TypeError, ValueError):  # not iterable, or not pairs
-        pairs = None
-    if pairs is None or not all(type(a) is type(b) is int for a, b in pairs):
-        raise InputError(f"slide edges must be pairs of symbol indices, got {edges!r}")
+    edge_set = _edge_set(edges)
     for gi in (u, t):
         if not _below(gi, spec.rank):
             raise ParamsError(f"generator index {gi!r} is not an int in [0, {spec.rank})")
     if u == t:
         raise ParamsError("slide directions u and t must be distinct generators")
-    edge_set = frozenset(pairs)
     g = support_edges(spec, u)
     if not edge_set <= g.edges:
         raise ParamsError("slide edges must be u-support edges")
@@ -266,7 +264,7 @@ def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftCon
         union = LeftConnectedSet(w for domain in members for w in domain)
         scan = covering_scan(spec, recode_on(rule, union))
         for domain in members:
-            at = [union.words.index(w) for w in domain.words]
+            at = [union._index[w] for w in domain.words]
             sums: dict[tuple, int] = {}
             for values, x in scan.weights.items():
                 key = tuple(values[i] for i in at)
@@ -381,8 +379,7 @@ def _slide_round(
 ) -> MarkovSpec:
     """Slide both halves of the spanning tree of a's u-class onto every other
     generator, in generator order."""
-    sets = special_sets(spec, u, a)
-    for edge_set in (sets.e1, sets.e2):
+    for edge_set in special_sets(spec, u, a):
         if not edge_set:
             continue
         for t in range(spec.rank):
@@ -436,10 +433,12 @@ def replay(
     (the identity rule's, for no slides) is read on the ball in one pass,
     cocycles.recode_on.  A Mapping is read as the Configuration it gives: a
     word outside its domain raises MissingCoordinate, and a bad domain
-    DomainError; a Sequence (a list, tuple, str or bytes) is no coordinate
-    map.  rank is taken from the slides when present; every slide must have
-    that rank, and slides must be a list or tuple of SlideParams (InputError
-    otherwise, as for x).
+    DomainError; anything else is checked by the cocycles' one rule (a
+    Sequence, such as a list, tuple, str or bytes, is no coordinate map).
+    rank is taken from the slides when present; every slide must have that
+    rank, and slides must be a list or tuple of SlideParams (InputError
+    otherwise, as for x).  Parameters whose branch targets are not their
+    edges' targets raise ParamsError (SlideParams.rule).
     """
     if not isinstance(slides, (list, tuple)) or not all(
         isinstance(params, SlideParams) for params in slides
@@ -451,14 +450,12 @@ def replay(
         rank = slides[0].rank
     if any(params.rank != rank for params in slides):
         raise InputError(f"replay at rank {rank} of slides of ranks {[p.rank for p in slides]}")
-    if not hasattr(x, "__getitem__") or isinstance(x, Sequence):
-        raise InputError(f"replay reads a coordinate map, got {x!r}")
     view = Configuration(x) if isinstance(x, Mapping) else x
     for params in slides[:-1]:
         view = RecodedView(params.rule, view)
     dom = ball(rank, radius)
     outer = slides[-1].rule if slides else identity_rule(rank)
-    return Configuration._on(dom, dict(zip(dom.words, recode_on(outer, dom)(view))))
+    return Configuration._on(dom, recode_on(outer, dom)(view))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from treeshift.errors import (
 )
 from treeshift.graphs import classify
 from treeshift.randspec import random_properly_ergodic_spec, random_spec
-from treeshift.slides import generator_ergodic_pipeline, pushforward
+from treeshift.slides import generator_ergodic_pipeline, pushforward, replay
 from treeshift.words import (
     IDENTITY,
     LeftConnectedSet,
@@ -199,6 +199,34 @@ class TestConfiguration:
             phi[W("s1.s2^-1")]
         assert e.value.word == W("s1.s2^-1")
         assert str(MissingCoordinate(IDENTITY)) == "coordinate e not in domain"
+
+    @given(
+        st.integers(0, 40), st.integers(2, 3), st.integers(0, 3), st.integers(0, 2**64 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_outputs_behave_as_rebuilt_from_their_items(self, seed, size, radius, s, replayed):
+        """A configuration that sample_ball or replay builds from its values in
+        canonical order equals, hashes like, pickles like and reads like the
+        one Configuration builds from its items; a word outside the domain
+        raises MissingCoordinate on both."""
+        spec = random_properly_ergodic_spec(seed, size, 2)
+        if replayed:
+            c = replay(generator_ergodic_pipeline(spec)[1], SampledTree(spec, s), radius, rank=2)
+        else:
+            c = sample_ball(spec, radius, s)
+        again = Configuration(dict(c.items()))
+        assert c == again and hash(c) == hash(again) and repr(c) == repr(again)
+        assert pickle.dumps(c) == pickle.dumps(again) and pickle.loads(pickle.dumps(c)) == again
+        assert len(c) == len(again) == len(ball(2, radius)) and list(c) == list(again)
+        for w in ball(2, radius):
+            assert w in c and c[w] == again[w] == c.get(w) == again.get(w)
+        outside = Word((Letter(1, -1),) * (radius + 1))
+        assert outside not in c and c.get(outside, -1) == again.get(outside, -1) == -1
+        for config in (c, again):
+            with pytest.raises(MissingCoordinate) as info:
+                config[outside]
+            assert info.value.word == outside
 
 
 class TestCylinderMeasure:

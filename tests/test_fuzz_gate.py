@@ -24,7 +24,7 @@ from treeshift.chains import problem_entries, require_form, require_valid, rever
 from treeshift.chains import sample_ball, scan_positive_windows, spec_to_json, validate
 from treeshift.cocycles import CocycleTable, RecodedView, cocycle, recode_on
 from treeshift.errors import InputError, TreeshiftError
-from treeshift.graphs import classify, is_special, special_sets, support_edges
+from treeshift.graphs import branch_data, classify, is_special, special_sets, support_edges
 from treeshift.randspec import random_properly_ergodic_spec
 from treeshift.slides import build_slide_params, generator_ergodic_pipeline, params_from_json
 from treeshift.slides import params_to_json, pushforward, replay, verify_slide
@@ -184,12 +184,20 @@ NON_SPEC_ARGUMENTS = {
     "CocycleTable-None-rule": lambda spec: CocycleTable(None, SampledTree(spec, 1)).omega((0,)),
     "RecodedView-None-rule": lambda spec: RecodedView(None, SampledTree(spec, 1))[(0,)],
     "cocycle-None-rule": lambda spec: cocycle(None, (0,), SampledTree(spec, 1)),
+    "RecodedView-None-map": lambda spec: RecodedView(base(0)[1].rule, None)[(2,)],
+    "recode_on-None-map": lambda spec: recode_on(base(0)[1].rule, ball(2, 1))(None),
+    "recode_on-list-map": lambda spec: recode_on(base(0)[1].rule, ball(2, 1))([0, 1, 2]),
+    "scan_positive_windows-None-fn": lambda spec: scan_positive_windows(spec, None),
+    "covering_scan-int-fn": lambda spec: covering_scan(spec, 3),
+    "branch_data-None": lambda spec: branch_data(None, 0),
+    "branch_data-str-vertex": lambda spec: branch_data(support_edges(spec, 0), "a"),
     "replay-list": lambda spec: replay([], [0, 1], 1, 2),
     "replay-str": lambda spec: replay([], "ab", 1, 2),
     "is_special-list-edge": lambda spec: is_special(support_edges(spec, 0), [[0, 1]]),
     "is_special-None": lambda spec: is_special(support_edges(spec, 0), None),
     "is_special-float-vertex": lambda spec: is_special(support_edges(spec, 0), {(0.0, 1)}),
     "is_special-bool-vertex": lambda spec: is_special(support_edges(spec, 0), {(True, 0)}),
+    "is_special-None-graph": lambda spec: is_special(None, {(0, 1)}),
 }
 
 
@@ -199,8 +207,10 @@ def test_bad_non_spec_argument_raises_input_error(entry):
     a LeftConnectedSet, a phi that is not a Configuration, an assignment that
     is not a Mapping, words that are not reduced tuples of non-negative int
     letter codes, a rule that is not a RewriteRule, a coordinate map that is
-    a sequence and an edge set that is not a set of int pairs raise
-    InputError, whether they would raise a bare error or pass."""
+    None or a sequence, a window function that is not callable, a graph that
+    is not a TransitionGraph, a vertex that is not one of its ints and an
+    edge set that is not a set of int pairs raise InputError, whether they
+    would raise a bare error or pass."""
     with pytest.raises(InputError):
         NON_SPEC_ARGUMENTS[entry](base(0)[0])
 

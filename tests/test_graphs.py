@@ -224,6 +224,11 @@ class TestBranchData:
         with pytest.raises(InputError):
             branch_data(g, 0)
 
+    @pytest.mark.parametrize("b", ["a", 3, -1, True, 0.0], ids=repr)
+    def test_bad_vertex_is_named(self, b):
+        with pytest.raises(InputError, match=rf"vertex {b!r} is not an int in \[0, 3\)"):
+            branch_data(EXAMPLE_GRAPH, b)
+
     def test_matches_exhaustive_search(self):
         for seed in range(8):
             spec = random_spec(seed, size=4, style="mixed")
@@ -283,10 +288,8 @@ class TestIsSpecial:
 
 def sides(out) -> tuple[set, set]:
     """The 2-coloring the halves carry: e1 runs from side 0 to side 1, e2 back."""
-    return (
-        {a for a, _ in out.e1} | {b for _, b in out.e2},
-        {b for _, b in out.e1} | {a for a, _ in out.e2},
-    )
+    e1, e2 = out
+    return {a for a, _ in e1} | {b for _, b in e2}, {b for _, b in e1} | {a for a, _ in e2}
 
 
 def spanning_tree_of(n: int, edges, cls) -> bool:
@@ -306,9 +309,9 @@ class TestSpecialSets:
             [H, H],
             [[[H, H], [H, H]], [[H, H], [H, H]]],
         )
-        out = special_sets(spec, 0, 0)
-        assert out.e1 | out.e2 == {(0, 1)}
-        assert out.e1 == {(0, 1)} and out.e2 == frozenset()
+        out = e1, e2 = special_sets(spec, 0, 0)
+        assert e1 | e2 == {(0, 1)}
+        assert e1 == {(0, 1)} and e2 == frozenset()
         assert sides(out) == ({0}, {1})
 
     def test_periodic_class_rejected(self, m1):
@@ -322,13 +325,13 @@ class TestSpecialSets:
 
     def test_four_vertex_tree_size(self):
         spec = bernoulli_spec([0, 1, 2, 3], [Fraction(1, 4)] * 4)
-        out = special_sets(spec, 0, 0)
-        assert len(out.e1 | out.e2) == 3 and not out.e1 & out.e2
-        assert spanning_tree_of(4, out.e1 | out.e2, {0, 1, 2, 3})
+        out = e1, e2 = special_sets(spec, 0, 0)
+        assert len(e1 | e2) == 3 and not e1 & e2
+        assert spanning_tree_of(4, e1 | e2, {0, 1, 2, 3})
         # 2-coloring: every tree edge crosses the bipartition
         side0, side1 = sides(out)
         assert not side0 & side1 and side0 | side1 == {0, 1, 2, 3}
-        for a, b in out.e1 | out.e2:
+        for a, b in e1 | e2:
             assert (a in side0) != (b in side0)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -339,8 +342,8 @@ class TestSpecialSets:
             if not g.aperiodic(a):
                 continue
             cls = g.classes[g.class_of[a]]
-            out = special_sets(spec, 0, a)
-            assert is_special(g, out.e1)
-            assert is_special(g, out.e2)
-            assert spanning_tree_of(spec.size, out.e1 | out.e2, cls)
-            assert len(out.e1 | out.e2) == len(cls) - 1
+            e1, e2 = special_sets(spec, 0, a)
+            assert is_special(g, e1)
+            assert is_special(g, e2)
+            assert spanning_tree_of(spec.size, e1 | e2, cls)
+            assert len(e1 | e2) == len(cls) - 1

@@ -44,6 +44,7 @@ from treeshift.errors import (
 from treeshift.graphs import (
     BranchData,
     classify,
+    is_special,
     special_sets,
     support_edges,
 )
@@ -169,6 +170,62 @@ class TestParams:
     def test_json_bad_edge_shape_rejected(self, m3, pairs):
         with pytest.raises(InputError):
             params_from_json(m3, {"u": "s1", "t": "s2", "E": pairs})
+
+    @pytest.mark.parametrize(
+        "edges, verdict",
+        [
+            ({(0, 1)}, "accept"),
+            ([(1, 0)], "accept"),
+            ((), "accept"),
+            ({(0, 1), (1, 2)}, "refuse"),
+            ({(0, 2)}, "refuse"),
+            ([[0, 1]], "malformed"),
+            ([(0,)], "malformed"),
+            ([(0, 1, 2)], "malformed"),
+            ([("a", "b")], "malformed"),
+            ([(0.0, 1)], "malformed"),
+            ([(0, True)], "malformed"),
+            ([(0, 1), (0, 1.0)], "malformed"),
+            ("ab", "malformed"),
+            (5, "malformed"),
+            (None, "malformed"),
+        ],
+        ids=repr,
+    )
+    def test_one_edge_set_rule(self, m3, edges, verdict):
+        """is_special and build_slide_params parse an edge set by one rule: they
+        accept and refuse the same sets, and raise InputError on the same
+        malformed ones (a list pair [0, 1] included).  A well-formed set that
+        is off the u-support or not special is a ParamsError of the latter."""
+        g = support_edges(m3, 0)
+        if verdict == "malformed":
+            with pytest.raises(InputError):
+                is_special(g, edges)
+            with pytest.raises(InputError):
+                build_slide_params(m3, 0, 1, edges)
+        elif verdict == "accept":
+            assert is_special(g, edges)
+            assert build_slide_params(m3, 0, 1, edges).edges == frozenset(edges)
+        else:
+            if set(edges) <= g.edges:
+                assert not is_special(g, edges)
+            else:
+                with pytest.raises(InputError):
+                    is_special(g, edges)
+            with pytest.raises(ParamsError):
+                build_slide_params(m3, 0, 1, edges)
+
+    def test_rule_needs_a_branch_per_edge_target(self):
+        """Parameters whose branch data misses a slide-edge target (or names a
+        vertex that is none) raise ParamsError when their rule is built, so
+        replay does not fail on a bare KeyError inside the flag test."""
+        spec = random_properly_ergodic_spec(0, 3, 2)
+        p = generator_ergodic_pipeline(spec)[1][0]
+        extra = (*p.branch, (9, p.branch[0][1]))
+        for branch in ((), extra):
+            bad = SlideParams(p.rank, p.u, p.t, p.edges, branch)
+            with pytest.raises(ParamsError, match="branch"):
+                replay([bad], SampledTree(spec, 1), 3)
 
 
 class TestFlagTriple:
@@ -339,8 +396,7 @@ class TestPushforward:
             for cls, periodic in zip(g.classes, g.periodic):
                 if periodic:
                     continue
-                sets = special_sets(spec, u, min(cls))
-                for edges in (sets.e1, sets.e2):
+                for edges in special_sets(spec, u, min(cls)):
                     if not edges:
                         continue
                     for t in range(spec.rank):
