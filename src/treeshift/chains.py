@@ -698,10 +698,17 @@ def enumerate_cylinders(
     pruned, and the pairs come depth first in symbol order.  The spec
     must pass require_form; for a valid spec the measures sum to exactly 1.
     """
+    yield from _cylinder_scan(spec, domain).law.items()
+
+
+def _cylinder_scan(spec: MarkovSpec, domain: LeftConnectedSet) -> WindowScan:
+    """The window scan on a fixed domain (enumerate_cylinders), its law kept
+    on ints: weights keyed by value tuple, over den.  InputError unless the
+    domain is a LeftConnectedSet."""
     if not isinstance(domain, LeftConnectedSet):
         raise InputError(f"domain must be a LeftConnectedSet, got {domain!r}")
     words = domain.words
-    yield from scan_positive_windows(spec, lambda x: tuple(x[w] for w in words)).law.items()
+    return scan_positive_windows(spec, lambda x: tuple(x[w] for w in words))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 # bound here for the benchmark tracer, which wraps the scan at this module's binding
 from .chains import scan_positive_windows  # noqa: F401
 from .errors import InputError
-from .words import IDENTITY, LeftConnectedSet, Letter, Word, _word, letter_code, multiply, single
+from .words import IDENTITY, LeftConnectedSet, Letter, Word, _is_word, _word, letter_code
+from .words import multiply, single
 
 
 class RewriteRule:
@@ -85,11 +86,18 @@ class CocycleTable:
 
     def omega(self, g: Word) -> Word:
         """w(g, x), one step per edge letter code h[0]; an inactive code is its
-        own image, read from no coordinate."""
+        own image, read from no coordinate.  A g that is not a reduced tuple of
+        letter codes raises InputError, checked on a memo miss only (a Word is
+        reduced by construction), so a hit costs no check."""
         words = self._words
-        prior = words.get(g)
+        try:
+            prior = words.get(g)
+        except TypeError:  # unhashable
+            raise InputError(f"not a reduced word of letter codes: {g!r}") from None
         if prior is not None:
             return prior
+        if type(g) is not Word and not _is_word(g):
+            raise InputError(f"not a reduced word of letter codes: {g!r}")
         chain = []
         while prior is None:  # the identity is always in words
             chain.append(g)

@@ -118,8 +118,12 @@ def random_properly_ergodic_spec(seed: int, size: int, rank: int = 2) -> MarkovS
     class covering the alphabet, which also forces ergodicity), the others
     carry fully supported flow kernels (aperiodic classes).  Permutation
     kernels need a marginal that is uniform on each cycle, so pi is uniform.
+    A size below 2 raises InputError: on one symbol every restriction is the
+    periodic loop, so no spec there is properly ergodic.
     """
     _check_args(seed, size, rank)
+    if size < 2:
+        raise InputError(f"alphabet size must be at least 2 to be properly ergodic, got {size}")
     rng = random.Random(seed)
     pi = tuple(Fraction(1, size) for _ in range(size))
     perm_order = rng.sample(range(size), size)

@@ -7,7 +7,12 @@ restriction except the one along t, whose support gains the slid edges (and
 with them aperiodicity).  The flag reads the symbol one u-step behind, the
 current symbol, and the symbol at the branch distance ahead in the u
 direction, so the rule has window radius n_max + 2 where n_max is the
-largest branch distance among slide targets.
+largest branch distance among slide targets.  The rule's step for t and for
+t^-1 is one closure each (_slide_step): it tests both flags that could move
+the letter, up's then down's, on read words built with the rule, and raises
+ParamsError if both pass.  verify_slide checks the recoded measure's laws
+against a candidate's cylinders on ints, each law a scan's weights over its
+one denominator, compared by cross-multiplication; no Fraction is built.
 
 The pushforward changes only the kernel along t.  The rule decides where a
 t-step goes by reading the u-line through t (the symbols at u^k t), which
@@ -23,14 +28,13 @@ its Fractions are built only when a caller reads kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .chains import Configuration, MarkovSpec, Matrix, SampledTree, covering_scan
-from .chains import _Ints, derive_seed, enumerate_cylinders
+from .chains import _cylinder_scan, _Ints, derive_seed
 from .chains import require_form, require_valid
 from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule, recode_on
 from .errors import InputError, ParamsError, TreeshiftError
@@ -64,20 +68,17 @@ class SlideParams:
             return identity_rule(self.rank)
         u, t = Letter(self.u, 1), Letter(self.t, 1)
         w_t, w_ut, w_uinv_t = single(t), Word((u, t)), Word((u.inverse(), t))
-        flagged = partial(_flag_test, self)
-        # per active letter: the flag tests moving it up and down, then its up, down and stay
-        # images; t moves up when ut.x is flagged, down when t.x is; t^-1 undoes them (x, u.x)
+        # per active letter: the shifts whose flags move it up and down, then its up, down and
+        # stay images; t moves up when ut.x is flagged, down when t.x is; t^-1 undoes them (x, u.x)
         moves = {
-            t: (flagged(w_ut), flagged(w_t), w_ut, w_uinv_t, w_t),
-            t.inverse(): (
-                flagged(IDENTITY), flagged(single(u)), *map(inverse, (w_ut, w_uinv_t, w_t))
-            ),
+            t: (w_ut, w_t, w_ut, w_uinv_t, w_t),
+            t.inverse(): (IDENTITY, single(u), *map(inverse, (w_ut, w_uinv_t, w_t))),
         }
         return RewriteRule(
             rank=self.rank,
             window_radius=self.n_max + 2,
             max_output_length=2,
-            steps={l: partial(_slide_step, *move) for l, move in moves.items()},
+            steps={l: _slide_step(self, *move) for l, move in moves.items()},
             images=[w for move in moves.values() for w in move[2:]],
         )
 
@@ -114,33 +115,37 @@ def _below(i, n: int) -> bool:
     return type(i) is int and 0 <= i < n
 
 
-def _flag_test(params: SlideParams, shift: Word):
-    """(x, offset) -> whether (shift offset).x is flagged: (x_{u^-1}, x_e) is a
-    slide edge (a, b) and x_{u^n} = eta_b, n the branch distance of b.  The
-    read words (u^-1 shift, shift, u^n shift) are built once, read in order."""
+def _slide_step(
+    params: SlideParams, up: Word, down: Word, up_word: Word, down_word: Word, stay_word: Word
+):
+    """(x, offset) -> the image of an active letter at offset.x: up_word when
+    (up offset).x is flagged, down_word when (down offset).x is, else stay_word,
+    and ParamsError when both are.  A translate is flagged when (x_{u^-1}, x_e)
+    is a slide edge (a, b) and x_{u^n} = eta_b, n the branch distance of b.
+    Both flags are tested, up's first, each reading u^-1 shift, shift and, on
+    an edge, u^n shift, words built here once.  The two shifts are one u-step
+    apart, so the lower is read twice: as its own shift and as the other's
+    u^-1 shift."""
     u = Letter(params.u, 1)
-    back = multiply(single(u.inverse()), shift)
-    ahead = {b: (multiply(reduce((u,) * data.n), shift), data.eta) for b, data in params.branch}
-    edges = params.edges
+    edges, eta = params.edges, {b: data.eta for b, data in params.branch}
 
-    def test(x, offset: Word) -> bool:
-        a = x[multiply(back, offset)]
-        b = x[multiply(shift, offset)]
-        if (a, b) not in edges:
-            return False
-        word, eta = ahead[b]
-        return x[multiply(word, offset)] == eta
+    def around(shift: Word) -> tuple[Word, dict[int, Word]]:  # u^-1 shift, u^n shift per target
+        back = multiply(single(u.inverse()), shift)
+        return back, {b: multiply(reduce((u,) * data.n), shift) for b, data in params.branch}
 
-    return test
+    back_up, ahead_up = around(up)
+    back_down, ahead_down = around(down)
 
+    def step(x, offset: Word) -> Word:
+        a, b = x[multiply(back_up, offset)], x[multiply(up, offset)]
+        moved_up = (a, b) in edges and x[multiply(ahead_up[b], offset)] == eta[b]
+        a, b = x[multiply(back_down, offset)], x[multiply(down, offset)]
+        moved_down = (a, b) in edges and x[multiply(ahead_down[b], offset)] == eta[b]
+        if moved_up and moved_down:
+            raise ParamsError("conflicting slide conditions: edge set is not special")
+        return up_word if moved_up else down_word if moved_down else stay_word
 
-def _slide_step(up_test, down_test, up_word, down_word, stay_word, x, offset: Word) -> Word:
-    """The image of an active letter at offset.x; at most one flag test may pass."""
-    up = up_test(x, offset)
-    down = down_test(x, offset)
-    if up and down:
-        raise ParamsError("conflicting slide conditions: edge set is not special")
-    return up_word if up else down_word if down else stay_word
+    return step
 
 
 def _checked(spec: MarkovSpec, params: SlideParams) -> SlideParams:
@@ -246,15 +251,19 @@ def _markov_check_domains(spec: MarkovSpec, params: SlideParams) -> list[LeftCon
     return list(map(LeftConnectedSet, doms))
 
 
-def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftConnectedSet, dict]]:
-    """(domain, exact recoded law) for every _markov_check_domains domain.
+def _check_laws(
+    spec: MarkovSpec, params: SlideParams
+) -> Iterator[tuple[LeftConnectedSet, dict[tuple, int], int]]:
+    """(domain, weights, den) for every _markov_check_domains domain: its exact
+    recoded law is {values: weights[values] / den}, values in domain order.
 
     Domains are grouped by their edge letter at e, the last letter of their
     words ({e} joins the first group), and each group's union is scanned once,
     its window function the recoding on the union (cocycles.recode_on), whose
     plan is built once per scan.  A domain's law is the joint law's marginal,
     summed on the scan's ints over its one denominator (WindowScan.weights,
-    .den), one Fraction per value."""
+    .den), each key picked by an itemgetter over the union indices of the
+    domain's words; no Fraction is built.  Keys come in the order first seen."""
     rule = params.rule
     groups: dict[int, list[LeftConnectedSet]] = {}
     for domain in _markov_check_domains(spec, params):
@@ -265,11 +274,25 @@ def _check_laws(spec: MarkovSpec, params: SlideParams) -> Iterator[tuple[LeftCon
         scan = covering_scan(spec, recode_on(rule, union))
         for domain in members:
             at = [union._index[w] for w in domain.words]
+            # e is the union's first word, so {e}, the one domain of one word, is the slice [:1]
+            key = itemgetter(*at) if len(at) > 1 else itemgetter(slice(1))
             sums: dict[tuple, int] = {}
-            for values, x in scan.weights.items():
-                key = tuple(values[i] for i in at)
-                sums[key] = sums.get(key, 0) + x
-            yield domain, {key: Fraction(x, scan.den) for key, x in sums.items()}
+            get = sums.get
+            for k, x in zip(map(key, scan.weights), scan.weights.values()):
+                sums[k] = get(k, 0) + x
+            yield domain, sums, scan.den
+
+
+def _is_cylinder_law(candidate: MarkovSpec, domain: LeftConnectedSet, sums: dict, den: int) -> bool:
+    """Whether {values: sums[values] / den} is the candidate's cylinder law on
+    the domain.  Both hold positive weights only (a recoded window and a
+    scanned cylinder have positive weight), so they are equal iff they have
+    the same keys and x * den_c == y * den on each, y / den_c the cylinder's."""
+    cylinders = _cylinder_scan(candidate, domain)
+    weights, den_c = cylinders.weights, cylinders.den
+    return sums.keys() == weights.keys() and all(
+        x * den_c == weights[k] * den for k, x in sums.items()
+    )
 
 
 def _check_candidate(spec: MarkovSpec, candidate: MarkovSpec) -> None:
@@ -310,8 +333,13 @@ def verify_slide(
     """Check the slide's claims against the given spec.
 
     The Markov check compares every check domain's recoded law with the
-    candidate's cylinders; the laws come from one window scan per edge letter
-    at e, as marginals (_check_laws).  The map-level checks run on `samples`
+    candidate's cylinder law on that domain, both on ints: the recoded law is
+    an int marginal of one window scan per edge letter at e, over that scan's
+    den (_check_laws), and the cylinder law the weights of the candidate's
+    scan of the domain over its den, the scan of enumerate_cylinders.  Two
+    laws are equal iff they have the same keys and x * den_c == y * den on
+    each (_is_cylinder_law).  Every domain is scanned and compared, and the
+    flag is the AND of all of them.  The map-level checks run on `samples`
     sampled trees x, the i-th seeded derive_seed(_SAMPLE_SEED, i): recoding
     twice restores x on ball(rank, 2), and the cocycle words of ball(rank, 4)
     cover ball(rank, 2).  The orbit check stops once they do (_orbit_covered);
@@ -347,12 +375,8 @@ def verify_slide(
         if not _orbit_covered(y, ball2, ball4):  # y's words are w(., x)
             orbit_ok = False
 
-    # recoded weights are positive and enumerate_cylinders drops zero cylinders, so the
-    # two laws are equal as dicts iff they agree on every value tuple of the domain
-    markov_ok = True
-    for domain, law in _check_laws(spec, params):
-        if law != dict(enumerate_cylinders(candidate, domain)):
-            markov_ok = False
+    # a list, not a generator: every domain is scanned and compared, whatever the first says
+    markov_ok = all([_is_cylinder_law(candidate, *law) for law in _check_laws(spec, params)])
 
     q = candidate.kernels[params.t]
     rho_graph = support_edges(candidate, params.t)  # both pis are positive: q_t's support

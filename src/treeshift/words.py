@@ -260,6 +260,10 @@ _TOKEN = re.compile(r"^s([1-9][0-9]*)(\^-1)?$")
 
 
 def word_to_str(w: Word) -> str:
+    """The word's tokens joined by '.', "e" for the identity; InputError unless
+    w is a reduced tuple of letter codes."""
+    if not _is_word(w):
+        raise InputError(f"not a reduced word of letter codes: {w!r}")
     return ".".join(map(_name, w)) if w else "e"
 
 

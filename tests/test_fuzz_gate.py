@@ -28,7 +28,7 @@ from treeshift.graphs import branch_data, classify, is_special, special_sets, su
 from treeshift.randspec import random_properly_ergodic_spec
 from treeshift.slides import build_slide_params, generator_ergodic_pipeline, params_from_json
 from treeshift.slides import params_to_json, pushforward, replay, verify_slide
-from treeshift.words import IDENTITY, LeftConnectedSet, Letter, Word, ball
+from treeshift.words import IDENTITY, LeftConnectedSet, Letter, Word, ball, word_to_str
 
 KINDS = (
     "junk_pi",  # a non-rational entry in pi
@@ -184,6 +184,12 @@ NON_SPEC_ARGUMENTS = {
     "CocycleTable-None-rule": lambda spec: CocycleTable(None, SampledTree(spec, 1)).omega((0,)),
     "RecodedView-None-rule": lambda spec: RecodedView(None, SampledTree(spec, 1))[(0,)],
     "cocycle-None-rule": lambda spec: cocycle(None, (0,), SampledTree(spec, 1)),
+    "cocycle-str-word": lambda spec: cocycle(base(0)[1].rule, "ab", SampledTree(spec, 1)),
+    "cocycle-unreduced-word": lambda spec: cocycle(base(0)[1].rule, (0, 1), SampledTree(spec, 1)),
+    "RecodedView-list-key": lambda spec: RecodedView(base(0)[1].rule, SampledTree(spec, 1))[[0]],
+    "CocycleTable-str-code": lambda spec: CocycleTable(base(0)[1].rule, {}).omega(("a",)),
+    "word_to_str-str": lambda spec: word_to_str("abc"),
+    "word_to_str-list": lambda spec: word_to_str([0]),
     "RecodedView-None-map": lambda spec: RecodedView(base(0)[1].rule, None)[(2,)],
     "recode_on-None-map": lambda spec: recode_on(base(0)[1].rule, ball(2, 1))(None),
     "recode_on-list-map": lambda spec: recode_on(base(0)[1].rule, ball(2, 1))([0, 1, 2]),
@@ -206,7 +212,8 @@ def test_bad_non_spec_argument_raises_input_error(entry):
     """The exact engine's other arguments are checked too: a domain that is not
     a LeftConnectedSet, a phi that is not a Configuration, an assignment that
     is not a Mapping, words that are not reduced tuples of non-negative int
-    letter codes, a rule that is not a RewriteRule, a coordinate map that is
+    letter codes (a domain's, a cocycle's or a recoded view's key, or
+    word_to_str's argument), a rule that is not a RewriteRule, a coordinate map that is
     None or a sequence, a window function that is not callable, a graph that
     is not a TransitionGraph, a vertex that is not one of its ints and an
     edge set that is not a set of int pairs raise InputError, whether they

@@ -43,6 +43,21 @@ def test_random_specs_need_a_positive_int_size(make, size, rank, match):
         make(0, size, rank)
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_properly_ergodic_specs_need_two_symbols(rank):
+    """On one symbol every restriction is the periodic loop, so no spec there
+    is properly ergodic: random_properly_ergodic_spec refuses size 1."""
+    assert not classify(random_spec(0, 1, rank)).properly_ergodic
+    with pytest.raises(InputError, match="alphabet size"):
+        random_properly_ergodic_spec(0, 1, rank)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 6), st.integers(2, 4))
+@settings(max_examples=50, deadline=None)
+def test_properly_ergodic_specs_are_properly_ergodic(seed, size, rank):
+    assert classify(random_properly_ergodic_spec(seed, size, rank)).properly_ergodic
+
+
 @pytest.mark.parametrize("make", [random_spec, random_properly_ergodic_spec])
 @pytest.mark.parametrize("seed", [None, 1.0, "1", True, False], ids=repr)
 def test_random_specs_need_an_int_seed(make, seed):

@@ -53,6 +53,7 @@ from treeshift.slides import (
     SlideParams,
     _check_laws,
     _checked,
+    _is_cylinder_law,
     _markov_check_domains,
     _orbit_covered,
     build_slide_params,
@@ -724,6 +725,24 @@ def _recoded(rule, words, win):
     return tuple(view[g] for g in words)
 
 
+_SEED_SEARCH = 64
+
+
+def _sliding_spec(seed: int, size: int, rank: int, style: str):
+    """(spec, slides) for the first random_spec at a seed from seed on, at most
+    _SEED_SEARCH of them, that is properly ergodic and has pipeline slides.
+    A draw with no such seed is rejected: a mixed spec never has slides (its
+    restrictions are all ergodic and free), while for a sparse one at these
+    sizes and ranks at least a third of the seeds have them."""
+    for s in range(seed, seed + _SEED_SEARCH):
+        spec = random_spec(s, size, rank, style=style)
+        if classify(spec).properly_ergodic:
+            _, slides = generator_ergodic_pipeline(spec)
+            if slides:
+                return spec, slides
+    assume(False)
+
+
 class TestGroupedLaws:
     @given(
         st.integers(0, 10**6),
@@ -734,19 +753,18 @@ class TestGroupedLaws:
     @settings(max_examples=25, deadline=None)
     def test_marginals_match_single_domain_scans(self, seed, size, rank, style):
         """Every check domain's law, a marginal of its edge letter's one union
-        scan, equals window_marginal on that domain alone, as dicts, on every
-        pipeline slide; no domain is dropped or repeated."""
-        spec = random_spec(seed, size, rank, style=style)
-        assume(classify(spec).properly_ergodic)
-        _, slides = generator_ergodic_pipeline(spec)
+        scan held as ints over the scan's den, equals window_marginal on that
+        domain alone, as dicts of Fractions, on every pipeline slide; no domain
+        is dropped or repeated."""
+        spec, slides = _sliding_spec(seed, size, rank, style)
         for params in slides:
             domains = _markov_check_domains(spec, params)
             laws = list(_check_laws(spec, params))
             assert len(laws) == len(domains)
-            assert {domain for domain, _ in laws} == set(domains)
-            for domain, law in laws:
+            assert {domain for domain, _, _ in laws} == set(domains)
+            for domain, sums, den in laws:
                 alone = window_marginal(spec, lambda win: _recoded(params.rule, domain.words, win))
-                assert law == alone
+                assert {key: Fraction(x, den) for key, x in sums.items()} == alone
             spec = pushforward(spec, params)
 
     @given(
@@ -761,10 +779,7 @@ class TestGroupedLaws:
         on the union, equals the scan of the per-window RecodedView function
         _recoded: the same windows, weights in the same order, den and
         failures, on every pipeline slide."""
-        spec = random_spec(seed, size, rank, style=style)
-        assume(classify(spec).properly_ergodic)
-        _, slides = generator_ergodic_pipeline(spec)
-        assume(slides)
+        spec, slides = _sliding_spec(seed, size, rank, style)
         for params in slides:
             unions, scans = [], []
 
@@ -787,6 +802,47 @@ class TestGroupedLaws:
                 assert list(scan.weights.items()) == list(old.weights.items())
                 assert (scan.den, scan.failures) == (old.den, old.failures)
             spec = pushforward(spec, params)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_int_verdict_matches_fraction_comparison(self, seed, size, rank, style):
+        """On every check domain of every pipeline slide, the int comparison
+        _is_cylinder_law gives the verdict of comparing the law as Fractions
+        with enumerate_cylinders, for the pushforward, the _broken_candidates
+        and a candidate with mass moved within a t row (_moved_mass).  The
+        pushforward is the recoded law on every 2-point domain."""
+        spec, slides = _sliding_spec(seed, size, rank, style)
+        for params in slides:
+            rho = pushforward(spec, params)
+            candidates = [rho, *_broken_candidates(rho, params.t), _moved_mass(rho, params.t)]
+            for domain, sums, den in _check_laws(spec, params):
+                law = {key: Fraction(x, den) for key, x in sums.items()}
+                for candidate in filter(None, candidates):
+                    verdict = _is_cylinder_law(candidate, domain, sums, den)
+                    assert verdict == (law == dict(enumerate_cylinders(candidate, domain)))
+                if len(domain) == 2:
+                    assert _is_cylinder_law(rho, domain, sums, den)
+            spec = rho
+
+    def test_moved_mass_on_the_same_support_is_caught(self, m3, m3_slide):
+        """A candidate whose q_t row moves mass between two positive entries has
+        the pushforward's support, so {e, t} has the same keys under both, but
+        one value differs: the int comparison says unequal."""
+        rho = pushforward(m3, m3_slide)
+        planted = _moved_mass(rho, 1)
+        domain = LeftConnectedSet([IDENTITY, W("s2")])
+        [(sums, den)] = [(sums, den) for d, sums, den in _check_laws(m3, m3_slide) if d == domain]
+        assert support_edges(planted, 1) == support_edges(rho, 1)
+        assert sums.keys() == dict(enumerate_cylinders(planted, domain)).keys()
+        assert _is_cylinder_law(rho, domain, sums, den)
+        assert not _is_cylinder_law(planted, domain, sums, den)
+        assert verify_slide(m3, m3_slide, candidate=rho, samples=0).markov_factorization
+        assert not verify_slide(m3, m3_slide, candidate=planted, samples=0).markov_factorization
 
     def test_union_scan_is_under_the_window_budget(self, m1, m1_slide, monkeypatch):
         """On m1 the t group's union {e, t, ut, u^-1 t, tt} takes more windows
@@ -818,6 +874,21 @@ def _broken_candidates(rho, t):
     a, b = next((a, b) for a, row in enumerate(k) for b, p in enumerate(row) if p > 0)
     row = tuple(Fraction(0) if c == b else p for c, p in enumerate(k[a]))
     return out + [rho.with_kernel(t, k[:a] + (row,) + k[a + 1 :])]
+
+
+def _moved_mass(rho, t):
+    """rho with one t-kernel row changed on its support: in the first row with
+    two positive entries, half the smaller of the first two moves from the
+    second onto the first.  None when no row has two."""
+    k = rho.kernels[t]
+    for a, row in enumerate(k):
+        positive = [b for b, p in enumerate(row) if p > 0]
+        if len(positive) >= 2:
+            b, c = positive[:2]
+            d = min(row[b], row[c]) / 2
+            row = tuple(p + d if e == b else p - d if e == c else p for e, p in enumerate(row))
+            return rho.with_kernel(t, k[:a] + (row,) + k[a + 1 :])
+    return None
 
 
 class TestPipeline:
