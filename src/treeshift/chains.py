@@ -725,15 +725,17 @@ class SampledTree:
     is derived by hashing the serialized word with a keyed blake2b, and the
     symbol is the first b with k / 2^64 < S_b, S_b the running sums of the
     kernel row of g's parent value (of pi at the identity, drawn when the tree
-    is made).  Lookups do not depend on evaluation order and never miss.  The
-    hash input of g = l.h is built from its parent's text, token(l) + "." +
-    text(h), kept per tree: the same bytes as word_to_str(g).encode().  Each
-    draw, the root's too, bisects the spec's integer thresholds ceil(S_b 2^64):
-    for integer k, k < ceil(S_b 2^64) iff k / 2^64 < S_b.  The spec must pass
-    require_valid, checked here once, so every row's last threshold is
-    2^64 > k.  Keys are checked before the memo is read, so a hit and a miss
-    agree: anything but a tuple of reduced letter codes below 2 rank raises
-    InputError.
+    is made).  Each draw, the root's too, bisects the spec's integer
+    thresholds ceil(S_b 2^64): for integer k, k < ceil(S_b 2^64) iff
+    k / 2^64 < S_b.  The spec must pass require_valid, checked here once, so
+    every row's last threshold is 2^64 > k.  One draw rule (_draw) gives
+    g = l.h from its parent's value and hash input token(l) + "." + text(h),
+    the bytes of word_to_str(g).encode(), and it has two readers.  Lookups
+    memoize per tree and draw a miss from its memoized parent, or a deeper
+    miss's ancestors first, nearest the root first, so they do not depend on
+    evaluation order; sample_ball reads a fixed domain.  Keys are checked
+    before the memo is read, so a hit and a miss agree: anything but a tuple
+    of reduced letter codes below 2 rank raises InputError.
     """
 
     __slots__ = ("spec", "_keyed", "_tokens", "_memo", "_texts")
@@ -747,7 +749,16 @@ class SampledTree:
         h.update(b"e")
         root = bisect_right(spec.pi_thresholds, int.from_bytes(h.digest(), "big"))
         self._memo: dict[Word, int] = {IDENTITY: root}
-        self._texts: dict[Word, bytes] = {}  # drawn non-identity word -> its hash input
+        self._texts: dict[Word, bytes] = {IDENTITY: b""}  # drawn word -> its hash input
+
+    def _draw(self, c: int, value: int, text: bytes) -> tuple[int, bytes]:
+        """(value, hash input) of the word c.k, from k's value and hash input
+        (b"" at the identity).  The letter table checks c before the token is read."""
+        row = self.spec.letter_thresholds[c][value]
+        text = self._tokens[c] + b"." + text if text else self._tokens[c]
+        h = self._keyed.copy()
+        h.update(text)
+        return bisect_right(row, int.from_bytes(h.digest(), "big")), text
 
     def __getitem__(self, w: Word) -> int:
         # a Word is reduced by construction, and the letter table checks each code it draws
@@ -757,21 +768,17 @@ class SampledTree:
         value = memo.get(w)
         if value is not None:
             return value
-        keyed, tokens, texts = self._keyed, self._tokens, self._texts
-        # the geodesic from w down to its closest memoized ancestor v (the root is memoized)
-        chain, v = [], w
-        while value is None:
-            chain.append(v)
-            v = v[1:]
-            value = memo.get(v)
-        text, thresholds = texts.get(v, b""), self.spec.letter_thresholds
-        for g in reversed(chain):
-            c = g[0]
-            row = thresholds[c][value]  # the letter table checks c before the token is read
-            text = texts[g] = tokens[c] + b"." + text if text else tokens[c]
-            h = keyed.copy()
-            h.update(text)
-            value = memo[g] = bisect_right(row, int.from_bytes(h.digest(), "big"))
+        texts, k = self._texts, w[1:]  # a miss is not the identity, which is memoized
+        value = memo.get(k)
+        if value is None:  # the geodesic from k down to its closest memoized ancestor
+            chain = [k]
+            while (value := memo.get(chain[-1][1:])) is None:
+                chain.append(chain[-1][1:])
+            for g in reversed(chain):
+                value, texts[g] = self._draw(g[0], value, texts[g[1:]])
+                memo[g] = value
+        value, texts[w] = self._draw(w[0], value, texts[k])
+        memo[w] = value
         return value
 
 
@@ -804,10 +811,19 @@ def derive_seed(seed: int, index: int) -> int:
 
 def sample_ball(spec: MarkovSpec, radius: int, seed: int) -> Configuration:
     """One exact sample of the chain restricted to the ball of given radius:
-    the sampled tree's values on the ball, in its canonical order."""
+    the sampled tree's values on the ball, in its canonical order, read by
+    the tree's draw rule once per word from its parent's value and hash input,
+    found through the ball's parent index, with no memo and no key check."""
     tree = SampledTree(spec, seed)
     dom = ball(spec.rank, radius, budget=_MAX_SAMPLE_BALL)
-    return Configuration._on(dom, tuple(tree[w] for w in dom.words))
+    index, draw = dom._index, tree._draw
+    values, texts = [tree[IDENTITY]], [b""]
+    for w in dom.words[1:]:
+        i = index[w[1:]]
+        value, text = draw(w[0], values[i], texts[i])
+        values.append(value)
+        texts.append(text)
+    return Configuration._on(dom, tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ exactly the coordinates a check reads.
 
 There are two readers, and one step rule under both (_next_word): a
 CocycleTable (RecodedView) serves arbitrary words, memoizing w(., x) for one
-configuration; recode_on serves a fixed domain, planning each word's step
-and parent once and stepping every domain word once per configuration.  The
-claims of a slide's rule are checked in slides.verify_slide.
+configuration, and a RecodedView steps a miss whose parent is memoized once,
+with no walk down the tree; recode_on serves a fixed domain, planning each
+word's step and parent once and stepping every domain word once per
+configuration.  The claims of a slide's rule are checked in slides.verify_slide.
 """
 
 from __future__ import annotations
@@ -74,7 +75,10 @@ class CocycleTable:
     w(h, x) = letter_image(l, w(k,x).x) . w(k, x).  The table is a pure cache:
     entries depend only on (rule, x).  A rule that is not a RewriteRule, or
     an x that is not a coordinate map (_coordinate_map), raises InputError
-    when the table is made.
+    when the table is made.  A key is checked before the memo is read, so a
+    hit and a miss agree: anything but a reduced tuple of letter codes below
+    2 rank raises InputError.  A Word is reduced by construction and skips
+    that check; its codes are checked against the rank as they are stepped.
     """
 
     __slots__ = ("rule", "base", "_words")
@@ -85,27 +89,25 @@ class CocycleTable:
         self._words: dict[Word, Word] = {IDENTITY: IDENTITY}
 
     def omega(self, g: Word) -> Word:
-        """w(g, x), one step per edge letter code h[0]; an inactive code is its
-        own image, read from no coordinate.  A g that is not a reduced tuple of
-        letter codes raises InputError, checked on a memo miss only (a Word is
-        reduced by construction), so a hit costs no check."""
+        """w(g, x), one step per edge letter code h[0], from the closest
+        memoized suffix of g up; an inactive code is its own image, read from
+        no coordinate."""
+        if type(g) is not Word and not _is_word(g, 2 * self.rule.rank):
+            raise InputError(f"not a reduced word of rank {self.rule.rank}: {g!r}")
         words = self._words
-        try:
-            prior = words.get(g)
-        except TypeError:  # unhashable
-            raise InputError(f"not a reduced word of letter codes: {g!r}") from None
+        prior = words.get(g)
         if prior is not None:
             return prior
-        if type(g) is not Word and not _is_word(g):
-            raise InputError(f"not a reduced word of letter codes: {g!r}")
         chain = []
         while prior is None:  # the identity is always in words
             chain.append(g)
             g = _word(g[1:])
             prior = words.get(g)
-        base, steps = self.base, self.rule.steps
+        base, steps, rank = self.base, self.rule.steps, self.rule.rank
         for h in reversed(chain):
             c = h[0]
+            if c >= 2 * rank:
+                raise InputError(f"letter code {c} outside rank {rank}")
             prior = words[h] = _next_word(steps.get(c), c, prior, base)
         return prior
 
@@ -144,12 +146,25 @@ def cocycle(rule: RewriteRule, g: Word, x) -> Word:
 
 class RecodedView(CocycleTable):
     """The recoding (Omega x)_h = x_{w(h, x)}, as a lazy configuration: the cocycle
-    table of (rule, x) read through at x, with no memo beyond the table's words."""
+    table of (rule, x) read through at x, with no memo beyond the table's words.
+    A memo hit is one dict read; a miss whose parent is memoized is one step
+    from it, and a deeper miss, or a code past the rank, goes through omega."""
 
     __slots__ = ()
 
     def __getitem__(self, h: Word) -> int:
-        return self.base[self.omega(h)]
+        rule = self.rule
+        if type(h) is not Word and not _is_word(h, 2 * rule.rank):
+            raise InputError(f"not a reduced word of rank {rule.rank}: {h!r}")
+        words = self._words
+        w = words.get(h)
+        if w is None:
+            prior, c = words.get(h[1:]), h[0]  # a miss is not the identity, which is in words
+            if prior is None or c >= 2 * rule.rank:  # omega walks down, or raises on c
+                w = self.omega(h)
+            else:
+                w = words[h] = _next_word(rule.steps.get(c), c, prior, self.base)
+        return self.base[w]
 
 
 def recode_on(rule: RewriteRule, domain: LeftConnectedSet) -> Callable[[object], tuple]:
@@ -159,13 +174,16 @@ def recode_on(rule: RewriteRule, domain: LeftConnectedSet) -> Callable[[object],
     for its code c, c itself and the index of k, which comes earlier in the
     canonical order.  Per x, each w(h, x) is stepped once from its parent's
     and x is read at it at once, so x is read in the order of a RecodedView
-    read in domain order.  A rule that is not a RewriteRule, or a domain that
-    is not a LeftConnectedSet, raises InputError, and so does an x that is
-    not a coordinate map, checked at its first read, not per step."""
+    read in domain order.  A rule that is not a RewriteRule, a domain that
+    is not a LeftConnectedSet or holds a code at or past 2 rank, raises
+    InputError, and so does an x that is not a coordinate map, checked at
+    its first read, not per step."""
     if not isinstance(domain, LeftConnectedSet):
         raise InputError(f"recode_on reads a LeftConnectedSet, got {domain!r}")
     steps, index = _checked_rule(rule).steps, domain._index
     plan = tuple((steps.get(h[0]), h[0], index[h[1:]]) for h in domain.words[1:])
+    if any(c >= 2 * rule.rank for _, c, _ in plan):  # every code leads some domain word
+        raise InputError(f"recode_on of a rank-{rule.rank} rule on a domain with codes past it")
 
     def recode(x) -> tuple:
         words, values = [IDENTITY], [_coordinate_map(x)[IDENTITY]]

@@ -143,6 +143,8 @@ def multiply(w1: Word, w2: Word) -> Word:
     """Group product w1.w2; inputs reduced, cancellation happens at the seam."""
     if not (w1 and w2):
         return w1 or w2
+    if w1[-1] ^ w2[0] != 1:
+        return _word(w1 + w2)
     i, j, n = len(w1), 0, len(w2)
     while i and j < n and w1[i - 1] ^ w2[j] == 1:
         i -= 1

@@ -538,6 +538,47 @@ class TestSampling:
         sample = sample_ball(spec, 2, seed)
         assert all(sample[w] == expected[w] for w in ball2)
 
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse", "pushforward"]),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sample_ball_matches_lookups_and_rehash(
+        self, spec_seed, size, rank, style, seed, radius
+    ):
+        """sample_ball, the fixed-domain reader of the tree's draw rule, equals
+        a fresh tree's lookups read deepest word first, and a draw recomputed
+        here per word: keyed blake2b of word_to_str, then oracle_draw on the
+        Fraction row of the parent's value.  A pushforward output, whose slid
+        kernel is held as ints (_Ints), is sampled too."""
+        if style == "pushforward":
+            spec = random_properly_ergodic_spec(spec_seed, size, rank)
+            slides = generator_ergodic_pipeline(spec)[1]
+            assume(slides)
+            spec = pushforward(spec, slides[0])
+            assert type(spec._held[slides[0].t]) is _Ints
+        else:
+            spec = random_spec(spec_seed, size, rank, style=style)
+        sample, words = sample_ball(spec, radius, seed), ball(rank, radius).words
+        tree = SampledTree(spec, seed)
+        assert [tree[w] for w in reversed(words)][::-1] == [sample[w] for w in words]
+
+        key, pi, expected = seed.to_bytes(8, "big"), spec.pi, {}
+        for w in words:  # parents first, in canonical order
+            digest = hashlib.blake2b(word_to_str(w).encode(), key=key, digest_size=8).digest()
+            u = Fraction(int.from_bytes(digest, "big"), 2**64)
+            if not w:
+                row = pi
+            else:
+                a, k = expected[w[1:]], spec.kernels[w[0] >> 1]
+                row = k[a] if w[0] % 2 == 0 else [pi[b] * k[b][a] / pi[a] for b in range(size)]
+            expected[w] = oracle_draw(row, u)
+        assert [expected[w] for w in words] == [sample[w] for w in words]
+
     def test_bad_keys_raise_input_error(self, m1):
         """A key that is not a tuple of reduced letter codes within the rank
         raises InputError on its lookup and draws nothing; a Word (reduced by

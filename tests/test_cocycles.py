@@ -31,10 +31,11 @@ from treeshift.cocycles import (
     RewriteRule,
     cocycle,
     identity_rule,
+    recode_on,
 )
 from treeshift.errors import BudgetError, InputError, MissingCoordinate
 from treeshift.randspec import random_properly_ergodic_spec, random_spec
-from treeshift.slides import _checked, build_slide_params
+from treeshift.slides import _checked, build_slide_params, generator_ergodic_pipeline
 from treeshift.words import (
     IDENTITY,
     LeftConnectedSet,
@@ -391,3 +392,39 @@ class TestInversePair:
 
     def test_mismatched_pair(self, m1, m1_rule):
         assert not check_inverse_pair(identity_rule(2), m1_rule, m1, 2)
+
+
+class TestTableKeys:
+    @pytest.fixture
+    def rank3(self):
+        """A pipeline slide's rule on sparse random_spec(0, 3, 3), and a tree of that spec."""
+        spec = random_spec(0, 3, 3, style="sparse")
+        return generator_ergodic_pipeline(spec)[1][0].rule, SampledTree(spec, 5)
+
+    def test_bad_keys_raise_after_a_hit(self, rank3):
+        """A key equal to a memoised word but not made of int codes, (True,) or
+        (1.0,), raises on a table as it does on a fresh one: the key is
+        checked before the memo is read."""
+        rule, x = rank3
+        view, table = RecodedView(rule, x), CocycleTable(rule, x)
+        assert view[(1,)] == x[table.omega((1,))] == x[cocycle(rule, (1,), x)]
+        for bad in [(True,), (1.0,)]:
+            with pytest.raises(InputError, match="not a reduced word of rank 3"):
+                view[bad]
+            with pytest.raises(InputError, match="not a reduced word of rank 3"):
+                table.omega(bad)
+
+    def test_codes_past_the_rank_raise(self, rank3):
+        """A code at or past 2 rank is no letter, as a plain tuple or a Word,
+        on a fresh table or after hits; recode_on checks its domain once."""
+        rule, x = rank3
+        past = Word([Letter(4, -1)])  # code 9
+        view = RecodedView(rule, x)
+        for hit in [(0,), (2, 0)]:  # (9, 0) and s4.s1 then miss with a memoized parent
+            assert view[hit] == x[cocycle(rule, hit, x)]
+        for key in [(9,), past, (9, 0), Word([Letter(3, 1), Letter(0, 1)])]:
+            for read in (lambda h: view[h], lambda h: cocycle(rule, h, x)):
+                with pytest.raises(InputError, match="rank 3"):
+                    read(key)
+        with pytest.raises(InputError, match="rank-3"):
+            recode_on(rule, ball(4, 1))

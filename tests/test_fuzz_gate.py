@@ -187,6 +187,12 @@ NON_SPEC_ARGUMENTS = {
     "cocycle-str-word": lambda spec: cocycle(base(0)[1].rule, "ab", SampledTree(spec, 1)),
     "cocycle-unreduced-word": lambda spec: cocycle(base(0)[1].rule, (0, 1), SampledTree(spec, 1)),
     "RecodedView-list-key": lambda spec: RecodedView(base(0)[1].rule, SampledTree(spec, 1))[[0]],
+    "cocycle-code-past-rank": lambda spec: cocycle(base(0)[1].rule, (9,), SampledTree(spec, 1)),
+    "cocycle-Word-past-rank": lambda spec: cocycle(base(0)[1].rule, Word([Letter(4, 1)]), {}),
+    "RecodedView-Word-past-rank": lambda spec: RecodedView(base(0)[1].rule, {IDENTITY: 0})[
+        Word([Letter(2, -1)])
+    ],
+    "recode_on-domain-past-rank": lambda spec: recode_on(base(0)[1].rule, ball(3, 1)),
     "CocycleTable-str-code": lambda spec: CocycleTable(base(0)[1].rule, {}).omega(("a",)),
     "word_to_str-str": lambda spec: word_to_str("abc"),
     "word_to_str-list": lambda spec: word_to_str([0]),
@@ -213,11 +219,12 @@ def test_bad_non_spec_argument_raises_input_error(entry):
     a LeftConnectedSet, a phi that is not a Configuration, an assignment that
     is not a Mapping, words that are not reduced tuples of non-negative int
     letter codes (a domain's, a cocycle's or a recoded view's key, or
-    word_to_str's argument), a rule that is not a RewriteRule, a coordinate map that is
-    None or a sequence, a window function that is not callable, a graph that
-    is not a TransitionGraph, a vertex that is not one of its ints and an
-    edge set that is not a set of int pairs raise InputError, whether they
-    would raise a bare error or pass."""
+    word_to_str's argument) or that hold a code past a rule's rank (a
+    cocycle's or a recoded view's key, recode_on's domain), a rule that is
+    not a RewriteRule, a coordinate map that is None or a sequence, a window
+    function that is not callable, a graph that is not a TransitionGraph, a
+    vertex that is not one of its ints and an edge set that is not a set of
+    int pairs raise InputError, whether they would raise a bare error or pass."""
     with pytest.raises(InputError):
         NON_SPEC_ARGUMENTS[entry](base(0)[0])
 

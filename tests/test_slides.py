@@ -71,6 +71,7 @@ from treeshift.words import (
     Word,
     ball,
     letter_code,
+    letters_of_rank,
     single,
     word_from_str,
 )
@@ -1155,6 +1156,40 @@ class TestReplay:
                 dom = ball(spec.rank, r)
                 out = replay(tower, x, r, rank=spec.rank)
                 assert list(out.items()) == [(h, view[h]) for h in dom]
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.integers(0, 2**64 - 1),
+        st.data(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_view_reads_match_fresh_cocycles(self, seed, size, rank, tree_seed, data):
+        """Each view of a pipeline tower over a sampled tree, read in a drawn
+        order (deep words of length 6 to 9 first, then their ancestors, the
+        ancestors' children and ball(rank, 2) shuffled, each key a Word or a
+        plain tuple), gives its base at cocycle(rule, h, base) from a fresh
+        table per word: memo hits, one-step misses and deeper misses agree."""
+        spec, slides = _sliding_spec(seed, size, rank, "sparse")
+        codes, letters = range(2 * rank), letters_of_rank(rank)
+        deep = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            w = [data.draw(st.sampled_from(codes))]
+            for _ in range(data.draw(st.integers(5, 8))):
+                w.append(data.draw(st.sampled_from([c for c in codes if c != w[-1] ^ 1])))
+            deep.append(tuple(w))
+        ancestors = {w[i:] for w in deep for i in range(1, len(w) + 1)}
+        children = {(c, *a) for a in ancestors for c in codes if not a or a[0] != c ^ 1}
+        rest = ancestors | children | set(ball(rank, 2))
+        order = deep + data.draw(st.permutations(sorted(rest, key=Word.sort_key)))
+        as_word = [data.draw(st.booleans()) for _ in order]
+        keys = [Word(letters[c] for c in h) if w else tuple(h) for h, w in zip(order, as_word)]
+        base = SampledTree(spec, tree_seed)
+        for params in slides:
+            view = RecodedView(params.rule, base)
+            assert [view[h] for h in keys] == [base[cocycle(params.rule, h, base)] for h in keys]
+            base = view
 
     def test_pipeline_replay_roundtrip(self, m4):
         _, slides = generator_ergodic_pipeline(m4)
