@@ -16,9 +16,10 @@ integers) and the validation problems along every letter s_i^{+-1}, and
 pi's.  Along s_i^-1 they derive from s_i's: the kernel
 there is P_i reversed, P_rev(a, b) = pi(b) P_i(b, a) / pi(a).  The tables
 are keyed by int letter code only (see words), so no path hashes the spec.
-kernel_for_letter and reverse_kernel (Fraction views kept for the benchmark's
-tracer, holding no spec) and graphs.support_edges convert a Letter or a
-generator once with letter_code.  A spec derived by with_kernel shares the
+kernel_for_letter (a code) and reverse_kernel (a generator, read at its
+inverse's code 2 gen + 1), Fraction views kept for the benchmark's tracer
+that hold no spec, and graphs.support_edges (a generator, read at code
+2 gen) index the tables directly.  A spec derived by with_kernel shares the
 entries built for pi and the directions it keeps, and may hold the new kernel
 as its ints (_Ints), the letter_scaled entry the engine reads: its Fractions
 are built on the first read of kernels.
@@ -29,7 +30,7 @@ once the form holds.  validate reads the pairs in order (problem_entries)
 and keeps its report on the instance.  Where a valid spec is not required,
 one gate, require_form, holds a spec to the form halves and pi's laws before
 its tables are read: in the scan, cylinder_measure, kernel_for_letter, spec_to_json,
-graphs.support_edges and a slide's candidate check.
+graphs.support_edges, a slide's candidate check and slides.params_to_json.
 
 Exact sums run on ints: scaled puts rationals over the lcm D of their
 denominators as the integers x*D, and scaling by D > 0 keeps signs, sums and
@@ -62,7 +63,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import graphs  # graphs calls require_valid, so each reads the other's names at call time
 from .errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
-from .words import IDENTITY, LeftConnectedSet, Letter, Word, _is_word, ball, letter_code, parent
+from .words import IDENTITY, LeftConnectedSet, Word, _code, _is_word, ball, parent
 from .words import word_to_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -147,8 +148,7 @@ class MarkovSpec:
         otherwise); problems inside them are left to validate."""
         if not (isinstance(self.generators, _ARRAYS) and isinstance(self._held, _ARRAYS)):
             raise SpecInvalidError(["generators and kernels must be tuples or lists"])
-        if isinstance(gen, bool) or not (isinstance(gen, int) and 0 <= gen < self.rank):
-            raise InputError(f"generator index {gen!r} outside rank {self.rank}")
+        gen = _generator(self, gen)
         held = (*self._held[:gen], kernel, *self._held[gen + 1 :])
         new = MarkovSpec(self.generators, self.alphabet, self.pi, held)
         new.__dict__["_held"] = new.__dict__.pop("kernels")  # kernels: see __getattr__
@@ -171,11 +171,11 @@ class MarkovSpec:
         return MarkovSpec, (self.generators, self.alphabet, self.pi, self.kernels)
 
     @cached_property
-    def letter_thresholds(self) -> Mapping[Letter | int, tuple[tuple[int, ...], ...]]:
+    def letter_thresholds(self) -> Mapping[int, tuple[tuple[int, ...], ...]]:
         return _LetterTable(self.rank, lambda c: _thresholds(*self.letter_scaled[c]))
 
     @cached_property
-    def letter_scaled(self) -> Mapping[Letter | int, tuple[tuple[tuple[int, ...], ...], int]]:
+    def letter_scaled(self) -> Mapping[int, tuple[tuple[tuple[int, ...], ...], int]]:
         """(rows, D) along each letter: the kernel's entries as ints over one
         denominator D, the lcm of all of them (see scaled).  Along s_i^-1 they
         are P_i reversed, from s_i's ints P^ over D_i and pi's ints pi^."""
@@ -223,7 +223,7 @@ class MarkovSpec:
         return tuple(ints), den
 
     @cached_property
-    def letter_support(self) -> Mapping[Letter | int, graphs.TransitionGraph]:
+    def letter_support(self) -> Mapping[int, graphs.TransitionGraph]:
         """Support graph along each letter: the edges (a, b) with positive
         two-point mass pi(a) K(a, b), read as pi^(a) K^(a, b) > 0 on the ints
         of pi_scaled and letter_scaled (along s_i^-1, the reversed ints)."""
@@ -257,7 +257,7 @@ class MarkovSpec:
         return (), tuple(problems)
 
     @cached_property
-    def letter_problems(self) -> Mapping[Letter | int, tuple[tuple[str, ...], tuple[str, ...]]]:
+    def letter_problems(self) -> Mapping[int, tuple[tuple[str, ...], tuple[str, ...]]]:
         """validate's (form, law) problems with the kernel of each letter's
         generator: form is its shape and entry types, law its negative
         entries, row sums and stationarity for pi, read once the form holds.
@@ -331,15 +331,13 @@ class _Ints(tuple):
 
 class _LetterTable(dict):
     """letter code -> make(code), built on first lookup.  Keys are int codes
-    in [0, 2 rank) only; any other key (a Letter included) raises InputError."""
+    in [0, 2 rank) only (words._is_word); any other key raises InputError."""
 
     def __init__(self, rank: int, make):
         self.rank, self.make = rank, make
 
     def __missing__(self, code):
-        if type(code) is not int or not 0 <= code < 2 * self.rank:
-            raise InputError(f"letter code {code!r} outside rank {self.rank}")
-        value = self[code] = self.make(code)
+        value = self[code] = self.make(_code(code, self.rank))
         return value
 
 
@@ -429,13 +427,21 @@ def require_valid(spec: MarkovSpec) -> MarkovSpec:
 def reverse_kernel(spec: MarkovSpec, gen: int) -> Matrix:
     """kernel_for_letter along s_gen^-1, a view kept for the benchmark's tracer,
     which reads its cache_info: maxsize=0 holds (and hashes) no spec."""
-    return kernel_for_letter(spec, Letter(gen, -1))
+    return kernel_for_letter(spec, 2 * _generator(require_form(spec), gen) + 1)
 
 
-def kernel_for_letter(spec: MarkovSpec, letter: Letter) -> Matrix:
-    """The kernel along the letter as Fractions, a view of spec.letter_scaled at
-    letter_code(letter) behind require_form, kept for the benchmark's tracer."""
-    return _Ints(require_form(spec).letter_scaled[letter_code(letter)]).fractions()
+def kernel_for_letter(spec: MarkovSpec, c: int) -> Matrix:
+    """The kernel along letter code c as Fractions, a view of spec.letter_scaled
+    behind require_form, kept for the benchmark's tracer.  c is checked before
+    the table is read, since a bool key would hit a built entry."""
+    return _Ints(require_form(spec).letter_scaled[_code(c, spec.rank)]).fractions()
+
+
+def _generator(spec: MarkovSpec, gen) -> int:
+    """gen, checked to be a generator index, an int (not a bool) in [0, rank)."""
+    if not _is_word((gen,), spec.rank):
+        raise InputError(f"generator index {gen!r} outside rank {spec.rank}")
+    return gen
 
 
 # ---------------------------------------------------------------------------

@@ -31,37 +31,44 @@ from typing import Callable, Iterable, Mapping, Sequence
 # bound here for the benchmark tracer, which wraps the scan at this module's binding
 from .chains import scan_positive_windows  # noqa: F401
 from .errors import InputError
-from .words import IDENTITY, LeftConnectedSet, Letter, Word, _is_word, _word, letter_code
+from .words import IDENTITY, LeftConnectedSet, Word, _code, _is_word, _word
 from .words import multiply, single
 
 
 class RewriteRule:
     """A finite-window generator rewrite, given by its step table.
 
-    steps maps each active letter l to step(x, offset), the image of l at the
-    translate offset.x (whose coordinate h is x[multiply(h, offset)]), read
+    steps maps each active letter code c to step(x, offset), the image of c at
+    the translate offset.x (whose coordinate h is x[multiply(h, offset)]), read
     within ball(window_radius): one of the images, reduced words whose lengths
-    are checked against max_output_length once, here.  Other letters are their
-    own images.  The table is kept by letter code, as letter_image and the cocycle run it.
+    are checked against max_output_length once, here.  Other codes are their
+    own images.  The rank must be an int >= 1, each key a code below 2 rank
+    and each image a reduced word of codes (words._is_word), and letter_image
+    takes a code below 2 rank; anything else raises InputError.
     """
 
-    __slots__ = ("rank", "window_radius", "max_output_length", "active", "steps")
+    __slots__ = ("rank", "window_radius", "max_output_length", "steps")
 
     def __init__(
         self, rank: int, window_radius: int, max_output_length: int,
-        steps: Mapping[Letter, Callable[[object, Word], Word]], images: Iterable[Word],
+        steps: Mapping[int, Callable[[object, Word], Word]], images: Iterable[Word],
     ):
+        if type(rank) is not int or rank < 1:
+            raise InputError(f"rank must be an int >= 1, got {rank!r}")
+        for c in steps:
+            _code(c, rank)
         for w in images:
+            if not _is_word(w):
+                raise InputError(f"image {w!r} is not a reduced word of letter codes")
             if len(w) > max_output_length:
                 raise InputError(f"image {w} has length {len(w)} > {max_output_length}")
         self.rank, self.window_radius = rank, window_radius
         self.max_output_length = max_output_length
-        self.active = frozenset(steps)
-        self.steps = {letter_code(l): step for l, step in steps.items()}
+        self.steps = dict(steps)
 
-    def letter_image(self, letter: Letter, x, offset: Word = IDENTITY) -> Word:
-        step = self.steps.get(letter_code(letter))
-        return single(letter) if step is None else step(x, offset)
+    def letter_image(self, c: int, x, offset: Word = IDENTITY) -> Word:
+        step = self.steps.get(_code(c, self.rank))
+        return single(c) if step is None else step(x, offset)
 
 
 def identity_rule(rank: int) -> RewriteRule:

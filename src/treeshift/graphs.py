@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from . import chains
 from .errors import InputError
-from .words import Letter, letter_code
 
 if TYPE_CHECKING:
     from .chains import MarkovSpec
@@ -105,10 +104,10 @@ class TransitionGraph:
 def support_edges(spec: MarkovSpec, gen: int) -> TransitionGraph:
     """The support graph along generator gen: edges (a, b) with positive
     two-point mass pi(a) K(a, b).  The graph is the spec's table entry at
-    letter_code(Letter(gen, 1)), built once per spec and direction (the
-    reversed direction is the entry at the next code).  The spec must pass
-    chains.require_form, not require_valid, so a candidate's graph is read."""
-    return chains.require_form(spec).letter_support[letter_code(Letter(gen, 1))]
+    code 2 gen, built once per spec and direction (the reversed direction is
+    the entry at the next code).  The spec must pass chains.require_form, not
+    require_valid, so a candidate's graph is read."""
+    return chains.require_form(spec).letter_support[2 * chains._generator(spec, gen)]
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,7 @@ from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule, rec
 from .errors import InputError, ParamsError, TreeshiftError
 from .graphs import BranchData, _edge_set, branch_data, classify, is_special, special_sets
 from .graphs import support_edges
-from .words import IDENTITY, LeftConnectedSet, Letter, Word, ball, inverse, letters_of_rank
-from .words import multiply, reduce, single
+from .words import IDENTITY, LeftConnectedSet, Word, ball, inverse, multiply, single
 
 
 @dataclass(frozen=True)
@@ -66,19 +65,19 @@ class SlideParams:
             raise ParamsError("slide branch targets are not the slide edges' targets")
         if not self.edges:
             return identity_rule(self.rank)
-        u, t = Letter(self.u, 1), Letter(self.t, 1)
-        w_t, w_ut, w_uinv_t = single(t), Word((u, t)), Word((u.inverse(), t))
-        # per active letter: the shifts whose flags move it up and down, then its up, down and
+        u, t = 2 * self.u, 2 * self.t
+        w_t, w_ut, w_uinv_t = single(t), Word((u, t)), Word((u ^ 1, t))
+        # per active code: the shifts whose flags move it up and down, then its up, down and
         # stay images; t moves up when ut.x is flagged, down when t.x is; t^-1 undoes them (x, u.x)
         moves = {
             t: (w_ut, w_t, w_ut, w_uinv_t, w_t),
-            t.inverse(): (IDENTITY, single(u), *map(inverse, (w_ut, w_uinv_t, w_t))),
+            t ^ 1: (IDENTITY, single(u), *map(inverse, (w_ut, w_uinv_t, w_t))),
         }
         return RewriteRule(
             rank=self.rank,
             window_radius=self.n_max + 2,
             max_output_length=2,
-            steps={l: _slide_step(self, *move) for l, move in moves.items()},
+            steps={c: _slide_step(self, *move) for c, move in moves.items()},
             images=[w for move in moves.values() for w in move[2:]],
         )
 
@@ -126,12 +125,12 @@ def _slide_step(
     an edge, u^n shift, words built here once.  The two shifts are one u-step
     apart, so the lower is read twice: as its own shift and as the other's
     u^-1 shift."""
-    u = Letter(params.u, 1)
+    u = 2 * params.u
     edges, eta = params.edges, {b: data.eta for b, data in params.branch}
 
     def around(shift: Word) -> tuple[Word, dict[int, Word]]:  # u^-1 shift, u^n shift per target
-        back = multiply(single(u.inverse()), shift)
-        return back, {b: multiply(reduce((u,) * data.n), shift) for b, data in params.branch}
+        back = multiply(single(u ^ 1), shift)
+        return back, {b: multiply(Word((u,) * data.n), shift) for b, data in params.branch}
 
     back_up, ahead_up = around(up)
     back_down, ahead_down = around(down)
@@ -243,9 +242,9 @@ class SlideReport:
 
 
 def _markov_check_domains(spec: MarkovSpec, params: SlideParams) -> list[LeftConnectedSet]:
-    u, t = Letter(params.u, 1), Letter(params.t, 1)
-    doms = [[IDENTITY]] + [[IDENTITY, single(l)] for l in letters_of_rank(spec.rank)]
-    doms += [[IDENTITY, single(t), Word((v, t))] for v in (u, u.inverse())]
+    u, t = 2 * params.u, 2 * params.t
+    doms = [[IDENTITY]] + [[IDENTITY, single(c)] for c in range(2 * spec.rank)]
+    doms += [[IDENTITY, single(t), Word((v, t))] for v in (u, u ^ 1)]
     if spec.size <= 2:
         doms.append([IDENTITY, single(t), Word((t, t))])
     return list(map(LeftConnectedSet, doms))

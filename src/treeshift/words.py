@@ -15,11 +15,10 @@ compared for equality as tuples; their canonical order comes only from
 Word.sort_key (length first), so sort with key=Word.sort_key.  Word defines no
 rich comparison of its own: one defined in Python would give the class a
 Python-level compare slot, and every Word == Word (each dict hit on an equal
-but distinct key) would go through it.  The Letter NamedTuple is the public
-type at the boundary: Word(...), .letters, edge_letter, single, reduce,
-in_past, letters_of_rank, RewriteRule and chains.kernel_for_letter take or
-give Letters, converted by letter_code or a cache indexed by code, so no
-Letter is allocated per lookup; a spec's tables take codes only.
+but distinct key) would go through it.  The code is the one letter type:
+Word(...), single, cocycles.RewriteRule and chains.kernel_for_letter take
+codes, and one check, _is_word, holds them to ints in [0, 2 rank).  The
+readable boundary is word_to_str and word_from_str.
 
 Words serialize as '.'-joined tokens "s1", "s2^-1", ...; the identity is "e".
 """
@@ -27,64 +26,36 @@ Words serialize as '.'-joined tokens "s1", "s2^-1", ...; the identity is "e".
 from __future__ import annotations
 
 import re
-from functools import cache, partial
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import partial
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, DomainError, InputError
 
 DEFAULT_BALL_BUDGET = 500_000
 
 
-class Letter(NamedTuple):
-    gen: int
-    sign: int
-
-    def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
-
-    @property
-    def name(self) -> str:
-        return f"s{self.gen + 1}" if self.sign > 0 else f"s{self.gen + 1}^-1"
-
-    def sort_key(self):
-        return (self.gen, 0 if self.sign > 0 else 1)
-
-
-def letter_code(l: Letter) -> int:
-    """The int a Word stores for the letter: 2 gen, plus 1 for an inverse.
-    Raises InputError for anything but a Letter with an int (not bool) gen >= 0 and sign +-1."""
-    if not (isinstance(l, Letter) and type(l.gen) is int and l.gen >= 0 and l.sign in (1, -1)):
-        raise InputError(f"not a letter: {l!r}")
-    return 2 * l.gen + (l.sign < 0)
-
-
-_letter = cache(lambda c: Letter(c >> 1, -1 if c & 1 else 1))  # code -> Letter
-_name = cache(lambda c: _letter(c).name)  # code -> token
-
-
-def letters_of_rank(rank: int) -> tuple[Letter, ...]:
-    """All 2*rank letters in the canonical order s1, s1^-1, s2, ..."""
-    return tuple(map(_letter, range(2 * rank)))
+def _name(c) -> str:
+    """The token of letter code c, "s1" for 0 and "s1^-1" for 1; repr(c) for anything but a code."""
+    if type(c) is not int or c < 0:
+        return repr(c)
+    return f"s{(c >> 1) + 1}" + "^-1" * (c & 1)
 
 
 class Word(tuple):
     """An immutable reduced word of letter codes; the empty word is the identity.
 
-    Word(letters) takes Letters and checks reducedness; .letters gives them back."""
+    Word(codes) checks the codes and reducedness (_is_word), InputError otherwise."""
 
     __slots__ = ()
 
-    def __new__(cls, letters: Iterable[Letter] = ()):
-        return tuple.__new__(cls, map(letter_code, letters))
+    def __new__(cls, codes: Iterable[int] = ()):
+        if not isinstance(codes, Iterable):
+            raise InputError(f"a word is built from letter codes, got {codes!r}")
+        return tuple.__new__(cls, codes)
 
-    def __init__(self, letters: Iterable[Letter] = ()):
-        for a, b in zip(self, self[1:]):
-            if a ^ b == 1:
-                raise InputError(f"word not reduced at {_name(a)}.{_name(b)}")
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(map(_letter, self))
+    def __init__(self, codes: Iterable[int] = ()):
+        if not _is_word(self):
+            raise InputError(f"not a reduced word of letter codes: {'.'.join(map(_name, self))}")
 
     def __mul__(self, other: "Word") -> "Word":
         return multiply(self, other)
@@ -116,10 +87,9 @@ _word = partial(tuple.__new__, Word)
 IDENTITY = _word(())
 
 
-@cache
-def single(letter: Letter) -> Word:
-    """The one-letter word, built once per letter."""
-    return Word((letter,))
+def single(c: int) -> Word:
+    """The one-letter word of letter code c."""
+    return Word((c,))
 
 
 def _is_word(w, n: float = float("inf")) -> bool:
@@ -128,15 +98,11 @@ def _is_word(w, n: float = float("inf")) -> bool:
     return codes and all(a ^ b != 1 for a, b in zip(w, w[1:]))
 
 
-def reduce(seq: Iterable[Letter]) -> Word:
-    """Free reduction of an arbitrary letter sequence (stack-based)."""
-    stack: list[int] = []
-    for c in map(letter_code, seq):
-        if stack and stack[-1] ^ c == 1:
-            stack.pop()
-        else:
-            stack.append(c)
-    return _word(stack)
+def _code(c, rank: int) -> int:
+    """c, checked by _is_word to be a letter code of the rank, an int in [0, 2 rank)."""
+    if not _is_word((c,), 2 * rank):
+        raise InputError(f"letter code {c!r} outside rank {rank}")
+    return c
 
 
 def multiply(w1: Word, w2: Word) -> Word:
@@ -161,18 +127,6 @@ def parent(g: Word) -> Word:
     if not g:
         raise InputError("identity has no parent")
     return _word(g[1:])
-
-
-def edge_letter(g: Word) -> Letter:
-    """The letter l with g = l.parent(g), i.e. the label of the tree edge above g."""
-    if not g:
-        raise InputError("identity has no incoming tree edge")
-    return _letter(g[0])
-
-
-def in_past(g: Word, s: Letter) -> bool:
-    """True iff g is a nonempty reduced word whose rightmost letter is s."""
-    return bool(g) and g[-1] == letter_code(s)
 
 
 def ball(rank: int, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> "LeftConnectedSet":
@@ -274,10 +228,10 @@ def word_from_str(text: str) -> Word:
         raise InputError(f"a word is read from a str, got {text!r}")
     if text == "e":
         return IDENTITY
-    letters = []
+    codes = []
     for token in text.split("."):
         m = _TOKEN.match(token)
         if not m:
             raise InputError(f"bad word token {token!r}")
-        letters.append(Letter(int(m.group(1)) - 1, -1 if m.group(2) else 1))
-    return Word(letters)  # raises on unreduced input
+        codes.append(2 * (int(m.group(1)) - 1) + bool(m.group(2)))
+    return Word(codes)  # raises on unreduced input

@@ -5,6 +5,10 @@ explicit products, BFS) without going through the code paths under test,
 except the last section.  That one holds test helpers, not oracles: spec
 builders from plain containers, and generic rule checks (involution, past
 preservation, inverse pairs) run on the package's own window scan.
+
+The package's one letter type is an int code.  The oracles keep their own
+letter-level reference, a plain (gen, sign) pair with sign +1 or -1, turned
+into a code by code() alone and read back from a word by letters().
 """
 
 import itertools
@@ -33,19 +37,45 @@ from treeshift.errors import (
     SpecInvalidError,
 )
 from treeshift.graphs import BranchData
-from treeshift.words import (
-    IDENTITY,
-    LeftConnectedSet,
-    Letter,
-    Word,
-    ball,
-    edge_letter,
-    in_past,
-    inverse,
-    multiply,
-    parent,
-    single,
-)
+from treeshift.words import IDENTITY, LeftConnectedSet, Word, ball, inverse, multiply, parent
+
+
+def code(letter: tuple[int, int]) -> int:
+    """The int code the package stores for the letter (gen, sign): 2 gen for
+    s_gen, 2 gen + 1 for its inverse."""
+    gen, sign = letter
+    assert type(gen) is int and gen >= 0 and sign in (1, -1), letter
+    return 2 * gen + (sign < 0)
+
+
+def word(*letters: tuple[int, int]) -> Word:
+    """The Word of the (gen, sign) letters, leftmost first."""
+    return Word(map(code, letters))
+
+
+def letters(w) -> tuple[tuple[int, int], ...]:
+    """w's letters as (gen, sign) pairs, leftmost first."""
+    return tuple((gen, -1 if odd else 1) for gen, odd in (divmod(c, 2) for c in w))
+
+
+def inverse_letter(letter: tuple[int, int]) -> tuple[int, int]:
+    gen, sign = letter
+    return gen, -sign
+
+
+def letters_of_rank(rank: int) -> tuple[tuple[int, int], ...]:
+    """All 2 rank letters in the canonical order s1, s1^-1, s2, ..."""
+    return tuple((gen, sign) for gen in range(rank) for sign in (1, -1))
+
+
+def edge_letter(g: Word) -> tuple[int, int]:
+    """The letter l with g = l.parent(g), the label of the tree edge above g."""
+    return letters(g)[0]
+
+
+def in_past(g: Word, s: tuple[int, int]) -> bool:
+    """True iff g is a nonempty reduced word whose rightmost letter is s."""
+    return bool(g) and letters(g)[-1] == s
 
 
 def full_config_prob(spec: MarkovSpec, words, values) -> Fraction:
@@ -62,9 +92,9 @@ def full_config_prob(spec: MarkovSpec, words, values) -> Fraction:
             total *= spec.pi[v]
         else:
             pv = values[pos[parent(w)]]
-            l = edge_letter(w)
-            k = spec.kernels[l.gen]
-            if l.sign > 0:
+            gen, sign = edge_letter(w)
+            k = spec.kernels[gen]
+            if sign > 0:
                 total *= k[pv][v]
             else:
                 total *= spec.pi[v] * k[v][pv] / spec.pi[pv]
@@ -139,9 +169,10 @@ def left_connected_subsets(domain, max_size=None):
 
 
 def oracle_word_key(w: Word):
-    """The canonical (length, lexicographic) word order, computed from Letters:
+    """The canonical (length, lexicographic) word order, computed from letters:
     generator first, then s_i before s_i^-1."""
-    return (len(w.letters), tuple((l.gen, 0 if l.sign > 0 else 1) for l in w.letters))
+    ls = letters(w)
+    return (len(ls), tuple((gen, 0 if sign > 0 else 1) for gen, sign in ls))
 
 
 def is_left_connected(words) -> bool:
@@ -260,15 +291,15 @@ def dependency_radius(rule: RewriteRule, r: int) -> int:
 
 
 def flag_triple(params, x):
-    """The slide's local detector, from Letters: (x_{u^-1}, x_e, x_{u^n}) with
+    """The slide's local detector, from letters: (x_{u^-1}, x_e, x_{u^n}) with
     n the branch distance of x_e, defined when (x_{u^-1}, x_e) is a slide
     edge; None otherwise."""
-    u = Letter(params.u, 1)
-    a, b = x[Word((u.inverse(),))], x[IDENTITY]
+    u = (params.u, 1)
+    a, b = x[word(inverse_letter(u))], x[IDENTITY]
     if (a, b) not in params.edges:
         return None
     n = dict(params.branch)[b].n
-    return (a, b, x[Word((u,) * n)])
+    return (a, b, x[word(*(u,) * n)])
 
 
 def flagged(params) -> frozenset[tuple[int, int, int]]:
@@ -276,23 +307,24 @@ def flagged(params) -> frozenset[tuple[int, int, int]]:
     return frozenset((a, b, eta[b].eta) for a, b in params.edges)
 
 
-def oracle_slide_image(params, l: Letter, x, offset: Word) -> Word:
+def oracle_slide_image(params, l: tuple[int, int], x, offset: Word) -> Word:
     """The slide's image of the letter t or t^-1 at the translate offset.x,
     from flag_triple(...) in flagged(params) on Shifted views.  t goes to ut
     when ut.x is flagged and to u^-1 t when t.x is; t^-1 goes to (ut)^-1 when
     x is flagged and to (u^-1 t)^-1 when u.x is; both flagged is a conflict."""
-    u, t = Letter(params.u, 1), Letter(params.t, 1)
+    u, t = (params.u, 1), (params.t, 1)
+    u_inv, t_inv = inverse_letter(u), inverse_letter(t)
 
-    def is_flagged(*shift: Letter) -> bool:
-        view = Shifted(x, multiply(Word(shift), offset))
+    def is_flagged(*shift: tuple[int, int]) -> bool:
+        view = Shifted(x, multiply(word(*shift), offset))
         return flag_triple(params, view) in flagged(params)
 
     if l == t:
         up, down = is_flagged(u, t), is_flagged(t)
-        images = Word((u, t)), Word((u.inverse(), t)), Word((t,))
+        images = word(u, t), word(u_inv, t), word(t)
     else:
         up, down = is_flagged(), is_flagged(u)
-        images = Word((t.inverse(), u.inverse())), Word((t.inverse(), u)), Word((t.inverse(),))
+        images = word(t_inv, u_inv), word(t_inv, u), word(t_inv)
     if up and down:
         raise ParamsError("conflicting slide conditions")
     return images[0] if up else images[1] if down else images[2]
@@ -430,18 +462,16 @@ def oracle_pushforward_kernel(spec, params):
     the recoded symbol is read through the generic cocycle engine, not the
     production decision-window shortcut.
     """
-    from treeshift.words import IDENTITY, Letter, Word, single
-
-    u = Letter(params.u, 1)
-    t = Letter(params.t, 1)
+    u, t = (params.u, 1), (params.t, 1)
+    u_inv = inverse_letter(u)
     rule = params.rule
-    words = [IDENTITY, single(t), Word((u.inverse(), t)), Word((u.inverse(), u.inverse(), t))]
+    words = [IDENTITY, word(t), word(u_inv, t), word(u_inv, u_inv, t)]
     for k in range(1, params.n_max + 3):
-        words.append(Word((u,) * k + (t,)))
+        words.append(word(*(u,) * k, t))
     words.sort(key=lambda w: w.sort_key())
     n = spec.size
     mass = [[Fraction(0)] * n for _ in range(n)]
-    t_word = single(t)
+    t_word = word(t)
     for values in itertools.product(range(n), repeat=len(words)):
         p = full_config_prob(spec, words, values)
         if p == 0:
@@ -604,7 +634,7 @@ def oracle_composite_pair_law(spec: MarkovSpec, slides, gen: int) -> dict:
     """Exact law of (x'_e, x'_s), s = s_gen, where x' is x ~ spec recoded by
     every slide in order (a RecodedView tower, one per window), from a window
     scan that must cover the space: {(a, b): probability} over positive pairs."""
-    s = single(Letter(gen, 1))
+    s = word((gen, 1))
 
     def fn(win):
         view = win
@@ -640,7 +670,7 @@ def oracle_sampled_pair_law(spec: MarkovSpec, slides, gen: int, n: int, seed: in
         final = spec
         for params in slides:
             final = pushforward(final, params)
-    s = single(Letter(gen, 1))
+    s = word((gen, 1))
     counts: dict = {}
     for i in range(n):
         x = replay(slides, SampledTree(spec, derive_seed(seed, i)), 1, spec.rank)
@@ -766,12 +796,11 @@ def bernoulli_spec(alphabet, pi: Sequence[Fraction], rank: int = 2) -> MarkovSpe
     )
 
 
-def _checked_letters(rule: RewriteRule) -> list[Letter]:
-    seen = set()
-    for l in rule.active:
-        seen.add(l)
-        seen.add(l.inverse())
-    return sorted(seen, key=Letter.sort_key)
+def _checked_letters(rule: RewriteRule) -> list[tuple[int, int]]:
+    """The rule's active letters and their inverses, in canonical order."""
+    every = letters_of_rank(rule.rank)
+    active = [l for l in every if code(l) in rule.steps]
+    return [l for l in every if l in active or inverse_letter(l) in active]
 
 
 def check_involution(rule: RewriteRule, spec: MarkovSpec) -> bool:
@@ -780,8 +809,8 @@ def check_involution(rule: RewriteRule, spec: MarkovSpec) -> bool:
     for l in _checked_letters(rule):
 
         def fn(win, l=l):
-            w = rule.letter_image(l, win)
-            w_back = rule.letter_image(l.inverse(), win, w)
+            w = rule.letter_image(code(l), win)
+            w_back = rule.letter_image(code(inverse_letter(l)), win, w)
             return w_back == inverse(w)
 
         if not scan_positive_windows(spec, fn).ok:
@@ -789,7 +818,9 @@ def check_involution(rule: RewriteRule, spec: MarkovSpec) -> bool:
     return True
 
 
-def check_past_preservation(rule: RewriteRule, spec: MarkovSpec, s: Letter, r: int) -> bool:
+def check_past_preservation(
+    rule: RewriteRule, spec: MarkovSpec, s: tuple[int, int], r: int
+) -> bool:
     """Whether g and w(g, x) always lie on the same side of the past of s,
     for all |g| <= r and all positive windows."""
     for g in ball(rule.rank, r):
@@ -817,16 +848,13 @@ def check_inverse_pair(
     """Whether the two rules invert each other: w(w_hat(l, Omega x), x) = l on
     every positive window, and the composed recodings restore sampled
     configurations on ball(r)."""
-    letters = sorted(
-        set(_checked_letters(rule)) | set(_checked_letters(rule_hat)),
-        key=Letter.sort_key,
-    )
-    for l in letters:
+    checked = set(_checked_letters(rule)) | set(_checked_letters(rule_hat))
+    for l in (l for l in letters_of_rank(rule.rank) if l in checked):
 
         def fn(win, l=l):
             recoded = RecodedView(rule, win)
-            w_hat = cocycle(rule_hat, single(l), recoded)
-            return cocycle(rule, w_hat, win) == single(l)
+            w_hat = cocycle(rule_hat, word(l), recoded)
+            return cocycle(rule, w_hat, win) == word(l)
 
         if not scan_positive_windows(spec, fn).ok:
             return False

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     bernoulli_spec,
+    edge_letter,
+    letters,
+    word,
     brute_marginal,
     empirical_cylinder,
     left_connected_subsets,
@@ -59,11 +62,8 @@ from treeshift.slides import generator_ergodic_pipeline, pushforward, replay
 from treeshift.words import (
     IDENTITY,
     LeftConnectedSet,
-    Letter,
     Word,
     ball,
-    edge_letter,
-    letters_of_rank,
     multiply,
     parent,
     single,
@@ -76,8 +76,8 @@ W = word_from_str
 
 
 def sampler_bytes(w) -> bytes:
-    """The bytes the sampler hashes for a word, built from its Letters."""
-    tokens = [f"s{l.gen + 1}" + ("^-1" if l.sign < 0 else "") for l in w.letters]
+    """The bytes the sampler hashes for a word, built from its letters."""
+    tokens = [f"s{gen + 1}" + ("^-1" if sign < 0 else "") for gen, sign in letters(w)]
     return (".".join(tokens) or "e").encode()
 
 
@@ -221,7 +221,7 @@ class TestConfiguration:
         assert len(c) == len(again) == len(ball(2, radius)) and list(c) == list(again)
         for w in ball(2, radius):
             assert w in c and c[w] == again[w] == c.get(w) == again.get(w)
-        outside = Word((Letter(1, -1),) * (radius + 1))
+        outside = word(*((1, -1),) * (radius + 1))
         assert outside not in c and c.get(outside, -1) == again.get(outside, -1) == -1
         for config in (c, again):
             with pytest.raises(MissingCoordinate) as info:
@@ -343,9 +343,9 @@ class TestCylinderMeasure:
         """The window scan on a fixed domain yields the old depth-first
         positive sweep: the same pairs in the same order."""
         spec = random_spec(seed, size, rank, style=style)
-        letters, words = letters_of_rank(rank), [IDENTITY]
-        for i, j in steps:  # l.w has parent w, or is w's parent when l cancels
-            w = multiply(single(letters[j % len(letters)]), words[i % len(words)])
+        words = [IDENTITY]
+        for i, j in steps:  # c.w has parent w, or is w's parent when c cancels
+            w = multiply(single(j % (2 * rank)), words[i % len(words)])
             words += [w] if w not in words else []
         dom = LeftConnectedSet(words)
         assert list(enumerate_cylinders(spec, dom)) == list(oracle_enumerate_cylinders(spec, dom))
@@ -405,7 +405,7 @@ class TestSampling:
     def test_swap_edges_respected(self, m1):
         phi = sample_ball(m1, 2, seed=7)
         for w in phi:
-            if not w.is_identity and w.letters[0] == Letter(1, 1):
+            if not w.is_identity and edge_letter(w) == (1, 1):
                 from treeshift.words import parent
 
                 assert phi[w] == 1 - phi[parent(w)]
@@ -491,9 +491,9 @@ class TestSampling:
             if w.is_identity:
                 row = pi
             else:
-                a, l = tree[parent(w)], edge_letter(w)
-                k = spec.kernels[l.gen]
-                row = k[a] if l.sign > 0 else [pi[b] * k[b][a] / pi[a] for b in range(3)]
+                a, (gen, sign) = tree[parent(w)], edge_letter(w)
+                k = spec.kernels[gen]
+                row = k[a] if sign > 0 else [pi[b] * k[b][a] / pi[a] for b in range(3)]
             assert tree[w] == oracle_draw(row, u)
 
     @given(
@@ -517,7 +517,7 @@ class TestSampling:
             w = [data.draw(st.sampled_from(codes))]
             for _ in range(data.draw(st.integers(9, 15))):
                 w.append(data.draw(st.sampled_from([c for c in codes if c != w[-1] ^ 1])))
-            deep.append(Word([Letter(c >> 1, -1 if c & 1 else 1) for c in w]))
+            deep.append(Word(w))
         ancestors = sorted({w[i:] for w in deep for i in range(len(w) + 1)}, key=len)
         ball2 = list(ball(rank, 2))
 
@@ -591,7 +591,7 @@ class TestSampling:
                 tree[bad]
         assert list(tree._memo) == [IDENTITY]
         with pytest.raises(InputError, match="outside rank 2"):
-            tree[Word([Letter(2, 1), Letter(0, 1)])]
+            tree[word((2, 1), (0, 1))]
         assert tree[(0, 2)] == tree[W("s1.s2")] == SampledTree(m1, 5)[W("s1.s2")]
 
     def test_bad_keys_raise_after_a_hit(self, m1):
@@ -607,10 +607,10 @@ class TestSampling:
     def test_sampler_bytes_pinned(self):
         words = {
             "e": IDENTITY,
-            "s1": Word([Letter(0, 1)]),
-            "s2^-1.s1": Word([Letter(1, -1), Letter(0, 1)]),
-            "s3.s3.s1^-1": Word([Letter(2, 1), Letter(2, 1), Letter(0, -1)]),
-            "s12^-1": Word([Letter(11, -1)]),
+            "s1": word((0, 1)),
+            "s2^-1.s1": word((1, -1), (0, 1)),
+            "s3.s3.s1^-1": word((2, 1), (2, 1), (0, -1)),
+            "s12^-1": word((11, -1)),
         }
         for text, w in words.items():
             assert sampler_bytes(w) == text.encode()
@@ -696,8 +696,8 @@ class TestSpecTables:
                 assert getattr(new, name)[c] == getattr(fresh, name)[c]
         for name in ("pi_thresholds", "pi_scaled", "pi_successors"):
             assert vars(new)[name] is vars(spec)[name]
-        assert kernel_for_letter(new, Letter(gen, 1)) == new.kernels[gen]
-        assert kernel_for_letter(new, Letter(gen, -1)) == oracle_reverse_kernel(new, gen)
+        assert kernel_for_letter(new, 2 * gen) == new.kernels[gen]
+        assert kernel_for_letter(new, 2 * gen + 1) == oracle_reverse_kernel(new, gen)
 
     @pytest.mark.parametrize("gen", [-1, 2, 1.0, True])
     def test_with_kernel_rejects_generator_outside_rank(self, m3, gen):
@@ -719,11 +719,11 @@ class TestSpecTables:
         ["letter_scaled", "letter_thresholds", "letter_support", "letter_successors", "letter_problems"],
     )
     def test_tables_take_int_codes_only(self, m3, name):
-        """Anything but an int code in [0, 2 rank), a Letter included, raises
+        """Anything but an int code in [0, 2 rank), a (gen, sign) pair included, raises
         InputError and leaves nothing behind: every key held is an int code."""
         table = getattr(m3, name)
         built = {c: table[c] for c in range(2 * m3.rank)}
-        for key in ["x", None, 2.5, Letter(0, 1), -1, 2 * m3.rank]:
+        for key in ["x", None, 2.5, (0, 1), -1, 2 * m3.rank]:
             with pytest.raises(InputError):
                 table[key]
         assert dict(vars(m3)[name]) == built
@@ -752,8 +752,8 @@ class TestSpecTables:
         assert any(x < 0 for _, x in spec.letter_successors[2][1][0])
 
     def test_tables_match_direct_computation(self, m3):
-        assert kernel_for_letter(m3, Letter(0, 1)) == m3.kernels[0]
-        assert kernel_for_letter(m3, Letter(1, -1)) == oracle_reverse_kernel(m3, 1)
+        assert kernel_for_letter(m3, 0) == m3.kernels[0]
+        assert kernel_for_letter(m3, 3) == oracle_reverse_kernel(m3, 1)
         with pytest.raises(InputError):
             m3.letter_thresholds[5]  # s3^-1, beyond rank 2
 
@@ -810,7 +810,7 @@ class TestSpecTables:
             [[list(row) for row in k] for k in base.kernels],
         )
         assert validate(spec).ok
-        inv = Word((Letter(0, -1),))
+        inv = word((0, -1))
         assert SampledTree(spec, 1)[inv] == SampledTree(base, 1)[inv]
         dom = LeftConnectedSet([IDENTITY, inv, W("s2.s1^-1")])
         cylinders = list(enumerate_cylinders(spec, dom))
@@ -832,7 +832,7 @@ class TestCopies:
 
         w = W("s1.s2^-1")
         again = copy_of(w)
-        assert type(again) is Word and again == w and again.letters == w.letters
+        assert type(again) is Word and again == w and tuple(again) == tuple(w)
         phi = Configuration({IDENTITY: 0, W("s2^-1"): 1, w: 0})
         again = copy_of(phi)
         assert type(again) is Configuration and again == phi and again.domain == phi.domain
@@ -879,4 +879,4 @@ class TestJson:
 
     def test_kernel_for_letter_unknown_generator(self, m1):
         with pytest.raises(InputError):
-            kernel_for_letter(m1, Letter(5, 1))
+            kernel_for_letter(m1, 10)

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from oracles import (
     check_involution,
     check_past_preservation,
     dependency_radius,
+    letters_of_rank,
     oracle_scan_positive_windows,
     recode,
     window_marginal,
@@ -39,18 +41,15 @@ from treeshift.slides import _checked, build_slide_params, generator_ergodic_pip
 from treeshift.words import (
     IDENTITY,
     LeftConnectedSet,
-    Letter,
     Word,
     ball,
-    letters_of_rank,
     multiply,
-    reduce,
     single,
     word_from_str,
 )
 
 W = word_from_str
-U, T = Letter(0, 1), Letter(1, 1)  # slides below move s1 onto s2
+U, T = 0, 2  # the letter codes of s1 and s2: slides below move s1 onto s2
 
 
 @pytest.fixture
@@ -178,7 +177,7 @@ class TestSlideRuleCocycle:
     def test_act_inverts(self, m1, m1_rule):
         x = sample_ball(m1, 8, seed=4)
         y = act(m1_rule, single(T), x)
-        z = act(m1_rule, single(T.inverse()), y)
+        z = act(m1_rule, single(T ^ 1), y)
         for w in ball(2, 2):
             assert z[w] == x[w]
 
@@ -262,8 +261,7 @@ class TestWindowScan:
             gen, a = seed % rank, seed % size
             k = spec.kernels[gen]
             spec = spec.with_kernel(gen, k[:a] + ((Fraction(0),) * size,) + k[a + 1 :])
-        letters = letters_of_rank(rank)
-        words = [reduce(tuple(letters[j % len(letters)] for j in js)) for js in reads]
+        words = [reduce(multiply, (single(j % (2 * rank)) for j in js), IDENTITY) for js in reads]
 
         def fn(win):
             acc = 0
@@ -351,7 +349,7 @@ class TestOutputLength:
         with pytest.raises(InputError):
             RewriteRule(2, 0, 1, {U: step}, [single(U), W("s1.s2")])
         rule = RewriteRule(2, 0, 1, {U: step}, [single(U)])
-        assert rule.active == {U}
+        assert rule.steps.keys() == {U}
         assert rule.letter_image(U, {}) == single(U)
         assert rule.letter_image(T, {}) == single(T)
 
@@ -364,23 +362,23 @@ class TestInvolution:
         assert check_involution(m1_rule, m1)
 
     def test_broken_rule(self, m1):
-        up, back = W("s1.s2"), single(U.inverse())
-        rule = RewriteRule(2, 0, 2, {U: lambda x, o: up, U.inverse(): lambda x, o: back}, [up, back])
+        up, back = W("s1.s2"), single(U ^ 1)
+        rule = RewriteRule(2, 0, 2, {U: lambda x, o: up, U ^ 1: lambda x, o: back}, [up, back])
         assert not check_involution(rule, m1)
 
 
 class TestPastPreservation:
     def test_identity(self, m1):
-        for l in (U, T, U.inverse(), T.inverse()):
+        for l in letters_of_rank(2):
             assert check_past_preservation(identity_rule(2), m1, l, 2)
 
     def test_slide_preserves_target_direction(self, m1, m1_rule):
-        # the only letter outside {t^-1, u, u^-1} at rank 2 is t itself
-        assert check_past_preservation(m1_rule, m1, T, 2)
+        # the only letter outside {t^-1, u, u^-1} at rank 2 is t = s2 itself
+        assert check_past_preservation(m1_rule, m1, (1, 1), 2)
 
     def test_slide_moves_source_past(self, m1, m1_rule):
-        # w(t^-1 u, x) = (ut)^-1 u = t^-1 on flagged windows, leaving past(u)
-        assert not check_past_preservation(m1_rule, m1, U, 2)
+        # w(t^-1 u, x) = (ut)^-1 u = t^-1 on flagged windows, leaving past(u), u = s1
+        assert not check_past_preservation(m1_rule, m1, (0, 1), 2)
 
 
 class TestInversePair:
@@ -418,11 +416,11 @@ class TestTableKeys:
         """A code at or past 2 rank is no letter, as a plain tuple or a Word,
         on a fresh table or after hits; recode_on checks its domain once."""
         rule, x = rank3
-        past = Word([Letter(4, -1)])  # code 9
+        past = Word([9])  # s5^-1
         view = RecodedView(rule, x)
         for hit in [(0,), (2, 0)]:  # (9, 0) and s4.s1 then miss with a memoized parent
             assert view[hit] == x[cocycle(rule, hit, x)]
-        for key in [(9,), past, (9, 0), Word([Letter(3, 1), Letter(0, 1)])]:
+        for key in [(9,), past, (9, 0), Word([6, 0])]:
             for read in (lambda h: view[h], lambda h: cocycle(rule, h, x)):
                 with pytest.raises(InputError, match="rank 3"):
                     read(key)

@@ -22,13 +22,14 @@ from treeshift.chains import Configuration, MarkovSpec, SampledTree, covering_sc
 from treeshift.chains import cylinder_measure, enumerate_cylinders, kernel_for_letter
 from treeshift.chains import problem_entries, require_form, require_valid, reverse_kernel
 from treeshift.chains import sample_ball, scan_positive_windows, spec_to_json, validate
-from treeshift.cocycles import CocycleTable, RecodedView, cocycle, recode_on
+from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle, identity_rule
+from treeshift.cocycles import recode_on
 from treeshift.errors import InputError, TreeshiftError
 from treeshift.graphs import branch_data, classify, is_special, special_sets, support_edges
 from treeshift.randspec import random_properly_ergodic_spec
 from treeshift.slides import build_slide_params, generator_ergodic_pipeline, params_from_json
 from treeshift.slides import params_to_json, pushforward, replay, verify_slide
-from treeshift.words import IDENTITY, LeftConnectedSet, Letter, Word, ball, word_to_str
+from treeshift.words import IDENTITY, LeftConnectedSet, Word, ball, single, word_to_str
 
 KINDS = (
     "junk_pi",  # a non-rational entry in pi
@@ -44,9 +45,9 @@ JUNK = (None, "1/2", 0.5, float("nan"), -1.5, [1], {}, object(), 1j)
 SEEDS = (0, 1, 2, 3)
 EXAMPLES = 10  # per kind and entry point
 
-INVERSE = Word((Letter(0, -1),))
+INVERSE = Word((1,))  # s1^-1
 # e, s1^-1 and s2: the domain reads a reversed kernel, so a zero pi entry would divide by zero
-DOMAIN = LeftConnectedSet([IDENTITY, INVERSE, Word((Letter(1, 1),))])
+DOMAIN = LeftConnectedSet([IDENTITY, INVERSE, Word((2,))])
 
 
 @cache
@@ -75,7 +76,7 @@ ENTRY_POINTS = {
     "scan_positive_windows": lambda bad, spec, params: scan_positive_windows(
         bad, lambda x: (x[IDENTITY], x[INVERSE])
     ),
-    "kernel_for_letter": lambda bad, spec, params: kernel_for_letter(bad, Letter(0, 1)),
+    "kernel_for_letter": lambda bad, spec, params: kernel_for_letter(bad, 0),
     "reverse_kernel": lambda bad, spec, params: reverse_kernel(bad, 0),
     "spec_to_json": lambda bad, spec, params: spec_to_json(bad),
     "covering_scan": lambda bad, spec, params: covering_scan(
@@ -158,6 +159,10 @@ def test_every_public_spec_reader_is_an_entry_point():
     assert covered <= readers and set(EXEMPT) <= readers and all(EXEMPT.values())
 
 
+def _step(x, offset):
+    return IDENTITY
+
+
 NON_SPEC_ARGUMENTS = {
     "enumerate_cylinders-list": lambda spec: list(enumerate_cylinders(spec, [IDENTITY])),
     "enumerate_cylinders-None": lambda spec: list(enumerate_cylinders(spec, None)),
@@ -188,9 +193,9 @@ NON_SPEC_ARGUMENTS = {
     "cocycle-unreduced-word": lambda spec: cocycle(base(0)[1].rule, (0, 1), SampledTree(spec, 1)),
     "RecodedView-list-key": lambda spec: RecodedView(base(0)[1].rule, SampledTree(spec, 1))[[0]],
     "cocycle-code-past-rank": lambda spec: cocycle(base(0)[1].rule, (9,), SampledTree(spec, 1)),
-    "cocycle-Word-past-rank": lambda spec: cocycle(base(0)[1].rule, Word([Letter(4, 1)]), {}),
+    "cocycle-Word-past-rank": lambda spec: cocycle(base(0)[1].rule, Word([8]), {}),
     "RecodedView-Word-past-rank": lambda spec: RecodedView(base(0)[1].rule, {IDENTITY: 0})[
-        Word([Letter(2, -1)])
+        Word([5])
     ],
     "recode_on-domain-past-rank": lambda spec: recode_on(base(0)[1].rule, ball(3, 1)),
     "CocycleTable-str-code": lambda spec: CocycleTable(base(0)[1].rule, {}).omega(("a",)),
@@ -210,6 +215,20 @@ NON_SPEC_ARGUMENTS = {
     "is_special-float-vertex": lambda spec: is_special(support_edges(spec, 0), {(0.0, 1)}),
     "is_special-bool-vertex": lambda spec: is_special(support_edges(spec, 0), {(True, 0)}),
     "is_special-None-graph": lambda spec: is_special(None, {(0, 1)}),
+    "Word-int": lambda spec: Word(5),
+    "single-list": lambda spec: single([0]),
+    "RewriteRule-int-image": lambda spec: RewriteRule(2, 0, 1, {}, [5]),
+    "RewriteRule-step-past-rank": lambda spec: RewriteRule(2, 0, 1, {4: _step}, []),
+    "RewriteRule-bool-step": lambda spec: RewriteRule(2, 0, 1, {True: _step}, []),
+    "identity_rule-str-rank": lambda spec: identity_rule("x"),
+    "identity_rule-negative-rank": lambda spec: identity_rule(-1),
+    "letter_image-past-rank": lambda spec: base(0)[1].rule.letter_image(4, {}),
+    "letter_image-bool": lambda spec: base(0)[1].rule.letter_image(True, {}),
+    "kernel_for_letter-past-rank": lambda spec: kernel_for_letter(spec, 4),
+    "kernel_for_letter-bool-after-hit": lambda spec: [kernel_for_letter(spec, c) for c in (1, True)],
+    "reverse_kernel-bool-gen": lambda spec: reverse_kernel(spec, True),
+    "reverse_kernel-str-gen": lambda spec: reverse_kernel(spec, "a"),
+    "support_edges-None-gen": lambda spec: support_edges(spec, None),
 }
 
 
@@ -218,10 +237,13 @@ def test_bad_non_spec_argument_raises_input_error(entry):
     """The exact engine's other arguments are checked too: a domain that is not
     a LeftConnectedSet, a phi that is not a Configuration, an assignment that
     is not a Mapping, words that are not reduced tuples of non-negative int
-    letter codes (a domain's, a cocycle's or a recoded view's key, or
-    word_to_str's argument) or that hold a code past a rule's rank (a
-    cocycle's or a recoded view's key, recode_on's domain), a rule that is
-    not a RewriteRule, a coordinate map that is None or a sequence, a window
+    letter codes (a domain's, a cocycle's or a recoded view's key,
+    word_to_str's argument, Word's codes or a rule's image) or that hold a
+    code past a rule's rank (a cocycle's or a recoded view's key, recode_on's
+    domain), a letter code or a generator index that is a bool or past the
+    rank (a rule's step key, letter_image's, kernel_for_letter's,
+    reverse_kernel's, support_edges'), a rank that is not an int >= 1, a
+    rule that is not a RewriteRule, a coordinate map that is None or a sequence, a window
     function that is not callable, a graph that is not a TransitionGraph, a
     vertex that is not one of its ints and an edge set that is not a set of
     int pairs raise InputError, whether they would raise a bare error or pass."""
@@ -231,7 +253,7 @@ def test_bad_non_spec_argument_raises_input_error(entry):
 
 def test_words_pass_as_words_or_plain_tuples():
     """A plain reduced tuple of letter codes is taken as the Word it equals."""
-    spec, s1, s2 = base(0)[0], Word((Letter(0, 1),)), Word((Letter(1, 1),))
+    spec, s1, s2 = base(0)[0], Word((0,)), Word((2,))
     domain = LeftConnectedSet([(), (0,), s2])
     assert domain == LeftConnectedSet([IDENTITY, s1, (2,)])
     assert sum(p for _, p in enumerate_cylinders(spec, domain)) == 1

@@ -86,7 +86,7 @@ class TestSupportEdges:
 
     def test_bool_generator_rejected(self, m1):
         """A bool is not a generator index here, as in with_kernel and build_slide_params."""
-        with pytest.raises(InputError, match="not a letter"):
+        with pytest.raises(InputError, match="generator index True"):
             support_edges(m1, True)
 
     def test_reverse_direction(self, m3):

@@ -21,10 +21,10 @@ SRC = PYPROJECT.parent / "src" / "treeshift"
 
 def _names_read(tree: ast.Module) -> set[str]:
     """Every name the module reads, annotations included (a string annotation
-    is parsed for the names in it)."""
+    is parsed for the names in it); a name only bound (assigned) is not read."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
             note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
@@ -57,3 +57,27 @@ def test_src_imports_only_what_it_reads(path):
             if bound not in read:
                 unused.append(f"{path.name}:{node.lineno} {bound}")
     assert not unused, unused
+
+
+def test_src_reads_every_private_module_name():
+    """Every private module-level function, class and binding (a cache, a
+    constant) of src/treeshift is read somewhere in src/, as a name or as an
+    attribute (chains._generator from graphs), so a helper or converter whose
+    last reader is deleted fails here instead of staying behind."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= _names_read(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    orphans = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private = [b for b in bound if b.startswith("_") and not b.startswith("__")]
+            orphans += [f"{name}:{node.lineno} {b}" for b in private if b not in read]
+    assert not orphans, orphans

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     bernoulli_spec,
+    code,
     flag_triple,
     flagged,
+    inverse_letter,
     make_spec,
     oracle_composite_pair_law,
     oracle_markov_factorization,
@@ -67,11 +69,8 @@ from treeshift.slides import (
 from treeshift.words import (
     IDENTITY,
     LeftConnectedSet,
-    Letter,
     Word,
     ball,
-    letter_code,
-    letters_of_rank,
     single,
     word_from_str,
 )
@@ -89,6 +88,60 @@ def m1_slide(m1):
 @pytest.fixture
 def m3_slide(m3):
     return build_slide_params(m3, u=0, t=1, edges=[(0, 1)])
+
+
+_SEED_SEARCH = 64
+
+
+def _sliding_spec(seed: int, size: int, rank: int, kind: str, product_t: bool = False):
+    """(spec, slides) for the first spec at a seed from seed on, at most
+    _SEED_SEARCH of them, that is properly ergodic and has pipeline slides;
+    the last spec tried and no slides when none has.  kind "sparse" draws
+    random_spec(..., style="sparse"), "proper" random_properly_ergodic_spec.
+    With product_t, each spec is tried with a product kernel along its last
+    generator, or along the one before it for a proper spec, whose last
+    generator carries its periodic permutation."""
+    for s in range(seed, seed + _SEED_SEARCH):
+        if kind == "sparse":
+            spec = random_spec(s, size, rank, style="sparse")
+        else:
+            spec = random_properly_ergodic_spec(s, size, rank)
+        if product_t:
+            gen = rank - 1 if kind == "sparse" else rank - 2
+            spec = spec.with_kernel(gen, tuple(spec.pi for _ in spec.pi))
+        slides = generator_ergodic_pipeline(spec)[1] if classify(spec).properly_ergodic else ()
+        if slides:
+            break
+    return spec, slides
+
+
+@st.composite
+def slide_draws(draw, product_t=st.just(False)):
+    """(spec, slides) from _sliding_spec on a drawn kind, seed, size 2-4, rank
+    2-3 and product_t; the slides may be empty (see sliding_specs)."""
+    kind = draw(st.sampled_from(["sparse", "proper"]))
+    seed, size, rank = draw(st.integers(0, 10**6)), draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    return _sliding_spec(seed, size, rank, kind, draw(product_t))
+
+
+def sliding_specs(product_t=st.just(False)):
+    """The shared draw of the tests that check every pipeline slide: slide_draws
+    with at least one slide (test_slide_draws_reach_a_slide guards the share)."""
+    return slide_draws(product_t).filter(lambda drawn: drawn[1])
+
+
+def test_slide_draws_reach_a_slide():
+    """At least 90% of slide_draws' derandomized examples, either product_t,
+    have a pipeline slide, so the tests on sliding_specs filter few draws."""
+    reached = []
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(slide_draws(st.booleans()))
+    def record(drawn):
+        reached.append(bool(drawn[1]))
+
+    record()
+    assert reached and sum(reached) >= 0.9 * len(reached)
 
 
 class TestParams:
@@ -258,7 +311,7 @@ class TestSlideRule:
     def test_empty_edges_identity(self, m3):
         params = build_slide_params(m3, 0, 1, [])
         rule = _checked(m3, params).rule
-        assert not rule.active
+        assert not rule.steps
         assert pushforward(m3, params) == m3
 
     def test_flagged_rewrite(self, m1, m1_slide):
@@ -266,7 +319,7 @@ class TestSlideRule:
         x = Configuration(
             {IDENTITY: 1, W("s2"): 0, W("s1.s2"): 1, W("s1.s1.s2"): 1, W("s1^-1.s2"): 1}
         )
-        assert rule.letter_image(Letter(1, 1), x) == W("s1.s2")
+        assert rule.letter_image(2, x) == W("s1.s2")
         assert rule.window_radius == 3 and rule.max_output_length == 2
 
     def test_conflicting_window_detected(self, m3):
@@ -294,7 +347,7 @@ class TestSlideRule:
             W("s1.s1.s1.s1.s2"): 2,
         }
         with pytest.raises(ParamsError):
-            rule.letter_image(Letter(1, 1), Configuration(window))
+            rule.letter_image(2, Configuration(window))
 
     def test_params_not_built_from_spec_rejected(self, m3, m3_slide):
         wrong_branch = ((1, BranchData(n=2, path=(1, 0, 1), eta=2)),)
@@ -311,32 +364,24 @@ class TestSlideRule:
                 verify_slide(m3, bad, samples=1)
 
 
-    @given(
-        st.integers(0, 10**6),
-        st.integers(2, 4),
-        st.integers(2, 3),
-        st.sampled_from(["mixed", "sparse"]),
-        st.integers(0, 10**6),
-        st.integers(1, 4),
-    )
+    @given(sliding_specs(), st.integers(0, 10**6), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
-    def test_code_steps_match_letter_oracle(self, seed, size, rank, style, tree_seed, radius):
+    def test_code_steps_match_letter_oracle(self, drawn, tree_seed, radius):
         """On every pipeline slide, the rule's code-level steps for t and t^-1
-        give the word of the Letter-level oracle (flag_triple(...) in
+        give the word of the letter-level oracle (flag_triple(...) in
         flagged(params) on shifted views) and make the same reads in the same
         order.  Windows are a sampled tree on ball(rank, radius), so some reads
         miss, and then both raise at the same word; offsets range over
         ball(rank, 2)."""
-        spec = random_spec(seed, size, rank, style=style)
-        assume(classify(spec).properly_ergodic)
-        _, slides = generator_ergodic_pipeline(spec)
+        spec, slides = drawn
+        rank = spec.rank
         for params in slides:
             tree = SampledTree(spec, tree_seed)
             values = {w: tree[w] for w in ball(rank, radius)}
-            rule, t = params.rule, Letter(params.t, 1)
+            rule, t = params.rule, (params.t, 1)
             for offset in ball(rank, 2):
-                for l in (t, t.inverse()):
-                    got = _reads_and_outcome(rule.steps[letter_code(l)], values, offset)
+                for l in (t, inverse_letter(t)):
+                    got = _reads_and_outcome(rule.steps[code(l)], values, offset)
                     want = _reads_and_outcome(
                         lambda x, offset: oracle_slide_image(params, l, x, offset), values, offset
                     )
@@ -462,7 +507,7 @@ class TestPushforward:
     def test_monte_carlo_within_four_sigma(self, m1, m1_slide):
         rho = pushforward(m1, m1_slide)
         rule = m1_slide.rule
-        t_word = single(Letter(1, 1))
+        t_word = single(2)
         n = 10_000
         counts = {}
         totals = {}
@@ -484,7 +529,7 @@ def window_engine_kernel(spec, params):
     window of the rule, divided by pi: the rewrite rule evaluated window by
     window, independent of the factorised pushforward."""
     rule = _checked(spec, params).rule
-    t = Letter(params.t, 1)
+    t = 2 * params.t
     law = window_marginal(spec, lambda w: (w[IDENTITY], w[rule.letter_image(t, w)]))
     n = spec.size
     return tuple(
@@ -647,20 +692,13 @@ class TestVerifySlide:
         report = verify_slide(m3, m3_slide, samples=0)
         assert report.double_recode_identity and report.orbit_surjective
 
-    @given(
-        st.integers(0, 10**6),
-        st.integers(2, 4),
-        st.integers(2, 3),
-        st.sampled_from(["mixed", "sparse"]),
-        st.integers(0, 10**6),
-    )
+    @given(sliding_specs(), st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
-    def test_orbit_check_matches_full_image_oracle(self, seed, size, rank, style, tree_seed):
+    def test_orbit_check_matches_full_image_oracle(self, drawn, tree_seed):
         """On every pipeline slide and two sampled trees, the early-exit orbit
         check gives the full-image oracle's answer."""
-        spec = random_spec(seed, size, rank, style=style)
-        assume(classify(spec).properly_ergodic)
-        _, slides = generator_ergodic_pipeline(spec)
+        spec, slides = drawn
+        rank = spec.rank
         ball2, ball4 = ball(rank, 2), ball(rank, 4)
         for params in slides:
             for i in range(2):
@@ -672,7 +710,7 @@ class TestVerifySlide:
     def test_non_surjective_rule_not_covered(self, m1):
         """s1 -> s1.s1, every other letter fixed: a reduced word never puts s1
         next to s1^-1, so no image cancels down to s1 and s1 is never reached."""
-        s1, twice = Letter(0, 1), W("s1.s1")
+        s1, twice = 0, W("s1.s1")
         rule = RewriteRule(
             rank=2, window_radius=0, max_output_length=2,
             steps={s1: lambda x, offset: twice}, images=[twice],
@@ -692,24 +730,14 @@ class TestVerifySlide:
         assert verify_slide(m3, m3_slide, candidate=rho, samples=2).markov_factorization
         assert not verify_slide(m3, m3_slide, candidate=dropped, samples=2).markov_factorization
 
-    @given(
-        st.integers(0, 10**6),
-        st.integers(2, 4),
-        st.integers(2, 3),
-        st.sampled_from(["mixed", "sparse"]),
-        st.booleans(),
-    )
+    @given(sliding_specs(product_t=st.booleans()))
     @settings(max_examples=40, deadline=None)
-    def test_markov_check_matches_full_sweep_oracle(self, seed, size, rank, style, product_t):
+    def test_markov_check_matches_full_sweep_oracle(self, drawn):
         """markov_factorization equals the old full-sweep comparison on every
         pipeline slide, for the pushforward, a candidate with one t-row rotated
-        and one with a dropped transition.  A product kernel along the last
-        generator gives slides onto it that pass."""
-        spec = random_spec(seed, size, rank, style=style)
-        if product_t:
-            spec = spec.with_kernel(rank - 1, tuple(spec.pi for _ in spec.pi))
-        assume(classify(spec).properly_ergodic)
-        _, slides = generator_ergodic_pipeline(spec)
+        and one with a dropped transition.  With product_t the spec carries a
+        product kernel along one generator (_sliding_spec)."""
+        spec, slides = drawn
         for params in slides:
             rho = pushforward(spec, params)
             for candidate in (rho, *_broken_candidates(rho, params.t)):
@@ -726,38 +754,15 @@ def _recoded(rule, words, win):
     return tuple(view[g] for g in words)
 
 
-_SEED_SEARCH = 64
-
-
-def _sliding_spec(seed: int, size: int, rank: int, style: str):
-    """(spec, slides) for the first random_spec at a seed from seed on, at most
-    _SEED_SEARCH of them, that is properly ergodic and has pipeline slides.
-    A draw with no such seed is rejected: a mixed spec never has slides (its
-    restrictions are all ergodic and free), while for a sparse one at these
-    sizes and ranks at least a third of the seeds have them."""
-    for s in range(seed, seed + _SEED_SEARCH):
-        spec = random_spec(s, size, rank, style=style)
-        if classify(spec).properly_ergodic:
-            _, slides = generator_ergodic_pipeline(spec)
-            if slides:
-                return spec, slides
-    assume(False)
-
-
 class TestGroupedLaws:
-    @given(
-        st.integers(0, 10**6),
-        st.integers(2, 4),
-        st.integers(2, 3),
-        st.sampled_from(["mixed", "sparse"]),
-    )
+    @given(sliding_specs())
     @settings(max_examples=25, deadline=None)
-    def test_marginals_match_single_domain_scans(self, seed, size, rank, style):
+    def test_marginals_match_single_domain_scans(self, drawn):
         """Every check domain's law, a marginal of its edge letter's one union
         scan held as ints over the scan's den, equals window_marginal on that
         domain alone, as dicts of Fractions, on every pipeline slide; no domain
         is dropped or repeated."""
-        spec, slides = _sliding_spec(seed, size, rank, style)
+        spec, slides = drawn
         for params in slides:
             domains = _markov_check_domains(spec, params)
             laws = list(_check_laws(spec, params))
@@ -768,19 +773,14 @@ class TestGroupedLaws:
                 assert {key: Fraction(x, den) for key, x in sums.items()} == alone
             spec = pushforward(spec, params)
 
-    @given(
-        st.integers(0, 10**6),
-        st.integers(2, 4),
-        st.integers(2, 3),
-        st.sampled_from(["mixed", "sparse"]),
-    )
+    @given(sliding_specs())
     @settings(max_examples=25, deadline=None)
-    def test_union_scans_match_recoded_view_scans(self, seed, size, rank, style):
+    def test_union_scans_match_recoded_view_scans(self, drawn):
         """Each union scan of _check_laws, whose window function is recode_on
         on the union, equals the scan of the per-window RecodedView function
         _recoded: the same windows, weights in the same order, den and
         failures, on every pipeline slide."""
-        spec, slides = _sliding_spec(seed, size, rank, style)
+        spec, slides = drawn
         for params in slides:
             unions, scans = [], []
 
@@ -804,20 +804,15 @@ class TestGroupedLaws:
                 assert (scan.den, scan.failures) == (old.den, old.failures)
             spec = pushforward(spec, params)
 
-    @given(
-        st.integers(0, 10**6),
-        st.integers(2, 4),
-        st.integers(2, 3),
-        st.sampled_from(["mixed", "sparse"]),
-    )
+    @given(sliding_specs())
     @settings(max_examples=25, deadline=None)
-    def test_int_verdict_matches_fraction_comparison(self, seed, size, rank, style):
+    def test_int_verdict_matches_fraction_comparison(self, drawn):
         """On every check domain of every pipeline slide, the int comparison
         _is_cylinder_law gives the verdict of comparing the law as Fractions
         with enumerate_cylinders, for the pushforward, the _broken_candidates
         and a candidate with mass moved within a t row (_moved_mass).  The
         pushforward is the recoded law on every 2-point domain."""
-        spec, slides = _sliding_spec(seed, size, rank, style)
+        spec, slides = drawn
         for params in slides:
             rho = pushforward(spec, params)
             candidates = [rho, *_broken_candidates(rho, params.t), _moved_mass(rho, params.t)]
@@ -970,7 +965,7 @@ COMPOSITE_DEFECT = pytest.mark.xfail(
 
 def pair_cylinders(spec, gen: int) -> dict:
     """The spec's two-point law {(a, b): P(x_e = a, x_s = b)}, s = s_gen."""
-    return dict(enumerate_cylinders(spec, LeftConnectedSet([IDENTITY, single(Letter(gen, 1))])))
+    return dict(enumerate_cylinders(spec, LeftConnectedSet([IDENTITY, single(2 * gen)])))
 
 
 class TestCompositePairLaw:
@@ -1157,22 +1152,17 @@ class TestReplay:
                 out = replay(tower, x, r, rank=spec.rank)
                 assert list(out.items()) == [(h, view[h]) for h in dom]
 
-    @given(
-        st.integers(0, 10**6),
-        st.integers(2, 4),
-        st.integers(2, 3),
-        st.integers(0, 2**64 - 1),
-        st.data(),
-    )
+    @given(sliding_specs(), st.integers(0, 2**64 - 1), st.data())
     @settings(max_examples=20, deadline=None)
-    def test_view_reads_match_fresh_cocycles(self, seed, size, rank, tree_seed, data):
+    def test_view_reads_match_fresh_cocycles(self, drawn, tree_seed, data):
         """Each view of a pipeline tower over a sampled tree, read in a drawn
         order (deep words of length 6 to 9 first, then their ancestors, the
         ancestors' children and ball(rank, 2) shuffled, each key a Word or a
         plain tuple), gives its base at cocycle(rule, h, base) from a fresh
         table per word: memo hits, one-step misses and deeper misses agree."""
-        spec, slides = _sliding_spec(seed, size, rank, "sparse")
-        codes, letters = range(2 * rank), letters_of_rank(rank)
+        spec, slides = drawn
+        rank = spec.rank
+        codes = range(2 * rank)
         deep = []
         for _ in range(data.draw(st.integers(1, 3))):
             w = [data.draw(st.sampled_from(codes))]
@@ -1184,7 +1174,7 @@ class TestReplay:
         rest = ancestors | children | set(ball(rank, 2))
         order = deep + data.draw(st.permutations(sorted(rest, key=Word.sort_key)))
         as_word = [data.draw(st.booleans()) for _ in order]
-        keys = [Word(letters[c] for c in h) if w else tuple(h) for h, w in zip(order, as_word)]
+        keys = [Word(h) if w else tuple(h) for h, w in zip(order, as_word)]
         base = SampledTree(spec, tree_seed)
         for params in slides:
             view = RecodedView(params.rule, base)

@@ -1,32 +1,38 @@
 import itertools
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_left_connected, oracle_word_key
+from oracles import (
+    code,
+    edge_letter,
+    in_past,
+    inverse_letter,
+    is_left_connected,
+    letters,
+    letters_of_rank,
+    oracle_word_key,
+    word,
+)
 from treeshift.errors import BudgetError, InputError
 from treeshift.words import (
     IDENTITY,
     LeftConnectedSet,
-    Letter,
     Word,
     ball,
-    edge_letter,
-    in_past,
     inverse,
-    letters_of_rank,
     multiply,
     parent,
-    reduce,
     single,
     word_from_str,
     word_to_str,
 )
 
-s1, s2 = Letter(0, 1), Letter(1, 1)
-s1i, s2i = s1.inverse(), s2.inverse()
+s1, s2 = (0, 1), (1, 1)
+s1i, s2i = inverse_letter(s1), inverse_letter(s2)
 
 
 def oracle_reduce(seq):
@@ -36,84 +42,96 @@ def oracle_reduce(seq):
     while changed:
         changed = False
         for i in range(len(seq) - 1):
-            if seq[i].gen == seq[i + 1].gen and seq[i].sign == -seq[i + 1].sign:
+            if seq[i][0] == seq[i + 1][0] and seq[i][1] == -seq[i + 1][1]:
                 del seq[i : i + 2]
                 changed = True
                 break
     return tuple(seq)
 
 
-letters_st = st.builds(Letter, st.integers(0, 2), st.sampled_from([1, -1]))
+def product(seq) -> Word:
+    """The group product of the letters' one-letter words, left to right."""
+    return reduce(multiply, (single(code(l)) for l in seq), IDENTITY)
+
+
+def reduced(seq) -> Word:
+    """The Word of oracle_reduce(seq)."""
+    return word(*oracle_reduce(seq))
+
+
+letters_st = st.tuples(st.integers(0, 2), st.sampled_from([1, -1]))
 seqs_st = st.lists(letters_st, max_size=12)
 reduced_st = seqs_st.map(oracle_reduce)
 
 
 class TestReduce:
+    """Free reduction of a letter sequence is its product one letter at a time."""
+
     def test_cancellation(self):
-        assert reduce([s1, s1i]) == IDENTITY
+        assert product([s1, s1i]) == IDENTITY
 
     def test_inner_cancellation(self):
-        assert reduce([s1, s2, s2i, s1]) == Word([s1, s1])
+        assert product([s1, s2, s2i, s1]) == word(s1, s1)
 
     def test_cascading(self):
-        assert reduce([s2, s1, s1i, s2i, s1]) == Word([s1])
+        assert product([s2, s1, s1i, s2i, s1]) == word(s1)
 
     @given(seqs_st)
     def test_matches_rescan_oracle(self, seq):
-        assert reduce(seq).letters == oracle_reduce(seq)
+        assert letters(product(seq)) == oracle_reduce(seq)
 
     @given(seqs_st)
     def test_idempotent(self, seq):
-        w = reduce(seq)
-        assert reduce(w.letters) == w
+        w = product(seq)
+        assert product(letters(w)) == w
 
 
 class TestGroupLaw:
     def test_identity(self):
-        w = Word([s1, s2])
+        w = word(s1, s2)
         assert multiply(IDENTITY, w) == w
         assert multiply(w, IDENTITY) == w
 
     def test_inverse_antihomomorphism(self):
-        assert inverse(Word([s1, s2])) == Word([s2i, s1i])
+        assert inverse(word(s1, s2)) == word(s2i, s1i)
 
     def test_seam_cancellation(self):
-        assert multiply(Word([s1, s2]), Word([s2i, s1])) == Word([s1, s1])
+        assert multiply(word(s1, s2), word(s2i, s1)) == word(s1, s1)
 
     @given(seqs_st, seqs_st)
     def test_matches_concat_reduce_oracle(self, a, b):
-        w1, w2 = reduce(a), reduce(b)
-        assert multiply(w1, w2) == reduce(list(w1.letters) + list(w2.letters))
+        w1, w2 = reduced(a), reduced(b)
+        assert multiply(w1, w2) == reduced(letters(w1) + letters(w2))
 
     @given(seqs_st)
     def test_right_inverse(self, seq):
-        w = reduce(seq)
+        w = reduced(seq)
         assert multiply(w, inverse(w)) == IDENTITY
 
     @given(seqs_st, seqs_st, st.integers(1, 3), st.integers(0, 3))
     @settings(max_examples=50)
     def test_unchecked_words_equal_reduced(self, a, b, rank, radius):
         """multiply, parent, inverse and ball skip the reducedness check; each
-        word they return equals, and hashes like, reduce of its letters."""
+        word they return equals, and hashes like, the reduced word of its letters."""
 
-        def same(w, letters):
-            r = reduce(letters)
+        def same(w, ls):
+            r = reduced(ls)
             assert w == r and hash(w) == hash(r)
 
-        w1, w2 = reduce(a), reduce(b)
-        same(multiply(w1, w2), w1.letters + w2.letters)
-        same(inverse(w1), [l.inverse() for l in reversed(w1.letters)])
+        w1, w2 = reduced(a), reduced(b)
+        same(multiply(w1, w2), letters(w1) + letters(w2))
+        same(inverse(w1), [inverse_letter(l) for l in reversed(letters(w1))])
         if not w1.is_identity:
-            same(parent(w1), w1.letters[1:])
+            same(parent(w1), letters(w1)[1:])
         for w in ball(rank, radius):
-            same(w, w.letters)
+            same(w, letters(w))
 
 
 class TestParent:
     def test_drops_leftmost(self):
-        assert parent(Word([s2, s1])) == Word([s1])
-        assert parent(Word([s1])) == IDENTITY
-        assert parent(Word([s1i, s2, s1])) == Word([s2, s1])
+        assert parent(word(s2, s1)) == word(s1)
+        assert parent(word(s1)) == IDENTITY
+        assert parent(word(s1i, s2, s1)) == word(s2, s1)
 
     def test_identity_rejected(self):
         with pytest.raises(InputError):
@@ -126,27 +144,30 @@ class TestParent:
             if g.is_identity:
                 continue
             shorter = [
-                multiply(single(l), g)
+                multiply(word(l), g)
                 for l in letters_of_rank(2)
-                if len(multiply(single(l), g)) == len(g) - 1
+                if len(multiply(word(l), g)) == len(g) - 1
             ]
             assert shorter == [parent(g)]
             quot = multiply(g, inverse(parent(g)))
             assert len(quot) == 1
-            assert edge_letter(g) == quot.letters[0]
+            assert edge_letter(g) == letters(quot)[0]
 
 
 class TestPast:
+    """The letter-level past of oracles.in_past, which check_past_preservation
+    reads, against the group law on codes."""
+
     def test_rightmost_letter(self):
-        assert in_past(Word([s2, s1]), s1)
+        assert in_past(word(s2, s1), s1)
         assert not in_past(IDENTITY, s1)
-        assert not in_past(Word([s1i]), s1)
-        assert in_past(Word([s1i]), s1i)
+        assert not in_past(word(s1i), s1)
+        assert in_past(word(s1i), s1i)
 
     def test_length_drop_characterization(self):
         for g in ball(2, 3):
             for l in letters_of_rank(2):
-                expected = len(multiply(g, single(l.inverse()))) == len(g) - 1
+                expected = len(multiply(g, word(inverse_letter(l)))) == len(g) - 1
                 assert in_past(g, l) == expected
 
     def test_partition_law(self):
@@ -167,7 +188,7 @@ class TestBall:
             alphabet = letters_of_rank(rank)
             for n in range(radius + 1):
                 for tup in itertools.product(alphabet, repeat=n):
-                    w = reduce(tup)
+                    w = reduced(tup)
                     if len(w) <= radius:
                         brute.add(w)
             assert set(ball(rank, radius)) == brute
@@ -202,14 +223,14 @@ class TestBall:
 
 class TestLeftConnected:
     def test_examples(self):
-        assert is_left_connected({IDENTITY, single(s1)})
-        assert not is_left_connected({IDENTITY, Word([s1, s1])})
+        assert is_left_connected({IDENTITY, word(s1)})
+        assert not is_left_connected({IDENTITY, word(s1, s1)})
         assert is_left_connected(set(ball(2, 2)))
 
     def test_no_identity_needed(self):
         # a path hanging off s1 is connected without containing e
-        assert is_left_connected({single(s1), Word([s2, s1]), Word([s1, s2, s1])})
-        assert not is_left_connected({single(s1), Word([s1, s2, s1])})
+        assert is_left_connected({word(s1), word(s2, s1), word(s1, s2, s1)})
+        assert not is_left_connected({word(s1), word(s1, s2, s1)})
 
     @given(st.sets(st.integers(0, 52), max_size=12))
     @settings(max_examples=60)
@@ -242,20 +263,20 @@ class TestLeftConnected:
         from treeshift.errors import DomainError
 
         with pytest.raises(DomainError):
-            LeftConnectedSet([single(s1)])
+            LeftConnectedSet([word(s1)])
         with pytest.raises(DomainError):
-            LeftConnectedSet([IDENTITY, Word([s1, s1])])
+            LeftConnectedSet([IDENTITY, word(s1, s1)])
 
 
 class TestSerialization:
     def test_tokens(self):
         assert word_to_str(IDENTITY) == "e"
-        assert word_to_str(Word([s2, s1])) == "s2.s1"
-        assert word_from_str("s1^-1.s2") == Word([s1i, s2])
+        assert word_to_str(word(s2, s1)) == "s2.s1"
+        assert word_from_str("s1^-1.s2") == word(s1i, s2)
 
     @given(seqs_st)
     def test_round_trip(self, seq):
-        w = reduce(seq)
+        w = reduced(seq)
         assert word_from_str(word_to_str(w)) == w
 
     def test_strict_parse(self):
@@ -272,13 +293,13 @@ class TestSerialization:
 class TestCanonicalOrder:
     @given(st.lists(reduced_st, max_size=12))
     def test_sorting_matches_oracle(self, seqs):
-        words = [Word(ls) for ls in seqs]
+        words = [word(*ls) for ls in seqs]
         assert sorted(words, key=Word.sort_key) == sorted(words, key=oracle_word_key)
 
     @given(reduced_st, reduced_st)
     def test_comparisons_match_oracle(self, a, b):
         """The canonical order is the order of sort_key; equality is tuple equality."""
-        v, w = Word(a), Word(b)
+        v, w = word(*a), word(*b)
         sv, sw = v.sort_key(), w.sort_key()
         kv, kw = oracle_word_key(v), oracle_word_key(w)
         assert (sv < sw, sv > sw, sv <= sw, sv >= sw) == (kv < kw, kv > kw, kv <= kw, kv >= kw)
@@ -305,38 +326,44 @@ class TestCanonicalOrder:
 
 
 class TestLetterBoundary:
+    """A letter is its int code at every boundary: Word(...) and single take
+    codes, and the oracles' (gen, sign) letters are read back from them."""
+
     @given(reduced_st)
     def test_letters_round_trip(self, ls):
-        w = Word(ls)
-        assert w.letters == tuple(ls)
-        assert all(type(l) is Letter for l in w.letters)
+        w = word(*ls)
+        assert tuple(w) == tuple(map(code, ls)) and letters(w) == tuple(ls)
+        assert all(type(c) is int for c in w)
         assert word_from_str(str(w)) == w
-        assert reduce(ls) == w and hash(reduce(ls)) == hash(w)
+        assert Word(tuple(w)) == w and hash(Word(tuple(w))) == hash(w)
 
     @given(reduced_st.filter(bool))
     def test_edge_letter_is_a_letter(self, ls):
-        w = Word(ls)
-        assert type(edge_letter(w)) is Letter and edge_letter(w) == ls[0]
-        assert in_past(w, ls[-1]) and not in_past(w, ls[-1].inverse())
+        """The tree edge above w is labelled by its first code, the oracle's edge letter."""
+        w = word(*ls)
+        assert multiply(single(w[0]), parent(w)) == w and edge_letter(w) == ls[0]
+        assert in_past(w, ls[-1]) and not in_past(w, inverse_letter(ls[-1]))
 
     def test_letters_of_rank_are_letters(self):
         assert letters_of_rank(2) == (s1, s1i, s2, s2i)
-        assert all(type(l) is Letter for l in letters_of_rank(3))
-        assert single(s2i).letters == (s2i,)
+        assert tuple(map(code, letters_of_rank(3))) == tuple(range(6))
+        assert single(code(s2i)) == word(s2i) == (3,)
 
     def test_unreduced_rejected_with_letter_names(self):
         with pytest.raises(InputError, match=r"s2\.s2\^-1"):
-            Word([s1, s2, s2i])
+            Word([0, 2, 3])
 
     @pytest.mark.parametrize(
         "bad",
-        [(0, 1), Letter(-1, 1), Letter(0, 0), Letter(0, 2), Letter("s1", 1), Letter(True, 1), "s1", 0],
-        ids=["plain-tuple", "negative-gen", "sign-0", "sign-2", "str-gen", "bool-gen", "str", "int"],
+        [(0, 1), -2, True, "s1", 0.0, None, [0]],
+        ids=["plain-tuple", "negative-gen", "bool-gen", "str", "float", "None", "list"],
     )
     def test_malformed_letters_rejected(self, bad):
+        """Anything but an int code, a (gen, sign) pair or the code -2 of a
+        negative generator included, is refused by Word and single."""
         with pytest.raises(InputError):
             Word([bad])
         with pytest.raises(InputError):
-            reduce([s1, bad])
+            Word([0, bad])
         with pytest.raises(InputError):
-            in_past(Word([s1]), bad)
+            single(bad)
