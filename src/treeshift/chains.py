@@ -63,7 +63,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import graphs  # graphs calls require_valid, so each reads the other's names at call time
 from .errors import BudgetError, InputError, MissingCoordinate, SpecInvalidError
-from .words import IDENTITY, LeftConnectedSet, Word, _code, _is_word, ball, parent
+from .words import IDENTITY, LeftConnectedSet, Word, _code, _is_index, _is_word, ball, parent
 from .words import word_to_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -439,7 +439,7 @@ def kernel_for_letter(spec: MarkovSpec, c: int) -> Matrix:
 
 def _generator(spec: MarkovSpec, gen) -> int:
     """gen, checked to be a generator index, an int (not a bool) in [0, rank)."""
-    if not _is_word((gen,), spec.rank):
+    if not _is_index(gen, spec.rank):
         raise InputError(f"generator index {gen!r} outside rank {spec.rank}")
     return gen
 
@@ -451,8 +451,8 @@ def _generator(spec: MarkovSpec, gen) -> int:
 
 class Configuration:
     """A partial assignment of symbols to a left-connected domain containing e:
-    its values in the domain's canonical order, read through domain._index; a
-    word outside the domain raises MissingCoordinate."""
+    its values in the domain's canonical order, read through domain._index, which
+    a ball builds on first lookup; a word outside the domain raises MissingCoordinate."""
 
     __slots__ = ("domain", "_values")
 
@@ -515,24 +515,25 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
     """Exact measure of the cylinder {x : x_g = phi(g) on the domain}.
 
     The domain is swept parents-first; each element beyond the identity
-    contributes one kernel factor along its tree edge, using the reversed
-    kernel when the edge letter is an inverse generator, on the ints of
-    pi_scaled and letter_scaled.  The spec must pass require_form, and a
-    value that is not a symbol index (an int in [0, size)) raises InputError.
+    contributes one kernel factor along its tree edge from its parent's value
+    (domain._parents), using the reversed kernel when the edge letter is an
+    inverse generator, on the ints of pi_scaled and letter_scaled.  The spec
+    must pass require_form, and a value that is not a symbol index (an int in
+    [0, size)) raises InputError.
     """
     require_form(spec)
     if not isinstance(phi, Configuration):
         raise InputError(f"phi must be a Configuration, got {phi!r}")
     for w, v in phi.items():
-        if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < spec.size):
+        if not _is_index(v, spec.size):
             raise InputError(
                 f"symbol {v!r} at {word_to_str(w)} outside alphabet of size {spec.size}"
             )
-    (pi, den), rows, words = spec.pi_scaled, spec.letter_scaled, phi.domain.words
-    num = pi[phi[words[0]]]
-    for w in words[1:]:
+    (pi, den), rows, values = spec.pi_scaled, spec.letter_scaled, phi._values
+    num = pi[values[0]]
+    for w, i, v in zip(phi.domain.words[1:], phi.domain._parents[1:], values[1:]):
         k, d = rows[w[0]]
-        num, den = num * k[phi[parent(w)]][phi[w]], den * d
+        num, den = num * k[values[i]][v], den * d
     return Fraction(num, den)
 
 
@@ -744,10 +745,11 @@ class SampledTree:
     of reduced letter codes below 2 rank raises InputError.
     """
 
-    __slots__ = ("spec", "_keyed", "_tokens", "_memo", "_texts")
+    __slots__ = ("spec", "_rows", "_keyed", "_tokens", "_memo", "_texts")
 
     def __init__(self, spec: MarkovSpec, seed: int):
         self.spec = require_valid(spec)
+        self._rows = spec.letter_thresholds
         key = _hash_key(seed, "seed").to_bytes(8, "big", signed=False)
         self._keyed = hashlib.blake2b(key=key, digest_size=8)  # copied per draw
         self._tokens = tuple(word_to_str((c,)).encode() for c in range(2 * spec.rank))
@@ -760,7 +762,7 @@ class SampledTree:
     def _draw(self, c: int, value: int, text: bytes) -> tuple[int, bytes]:
         """(value, hash input) of the word c.k, from k's value and hash input
         (b"" at the identity).  The letter table checks c before the token is read."""
-        row = self.spec.letter_thresholds[c][value]
+        row = self._rows[c][value]
         text = self._tokens[c] + b"." + text if text else self._tokens[c]
         h = self._keyed.copy()
         h.update(text)
@@ -819,13 +821,12 @@ def sample_ball(spec: MarkovSpec, radius: int, seed: int) -> Configuration:
     """One exact sample of the chain restricted to the ball of given radius:
     the sampled tree's values on the ball, in its canonical order, read by
     the tree's draw rule once per word from its parent's value and hash input,
-    found through the ball's parent index, with no memo and no key check."""
+    found at the parent position the ball records, with no memo or key check."""
     tree = SampledTree(spec, seed)
     dom = ball(spec.rank, radius, budget=_MAX_SAMPLE_BALL)
-    index, draw = dom._index, tree._draw
+    draw = tree._draw
     values, texts = [tree[IDENTITY]], [b""]
-    for w in dom.words[1:]:
-        i = index[w[1:]]
+    for w, i in zip(dom.words[1:], dom._parents[1:]):
         value, text = draw(w[0], values[i], texts[i])
         values.append(value)
         texts.append(text)

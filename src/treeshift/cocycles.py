@@ -178,18 +178,18 @@ def recode_on(rule: RewriteRule, domain: LeftConnectedSet) -> Callable[[object],
     """x -> tuple((Omega x)_h for h in domain.words), the recoding on a fixed domain.
 
     The plan is built once: per non-identity word h = c.k, the rule's step
-    for its code c, c itself and the index of k, which comes earlier in the
-    canonical order.  Per x, each w(h, x) is stepped once from its parent's
-    and x is read at it at once, so x is read in the order of a RecodedView
-    read in domain order.  A rule that is not a RewriteRule, a domain that
-    is not a LeftConnectedSet or holds a code at or past 2 rank, raises
-    InputError, and so does an x that is not a coordinate map, checked at
-    its first read, not per step."""
+    for its code c, c itself and the position of k, earlier in the canonical
+    order, as the domain records it (_parents).  Per x, each w(h, x) is
+    stepped once from its parent's and x is read at it at once, so x is read
+    in the order of a RecodedView read in domain order.  A rule that is not
+    a RewriteRule, a domain that is not a LeftConnectedSet or holds a code at
+    or past 2 rank, raises InputError, and so does an x that is not a
+    coordinate map, checked at its first read, not per step."""
     if not isinstance(domain, LeftConnectedSet):
         raise InputError(f"recode_on reads a LeftConnectedSet, got {domain!r}")
-    steps, index = _checked_rule(rule).steps, domain._index
-    plan = tuple((steps.get(h[0]), h[0], index[h[1:]]) for h in domain.words[1:])
-    if any(c >= 2 * rule.rank for _, c, _ in plan):  # every code leads some domain word
+    codes = [h[0] for h in domain.words[1:]]
+    plan = tuple(zip(map(_checked_rule(rule).steps.get, codes), codes, domain._parents[1:]))
+    if any(c >= 2 * rule.rank for c in codes):  # every code leads some domain word
         raise InputError(f"recode_on of a rank-{rule.rank} rule on a domain with codes past it")
 
     def recode(x) -> tuple:

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import chains
 from .errors import InputError
+from .words import _is_index
 
 if TYPE_CHECKING:
     from .chains import MarkovSpec
@@ -262,7 +263,7 @@ def special_sets(spec: MarkovSpec, gen: int, a: int) -> tuple[frozenset, frozens
     require_valid.
     """
     chains.require_valid(spec)
-    if isinstance(a, bool) or not (isinstance(a, int) and 0 <= a < spec.size):
+    if not _is_index(a, spec.size):
         raise InputError(f"symbol index {a!r} outside alphabet of size {spec.size}")
     g = support_edges(spec, gen)
     if not g.aperiodic(a):

@@ -40,7 +40,7 @@ from .cocycles import CocycleTable, RecodedView, RewriteRule, identity_rule, rec
 from .errors import InputError, ParamsError, TreeshiftError
 from .graphs import BranchData, _edge_set, branch_data, classify, is_special, special_sets
 from .graphs import support_edges
-from .words import IDENTITY, LeftConnectedSet, Word, ball, inverse, multiply, single
+from .words import IDENTITY, LeftConnectedSet, Word, _is_index, ball, inverse, multiply, single
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def build_slide_params(
     require_valid(spec)
     edge_set = _edge_set(edges)
     for gi in (u, t):
-        if not _below(gi, spec.rank):
+        if not _is_index(gi, spec.rank):
             raise ParamsError(f"generator index {gi!r} is not an int in [0, {spec.rank})")
     if u == t:
         raise ParamsError("slide directions u and t must be distinct generators")
@@ -107,11 +107,6 @@ def build_slide_params(
         (b, branch_data(g, b)) for b in sorted({b for _, b in edge_set})
     )
     return SlideParams(spec.rank, u, t, edge_set, branch)
-
-
-def _below(i, n: int) -> bool:
-    """Whether i is an int index (not a bool) in [0, n)."""
-    return type(i) is int and 0 <= i < n
 
 
 def _slide_step(
@@ -498,8 +493,8 @@ def params_to_json(spec: MarkovSpec, params: SlideParams) -> dict:
     symbols += [v for b, data in params.branch for v in (b, *data.path, data.eta)]
     if not (
         params.rank == spec.rank
-        and all(_below(gi, spec.rank) for gi in (params.u, params.t))
-        and all(_below(v, spec.size) for v in symbols)
+        and all(_is_index(gi, spec.rank) for gi in (params.u, params.t))
+        and all(_is_index(v, spec.size) for v in symbols)
     ):
         raise ParamsError("slide parameters do not fit the spec's rank and alphabet")
     alpha = spec.alphabet

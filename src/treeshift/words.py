@@ -17,8 +17,9 @@ rich comparison of its own: one defined in Python would give the class a
 Python-level compare slot, and every Word == Word (each dict hit on an equal
 but distinct key) would go through it.  The code is the one letter type:
 Word(...), single, cocycles.RewriteRule and chains.kernel_for_letter take
-codes, and one check, _is_word, holds them to ints in [0, 2 rank).  The
-readable boundary is word_to_str and word_from_str.
+codes, and one check, _is_word, holds them to ints in [0, 2 rank) by _is_index.
+The readable boundary is word_to_str and word_from_str.  A LeftConnectedSet
+records each word's parent position, and a ball builds its index on first lookup.
 
 Words serialize as '.'-joined tokens "s1", "s2^-1", ...; the identity is "e".
 """
@@ -92,15 +93,20 @@ def single(c: int) -> Word:
     return Word((c,))
 
 
+def _is_index(i, n: float) -> bool:
+    """Whether i is an int index (not a bool) in [0, n)."""
+    return type(i) is int and 0 <= i < n
+
+
 def _is_word(w, n: float = float("inf")) -> bool:
     """Whether w is a tuple of letter codes, ints in [0, n), with no code next to its inverse."""
-    codes = isinstance(w, tuple) and all(type(c) is int and 0 <= c < n for c in w)
+    codes = isinstance(w, tuple) and all(_is_index(c, n) for c in w)
     return codes and all(a ^ b != 1 for a, b in zip(w, w[1:]))
 
 
 def _code(c, rank: int) -> int:
-    """c, checked by _is_word to be a letter code of the rank, an int in [0, 2 rank)."""
-    if not _is_word((c,), 2 * rank):
+    """c, checked to be a letter code of the rank, an int in [0, 2 rank)."""
+    if not _is_index(c, 2 * rank):
         raise InputError(f"letter code {c!r} outside rank {rank}")
     return c
 
@@ -131,7 +137,8 @@ def parent(g: Word) -> Word:
 
 def ball(rank: int, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> "LeftConnectedSet":
     """All reduced words of length <= radius, as a LeftConnectedSet, built in
-    canonical order: each sphere loops over the first letter, then the shorter sphere."""
+    canonical order, checked first: each sphere is, for each code c, c times
+    the last sphere less its block led by c^-1, so the parent positions are ranges."""
     if any(isinstance(x, bool) or not isinstance(x, int) for x in (rank, radius, budget)):
         raise InputError(f"rank, radius, budget must be ints: {rank!r}, {radius!r}, {budget!r}")
     if rank < 1 or radius < 0:
@@ -141,13 +148,17 @@ def ball(rank: int, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> "LeftConn
         size, sphere, r = size + sphere, sphere * (2 * rank - 1), r + 1
     if size > budget:
         raise BudgetError(f"ball of radius {radius} at rank {rank} exceeds budget {budget}")
-    out, frontier = [IDENTITY], [IDENTITY]
+    words, parents, lo = [IDENTITY], [0], 0
     for _ in range(radius):
-        frontier = [
-            _word((c,) + h) for c in range(2 * rank) for h in frontier if not h or h[0] != c ^ 1
-        ]
-        out.extend(frontier)
-    return LeftConnectedSet._canonical(out)
+        hi = len(words)  # the last sphere is words[lo:hi], one block per code (none at e)
+        block = (hi - lo) // (2 * rank)
+        for c in range(2 * rank):
+            cut = lo + (c ^ 1) * block
+            for kept in (range(lo, cut), range(cut + block, hi)):
+                parents.extend(kept)
+                words.extend(map(_word, map((c,).__add__, words[kept.start:kept.stop])))
+        lo = hi
+    return LeftConnectedSet._canonical(words, parents)
 
 
 class LeftConnectedSet:
@@ -157,10 +168,12 @@ class LeftConnectedSet:
     of their points, such a set is exactly a parent-closed set; validation
     and canonical (length, lexicographic) ordering both rely on this.  Each
     element is a reduced tuple of letter codes, a Word or a plain tuple;
-    anything else raises InputError.
+    anything else raises InputError.  words is the set in canonical order,
+    _parents each word's parent position in it (0 at e) and _index each
+    word's position, which a ball builds on first read.
     """
 
-    __slots__ = ("words", "_index")
+    __slots__ = ("words", "_parents", "_index")
 
     def __init__(self, words: Iterable[Word]):
         if not isinstance(words, Iterable):
@@ -173,19 +186,28 @@ class LeftConnectedSet:
         if not ordered or ordered[0]:
             raise DomainError("left-connected set must contain the identity")
         index = {w: i for i, w in enumerate(ordered)}
-        for w in ordered[1:]:
-            if parent(w) not in index:
-                raise DomainError(f"set is not left-connected: {w} lacks its parent")
+        parents = [index.get(w[1:]) for w in ordered]  # e[1:] is e, at 0
+        if None in parents:
+            w = ordered[parents.index(None)]
+            raise DomainError(f"set is not left-connected: {w} lacks its parent")
         object.__setattr__(self, "words", tuple(ordered))
+        object.__setattr__(self, "_parents", tuple(parents))
         object.__setattr__(self, "_index", index)
 
     @classmethod
-    def _canonical(cls, ordered: Sequence[Word]) -> "LeftConnectedSet":
-        """The set of words already in canonical order and parent-closed, unchecked."""
+    def _canonical(cls, ordered: Sequence[Word], parents: Sequence[int]) -> "LeftConnectedSet":
+        """The set of words already in canonical order with their parent positions, unchecked."""
         self = object.__new__(cls)
         object.__setattr__(self, "words", tuple(ordered))
-        object.__setattr__(self, "_index", {w: i for i, w in enumerate(ordered)})
+        object.__setattr__(self, "_parents", tuple(parents))
         return self
+
+    def __getattr__(self, name: str):  # a miss: a ball's index, built on its first read
+        if name != "_index":  # copy and pickle probe names such as __deepcopy__
+            raise AttributeError(name)
+        index = {w: i for i, w in enumerate(self.words)}
+        object.__setattr__(self, "_index", index)
+        return index
 
     def __setattr__(self, *a):
         raise AttributeError("LeftConnectedSet is immutable")

@@ -9,7 +9,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -545,16 +545,22 @@ class TestSampling:
         st.sampled_from(["mixed", "sparse", "pushforward"]),
         st.integers(0, 2**64 - 1),
         st.integers(0, 3),
+        st.booleans(),
     )
+    @example(1, 3, 2, "mixed", 5, 0, False)
+    @example(1, 3, 2, "mixed", 5, 0, True)
     @settings(max_examples=25, deadline=None)
     def test_sample_ball_matches_lookups_and_rehash(
-        self, spec_seed, size, rank, style, seed, radius
+        self, spec_seed, size, rank, style, seed, radius, pruned
     ):
         """sample_ball, the fixed-domain reader of the tree's draw rule, equals
         a fresh tree's lookups read deepest word first, and a draw recomputed
         here per word: keyed blake2b of word_to_str, then oracle_draw on the
         Fraction row of the parent's value.  A pushforward output, whose slid
-        kernel is held as ints (_Ints), is sampled too."""
+        kernel is held as ints (_Ints), is sampled too.  A pruned draw reads a
+        domain that is not a ball, put in the ball's place: the checked set of
+        the ball's words free of the last inverse generator, whose parent
+        positions the constructor records."""
         if style == "pushforward":
             spec = random_properly_ergodic_spec(spec_seed, size, rank)
             slides = generator_ergodic_pipeline(spec)[1]
@@ -563,7 +569,14 @@ class TestSampling:
             assert type(spec._held[slides[0].t]) is _Ints
         else:
             spec = random_spec(spec_seed, size, rank, style=style)
-        sample, words = sample_ball(spec, radius, seed), ball(rank, radius).words
+        domain = ball(rank, radius)
+        with pytest.MonkeyPatch.context() as mp:
+            if pruned:
+                domain = LeftConnectedSet(w for w in domain if 2 * rank - 1 not in w)
+                mp.setattr(chains, "ball", lambda rank, radius, budget: domain)
+            sample = sample_ball(spec, radius, seed)
+        words = domain.words
+        assert sample.domain == domain
         tree = SampledTree(spec, seed)
         assert [tree[w] for w in reversed(words)][::-1] == [sample[w] for w in words]
 

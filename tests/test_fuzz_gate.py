@@ -228,6 +228,7 @@ NON_SPEC_ARGUMENTS = {
     "kernel_for_letter-bool-after-hit": lambda spec: [kernel_for_letter(spec, c) for c in (1, True)],
     "reverse_kernel-bool-gen": lambda spec: reverse_kernel(spec, True),
     "reverse_kernel-str-gen": lambda spec: reverse_kernel(spec, "a"),
+    "reverse_kernel-gen-past-rank": lambda spec: reverse_kernel(spec, 2),
     "support_edges-None-gen": lambda spec: support_edges(spec, None),
 }
 

@@ -333,7 +333,7 @@ class TestSpecialSets:
         with pytest.raises(InputError):
             special_sets(m1, 1, 0)
 
-    @pytest.mark.parametrize("a", [-1, 9])
+    @pytest.mark.parametrize("a", [-1, 9, True])
     def test_symbol_out_of_range_rejected(self, a):
         with pytest.raises(InputError):
             special_sets(random_properly_ergodic_spec(1, 4, 2), 0, a)

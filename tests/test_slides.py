@@ -182,6 +182,7 @@ class TestParams:
             (m1, m3_slide),
             (m3, dataclasses.replace(m3_slide, t=2)),
             (m3, dataclasses.replace(m3_slide, u=-1)),
+            (m3, dataclasses.replace(m3_slide, t=True)),
         ):
             with pytest.raises(ParamsError):
                 params_to_json(spec, params)
@@ -204,6 +205,7 @@ class TestParams:
             (0, 1, [(0.0, 1)], InputError),
             (0, 1, [(0, True)], InputError),
             (0, 1, [(0, 1), (0, 1.0)], InputError),
+            (0, 2, [(0, 1)], ParamsError),
         ],
     )
     def test_non_index_params_rejected(self, m3, u, t, edges, error):
@@ -972,20 +974,11 @@ class TestCompositePairLaw:
     """The pipeline's output spec against the exact pair law of the composite
     recoding (oracle_composite_pair_law)."""
 
-    @given(
-        st.sampled_from(["proper", "sparse"]),
-        st.integers(0, 10**6),
-        st.integers(2, 4),
-        st.integers(2, 3),
-    )
+    @given(sliding_specs())
     @settings(max_examples=100, deadline=None)
-    def test_first_slide_is_the_recoded_pair_law(self, kind, seed, size, rank):
-        if kind == "proper":
-            spec = random_properly_ergodic_spec(seed, size, rank)
-        else:
-            spec = random_spec(seed, size, rank, "sparse")
-        assume(classify(spec).properly_ergodic and not classify(spec).generator_ergodic)
-        first = generator_ergodic_pipeline(spec)[1][0]
+    def test_first_slide_is_the_recoded_pair_law(self, drawn):
+        spec, slides = drawn
+        first = slides[0]
         rho = pushforward(spec, first)
         for gen in range(spec.rank):
             assert oracle_composite_pair_law(spec, [first], gen) == pair_cylinders(rho, gen)
@@ -1139,18 +1132,25 @@ class TestReplay:
     def test_matches_the_recoded_view_tower(self, spec):
         """replay, which reads its last recoding on the ball in one pass
         (recode_on), equals the tower of RecodedViews read word by word on
-        ball(rank, r), r <= 3: for a multi-slide tower, the tower followed by
-        its reverse, and no slides at an explicit rank."""
+        ball(rank, r), r <= 3, the radius-0 ball included: for a multi-slide
+        tower, the tower followed by its reverse, and no slides at an explicit
+        rank.  recode_on reads a domain that is not a ball the same way: the
+        checked set of ball(rank, 3)'s words free of s1^-1, under the tower's
+        inner views."""
         slides = list(generator_ergodic_pipeline(spec)[1])
         assert len(slides) >= 2
+        pruned = LeftConnectedSet(w for w in ball(spec.rank, 3) if 1 not in w)
         for tower in (slides, slides + slides[::-1], []):
             for r in range(4):
                 view = x = SampledTree(spec, derive_seed(9, r))
                 for params in tower:
-                    view = RecodedView(params.rule, view)
+                    inner, view = view, RecodedView(params.rule, view)
                 dom = ball(spec.rank, r)
                 out = replay(tower, x, r, rank=spec.rank)
                 assert list(out.items()) == [(h, view[h]) for h in dom]
+                if tower:
+                    recoded = recode_on(tower[-1].rule, pruned)(inner)
+                    assert list(recoded) == [view[h] for h in pruned]
 
     @given(sliding_specs(), st.integers(0, 2**64 - 1), st.data())
     @settings(max_examples=20, deadline=None)

@@ -17,7 +17,8 @@ from oracles import (
     oracle_word_key,
     word,
 )
-from treeshift.errors import BudgetError, InputError
+from treeshift.chains import Configuration
+from treeshift.errors import BudgetError, InputError, MissingCoordinate
 from treeshift.words import (
     IDENTITY,
     LeftConnectedSet,
@@ -266,6 +267,54 @@ class TestLeftConnected:
             LeftConnectedSet([word(s1)])
         with pytest.raises(DomainError):
             LeftConnectedSet([IDENTITY, word(s1, s1)])
+
+
+def parent_closed(rank, radius, picks):
+    """The words of ball(rank, radius) at the picked positions with all their
+    parents, as plain tuples and Words shuffled: a left-connected set."""
+    universe = ball(rank, radius).words
+    chosen = {universe[i % len(universe)] for i in picks}
+    closed = {IDENTITY} | {w[i:] for w in chosen for i in range(len(w))}
+    return [tuple(w) if len(w) % 2 else w for w in sorted(closed, key=hash)]
+
+
+def assert_parent_positions(domain):
+    """_parents[i] is the position of words[i][1:] in words, 0 for the identity."""
+    words = list(domain.words)
+    assert len(domain._parents) == len(words) and domain._parents[0] == 0
+    assert all(words[p] == w[1:] for w, p in zip(words[1:], domain._parents[1:]))
+    assert list(domain._parents[1:]) == [words.index(w[1:]) for w in words[1:]]
+
+
+class TestParentPositions:
+    @given(st.integers(1, 3), st.integers(0, 3), st.lists(st.integers(0, 10**4), max_size=12))
+    @settings(max_examples=60)
+    def test_drawn_sets_record_parent_positions(self, rank, radius, picks):
+        assert_parent_positions(LeftConnectedSet(parent_closed(rank, radius, picks)))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4])
+    def test_ball_equals_the_checked_set_of_its_words(self, rank, radius):
+        """A ball, built with its parent positions and no index, equals the
+        checked set of its words in words, parents, membership and the
+        lookups of a Configuration on it; its index is built on the first
+        membership test."""
+        b = ball(rank, radius)
+        assert_parent_positions(b)
+        with pytest.raises(AttributeError):
+            LeftConnectedSet._index.__get__(b)  # the slot itself, not __getattr__
+        checked = LeftConnectedSet(b.words)
+        assert (b.words, b._parents) == (checked.words, checked._parents)
+        outside = [w for w in ball(rank, radius + 1) if len(w) > radius] + [(2 * rank,), (0, 1)]
+        assert all(w in b for w in checked) and not any(w in b for w in outside)
+        assert LeftConnectedSet._index.__get__(b) == checked._index
+        values = tuple(range(len(b)))
+        on_ball, on_checked = Configuration._on(b, values), Configuration._on(checked, values)
+        assert [on_ball[w] for w in checked] == [on_checked[w] for w in b] == list(values)
+        for w in outside:
+            assert on_ball.get(w, -1) == on_checked.get(w, -1) == -1
+            with pytest.raises(MissingCoordinate):
+                on_ball[w]
 
 
 class TestSerialization:
