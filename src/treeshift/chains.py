@@ -42,10 +42,13 @@ window budget (_MAX_WINDOWS), and carries each window's weight as an int
 numerator over an int denominator; the window function reads its window (a
 _Window dict) directly and runs once per window: a read of an unassigned word
 fills the window in place from the successor rows, and the function reads
-on.  The law it collects stays on ints too, as weights over one common
-denominator, so callers sum marginals on ints; covering_scan checks that a
-scan covers the space, and enumerate_cylinders is the scan's form on a fixed
-domain.
+on.  A function may defer its last read of a word one step outside the
+window (_read_last): it then runs once for all the windows that fill that
+word, and the scan adds one window per successor of the word's row, each
+still counted as one window.  The law it collects stays on ints too, as
+weights over one common denominator, so callers sum marginals on ints;
+covering_scan checks that a scan covers the space, and enumerate_cylinders
+is the scan's form on a fixed domain, its last word a deferred read.
 """
 
 from __future__ import annotations
@@ -573,6 +576,22 @@ class _DeadEnd(Exception):
     """A window's fill reached a row with no successor: the branch is dropped."""
 
 
+class _LastRead(tuple):
+    """(head, word), a deferred last read (_read_last), which the scan fans out."""
+
+
+def _read_last(x, head: tuple, w: Word):
+    """head + (x[w],), a window function's value, a tuple, with x[w] its final
+    read.  On a scan's window, a w outside it whose parent is in it is not
+    filled: the value is _LastRead((head, w)), after the fill's coordinate
+    check.  Anything but a scan window (a _Window) is read plainly."""
+    if type(x) is _Window and w and w not in x and w[1:] in x:
+        if len(x) >= _MAX_COORDS:
+            raise BudgetError(f"window grew beyond {_MAX_COORDS} coordinates")
+        return _LastRead((head, w))
+    return head + (x[w],)
+
+
 class _Window(dict):
     """{word: symbol}, a scan's window assignment, which the window function
     reads.  A read of an unassigned word fills, in place, the geodesic from it
@@ -628,7 +647,15 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     raises, so what fn raises itself, MissingCoordinate included, propagates.
     The windows are prefix-free and cover the space, so their weights sum to
     exactly 1.  Raises BudgetError beyond _MAX_WINDOWS windows or a window of
-    more than _MAX_COORDS coordinates.
+    more than _MAX_COORDS coordinates, and InputError for an unhashable value.
+
+    The one exception to a run per window is a deferred last read: an fn that
+    returns _LastRead((head, w)) (see _read_last), w one step outside the
+    window, runs once for all the windows that fill w.  The scan adds one
+    window per successor (b, p) of w's row, valued head + (b,) and weighing
+    num p over den D, in symbol order, and counts each against the budget:
+    the windows, weights, key order, den and failures of filling w and
+    running fn once per successor.
 
     A window's weight is carried as ints num / den: num is the product of its
     scaled pi and kernel entries (spec.pi_successors, spec.letter_successors)
@@ -647,22 +674,37 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     failures: list = []
     windows = 0
     window = _Window(spec)
-    stack, popitem = window.stack, window.popitem
+    rows, stack, popitem = window.rows, window.stack, window.popitem
     while True:
         try:
             value = fn(window)
         except _DeadEnd:
             pass
         else:
-            windows += 1
+            num, den = window.num, window.den
+            try:  # sums.get raises TypeError on an unhashable value
+                if type(value) is _LastRead:  # one window per successor of the deferred word
+                    head, w = value
+                    succ, d = rows[w[0]][window[w[1:]]]
+                    den *= d
+                    windows += len(succ)
+                    for b, p in succ:
+                        key = head + (b,)
+                        by_den = sums.get(key)
+                        if by_den is None:
+                            by_den = sums[key] = {}
+                        by_den[den] = by_den.get(den, 0) + num * p
+                else:
+                    windows += 1
+                    by_den = sums.get(value)
+                    if by_den is None:
+                        by_den = sums[value] = {}
+                    by_den[den] = by_den.get(den, 0) + num
+            except TypeError:
+                raise InputError(f"window function value {value!r} is not hashable") from None
             if windows > _MAX_WINDOWS:
                 raise BudgetError(f"more than {_MAX_WINDOWS} positive windows")
-            by_den = sums.get(value)
-            if by_den is None:
-                by_den = sums[value] = {}
-            den = window.den
-            by_den[den] = by_den.get(den, 0) + window.num
-            if not value and len(failures) < 5:
+            if not value and len(failures) < 5:  # a _LastRead is a 2-tuple: never falsy
                 failures.append((dict(window), value))
         while stack:  # the deepest branch with a next successor
             h, succ, i, num, den, n = stack[-1]
@@ -701,9 +743,12 @@ def enumerate_cylinders(
     Values follow the domain's canonical order.  This is the window scan on
     a fixed domain: its window function reads the words in canonical order,
     parents first, each read filling one word in place, so each window is
-    one cylinder and one run of the function, zero-probability branches are
-    pruned, and the pairs come depth first in symbol order.  The spec
-    must pass require_form; for a valid spec the measures sum to exactly 1.
+    one cylinder, zero-probability branches are pruned, and the pairs come
+    depth first in symbol order.  The last word past e, whose parent the
+    function has read, is a deferred last read (_read_last): the function
+    runs once per cylinder on the other words, and the scan fans it out into
+    one cylinder, one window, per successor.  The spec must pass
+    require_form; for a valid spec the measures sum to exactly 1.
     """
     yield from _cylinder_scan(spec, domain).law.items()
 
@@ -714,8 +759,8 @@ def _cylinder_scan(spec: MarkovSpec, domain: LeftConnectedSet) -> WindowScan:
     domain is a LeftConnectedSet."""
     if not isinstance(domain, LeftConnectedSet):
         raise InputError(f"domain must be a LeftConnectedSet, got {domain!r}")
-    words = domain.words
-    return scan_positive_windows(spec, lambda x: tuple(x[w] for w in words))
+    *head, last = domain.words
+    return scan_positive_windows(spec, lambda x: _read_last(x, tuple(x[w] for w in head), last))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 # bound here for the benchmark tracer, which wraps the scan at this module's binding
 from .chains import scan_positive_windows  # noqa: F401
+from .chains import _read_last
 from .errors import InputError
 from .words import IDENTITY, LeftConnectedSet, Word, _code, _is_word, _word
 from .words import multiply, single
@@ -181,23 +182,30 @@ def recode_on(rule: RewriteRule, domain: LeftConnectedSet) -> Callable[[object],
     for its code c, c itself and the position of k, earlier in the canonical
     order, as the domain records it (_parents).  Per x, each w(h, x) is
     stepped once from its parent's and x is read at it at once, so x is read
-    in the order of a RecodedView read in domain order.  A rule that is not
-    a RewriteRule, a domain that is not a LeftConnectedSet or holds a code at
-    or past 2 rank, raises InputError, and so does an x that is not a
-    coordinate map, checked at its first read, not per step."""
+    in the order of a RecodedView read in domain order.  The last domain
+    word's read goes through chains._read_last: on a scan's window, a cocycle
+    word one step outside it is deferred, and the scan fans the recoding out
+    over that word's row, one window per successor; any other x is read
+    plainly, as a RecodedView in replay.  A rule that is not a RewriteRule,
+    a domain that is not a LeftConnectedSet or holds a code at or past
+    2 rank, raises InputError, and so does an x that is not a coordinate map,
+    checked at its first read, not per step."""
     if not isinstance(domain, LeftConnectedSet):
         raise InputError(f"recode_on reads a LeftConnectedSet, got {domain!r}")
     codes = [h[0] for h in domain.words[1:]]
     plan = tuple(zip(map(_checked_rule(rule).steps.get, codes), codes, domain._parents[1:]))
     if any(c >= 2 * rule.rank for c in codes):  # every code leads some domain word
         raise InputError(f"recode_on of a rank-{rule.rank} rule on a domain with codes past it")
+    body, last = plan[:-1], plan[-1:]
 
     def recode(x) -> tuple:
         words, values = [IDENTITY], [_coordinate_map(x)[IDENTITY]]
-        for step, c, i in plan:
+        for step, c, i in body:
             w = _next_word(step, c, words[i], x)
             words.append(w)
             values.append(x[w])
+        for step, c, i in last:  # the last domain word's, if not e
+            return _read_last(x, tuple(values), _next_word(step, c, words[i], x))
         return tuple(values)
 
     return recode

@@ -132,7 +132,11 @@ class Classification:
 
     @cached_property
     def ergodic(self) -> bool:
-        """Whether the union of the supports, built on first read, is one class."""
+        """Whether the union of the supports is one class: at once when some
+        restriction is ergodic, as the union holds its one class over the
+        whole alphabet, else from the union, built on first read."""
+        if any(r.ergodic for r in self.per_generator):
+            return True
         edges = frozenset().union(*(g.edges for g in self.supports))
         return len(TransitionGraph(self.supports[0].size, edges).classes) == 1
 

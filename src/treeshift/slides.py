@@ -254,10 +254,14 @@ def _check_laws(
     Domains are grouped by their edge letter at e, the last letter of their
     words ({e} joins the first group), and each group's union is scanned once,
     its window function the recoding on the union (cocycles.recode_on), whose
-    plan is built once per scan.  A domain's law is the joint law's marginal,
-    summed on the scan's ints over its one denominator (WindowScan.weights,
-    .den), each key picked by an itemgetter over the union indices of the
-    domain's words; no Fraction is built.  Keys come in the order first seen."""
+    plan is built once per scan.  Its read of the union's last word is
+    deferred when that word's cocycle word lies one step outside the window:
+    the scan fans it out over the word's kernel row, one window per
+    successor, as if the function ran once per successor.  A domain's law is
+    the joint law's marginal, summed on the scan's ints over its one
+    denominator (WindowScan.weights, .den), each key picked by an itemgetter
+    over the union indices of the domain's words; no Fraction is built.  Keys
+    come in the order first seen."""
     rule = params.rule
     groups: dict[int, list[LeftConnectedSet]] = {}
     for domain in _markov_check_domains(spec, params):
@@ -330,7 +334,9 @@ def verify_slide(
     candidate's cylinder law on that domain, both on ints: the recoded law is
     an int marginal of one window scan per edge letter at e, over that scan's
     den (_check_laws), and the cylinder law the weights of the candidate's
-    scan of the domain over its den, the scan of enumerate_cylinders.  Two
+    scan of the domain over its den, the scan of enumerate_cylinders.  Both
+    scans fan out their last read of a word one step outside the window over
+    its kernel row (chains._read_last), still one window per successor.  Two
     laws are equal iff they have the same keys and x * den_c == y * den on
     each (_is_cylinder_law).  Every domain is scanned and compared, and the
     flag is the AND of all of them.  The map-level checks run on `samples`

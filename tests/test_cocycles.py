@@ -14,6 +14,7 @@ from oracles import (
     check_past_preservation,
     dependency_radius,
     letters_of_rank,
+    oracle_enumerate_cylinders,
     oracle_scan_positive_windows,
     recode,
     window_marginal,
@@ -297,9 +298,10 @@ class TestWindowScan:
         assert len(calls) == scan.windows > 20
         assert scan.total_weight == 1
 
-    def test_enumerate_cylinders_runs_its_function_once_per_cylinder(self, m3, monkeypatch):
-        """enumerate_cylinders' function misses on every domain word; it runs
-        once per cylinder all the same."""
+    def test_enumerate_cylinders_runs_its_function_once_per_head_cylinder(self, m3, monkeypatch):
+        """enumerate_cylinders' function misses on every domain word and defers
+        its read of the last one: it runs once per cylinder on the domain
+        without its last word, and the scan counts one window per cylinder."""
         calls, scans = [], []
         scan = chains.scan_positive_windows
 
@@ -308,9 +310,11 @@ class TestWindowScan:
             return scans[-1]
 
         monkeypatch.setattr(chains, "scan_positive_windows", counted)
-        domain = LeftConnectedSet([IDENTITY, W("s1"), W("s2^-1")])
-        cylinders = list(enumerate_cylinders(m3, domain))
-        assert len(calls) == scans[0].windows == len(cylinders) > 3
+        words = [IDENTITY, W("s1"), W("s2^-1")]
+        cylinders = list(enumerate_cylinders(m3, LeftConnectedSet(words)))
+        heads = list(oracle_enumerate_cylinders(m3, LeftConnectedSet(words[:-1])))
+        assert len(calls) == len(heads) == 4
+        assert scans[0].windows == len(cylinders) == 12
 
     def test_own_miss_propagates(self, m3):
         """No read of the window raises, so a MissingCoordinate that fn raises
@@ -339,6 +343,157 @@ class TestWindowScan:
         assert (scan.windows, scan.failures) == (oracle.windows, oracle.failures)
         assert 0 < scan.windows < scan_positive_windows(m3, fn).windows
         assert scan.total_weight < 1
+
+
+class _ReadThrough:
+    """A scan's window read through a plain coordinate map, so that
+    chains._read_last reads its last word as any other: the scan without the
+    fanned-out last read."""
+
+    __slots__ = ("win",)
+
+    def __init__(self, win):
+        self.win = win
+
+    def __getitem__(self, w):
+        return self.win[w]
+
+
+def _codes_word(codes) -> Word:
+    return reduce(multiply, map(single, codes), IDENTITY)
+
+
+def _drawn_domain(rank: int, grows) -> LeftConnectedSet:
+    """{e} grown by each (i, c) of grows: c put on the i-th word so far (mod
+    their count), unless that cancels or the word is there already."""
+    words = [IDENTITY]
+    for i, c in grows:
+        w, c = words[i % len(words)], c % (2 * rank)
+        if not (w and w[0] == c ^ 1) and (c,) + w not in words:
+            words.append(Word((c,) + w))
+    return LeftConnectedSet(words)
+
+
+def _drawn_rule(rank: int, picks) -> RewriteRule:
+    """A rule whose step for each picked code c reads one probe word at the
+    translate and picks one of two images by that symbol's parity; images
+    and probes are words of up to two letters."""
+    steps, images = {}, []
+    for c, probe, one, two in picks:
+        probe = _codes_word(j % (2 * rank) for j in probe)
+        imgs = tuple(_codes_word(j % (2 * rank) for j in img) for img in (one, two))
+        steps[c % (2 * rank)] = lambda x, offset, probe=probe, imgs=imgs: imgs[
+            x[multiply(probe, offset)] % 2
+        ]
+        images += imgs
+    return RewriteRule(rank, 2, 2, steps, images)
+
+
+def _scan_fields(scan) -> tuple:
+    """Every field of a WindowScan, the weights with their key order."""
+    return scan.windows, list(scan.weights.items()), scan.den, scan.failures
+
+
+class TestDeferredLastRead:
+    """The scan's fan-out of a deferred last read (chains._read_last) against
+    the scan that fills the word and runs the function once per successor."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 3),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse", "proper"]),
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 5)), max_size=4),
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                *[st.lists(st.integers(0, 5), max_size=2)] * 3,
+            ),
+            max_size=2,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fanned_out_scans_are_the_per_read_scans(
+        self, seed, size, rank, style, grows, picks, zero_row
+    ):
+        """_cylinder_scan and a recode_on scan on a drawn left-connected domain
+        equal the scan of the same function reading its last word plainly, in
+        every WindowScan field and in key order, and the Fraction oracle's
+        scan of that function in law and window count.  The recode_on rule is
+        drawn, so its last cocycle word may be in the window, one step out or
+        further.  With zero_row the row of the domain's last word at one
+        symbol is zeroed (a row of P_i along s_i, a column along s_i^-1,
+        whose reversed row it is), so a deferred word may have no successor."""
+        if style == "proper":
+            spec = random_properly_ergodic_spec(seed, size, rank)
+        else:
+            spec = random_spec(seed, size, rank, style=style)
+        domain = _drawn_domain(rank, grows)
+        last = domain.words[-1]
+        if zero_row and last:
+            gen, a = last[0] >> 1, seed % size
+            k = [list(row) for row in spec.kernels[gen]]
+            for i, j in [(b, a) if last[0] & 1 else (a, b) for b in range(size)]:
+                k[i][j] = Fraction(0)
+            spec = spec.with_kernel(gen, tuple(map(tuple, k)))
+
+        words = domain.words
+        cylinders = chains._cylinder_scan(spec, domain)
+        plain = lambda win: tuple(win[w] for w in words)  # noqa: E731
+        per_read = scan_positive_windows(spec, plain)
+        oracle = oracle_scan_positive_windows(spec, plain)
+        assert _scan_fields(cylinders) == _scan_fields(per_read)
+        assert (cylinders.windows, list(cylinders.law.items())) == (
+            oracle.windows, list(oracle.law.items())
+        )
+
+        recode = recode_on(_drawn_rule(rank, picks), domain)
+        recoded = scan_positive_windows(spec, recode)
+        per_read = scan_positive_windows(spec, lambda win: recode(_ReadThrough(win)))
+        oracle = oracle_scan_positive_windows(spec, recode)
+        assert _scan_fields(recoded) == _scan_fields(per_read)
+        assert (recoded.windows, list(recoded.law.items())) == (
+            oracle.windows, list(oracle.law.items())
+        )
+
+    @pytest.mark.parametrize("length", [399, 400])
+    def test_deferred_read_keeps_the_coordinate_budget(self, length):
+        """A cylinder scan of e, s2, ..., s2^length defers s2^length, the read
+        that takes the window from length to length + 1 coordinates.  At 399
+        the window reaches _MAX_COORDS and the scan passes; at 400, one past
+        it, the deferred read raises BudgetError, as the plain read does.  s2
+        is a 3-cycle here, so each symbol at e gives one window."""
+        spec = random_properly_ergodic_spec(1, 3, 2)
+        assert chains._MAX_COORDS == 400
+        domain = LeftConnectedSet(Word((T,) * j) for j in range(length + 1))
+        plain = lambda win: tuple(win[w] for w in domain.words)  # noqa: E731
+        if length < chains._MAX_COORDS:
+            scan = chains._cylinder_scan(spec, domain)
+            assert scan == scan_positive_windows(spec, plain) and scan.windows == 3
+        else:
+            with pytest.raises(BudgetError, match="beyond 400 coordinates"):
+                scan_positive_windows(spec, plain)
+            with pytest.raises(BudgetError, match="beyond 400 coordinates"):
+                chains._cylinder_scan(spec, domain)
+
+    @pytest.mark.parametrize("recoded", [False, True])
+    def test_fanned_out_windows_count_against_the_budget(self, m3, m1_rule, monkeypatch, recoded):
+        """Each successor of a deferred read is one window of the budget: with
+        _MAX_WINDOWS at the scan's window count the scan passes, one less
+        raises BudgetError, for a cylinder scan and a recode_on scan."""
+        domain = LeftConnectedSet([IDENTITY, W("s1"), W("s2^-1"), W("s1.s2^-1")])
+        if recoded:
+            scan = lambda: scan_positive_windows(m3, recode_on(m1_rule, domain))  # noqa: E731
+        else:
+            scan = lambda: chains._cylinder_scan(m3, domain)  # noqa: E731
+        windows = scan().windows
+        assert windows > 10
+        monkeypatch.setattr(chains, "_MAX_WINDOWS", windows)
+        assert scan().windows == windows
+        monkeypatch.setattr(chains, "_MAX_WINDOWS", windows - 1)
+        with pytest.raises(BudgetError, match="positive windows"):
+            scan()
 
 
 class TestOutputLength:

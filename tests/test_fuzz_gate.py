@@ -206,6 +206,12 @@ NON_SPEC_ARGUMENTS = {
     "recode_on-list-map": lambda spec: recode_on(base(0)[1].rule, ball(2, 1))([0, 1, 2]),
     "scan_positive_windows-None-fn": lambda spec: scan_positive_windows(spec, None),
     "covering_scan-int-fn": lambda spec: covering_scan(spec, 3),
+    "scan_positive_windows-list-value": lambda spec: scan_positive_windows(
+        spec, lambda x: [x[IDENTITY]]
+    ),
+    "scan_positive_windows-list-deferred-value": lambda spec: scan_positive_windows(
+        spec, lambda x: chains._read_last(x, ([x[IDENTITY]],), single(0))
+    ),
     "branch_data-None": lambda spec: branch_data(None, 0),
     "branch_data-str-vertex": lambda spec: branch_data(support_edges(spec, 0), "a"),
     "replay-list": lambda spec: replay([], [0, 1], 1, 2),
@@ -245,7 +251,8 @@ def test_bad_non_spec_argument_raises_input_error(entry):
     rank (a rule's step key, letter_image's, kernel_for_letter's,
     reverse_kernel's, support_edges'), a rank that is not an int >= 1, a
     rule that is not a RewriteRule, a coordinate map that is None or a sequence, a window
-    function that is not callable, a graph that is not a TransitionGraph, a
+    function that is not callable or gives an unhashable value (plain, or
+    deferred to the scan by chains._read_last), a graph that is not a TransitionGraph, a
     vertex that is not one of its ints and an edge set that is not a set of
     int pairs raise InputError, whether they would raise a bare error or pass."""
     with pytest.raises(InputError):

@@ -204,6 +204,20 @@ class TestClassify:
             assert got["per_generator"][name]["ergodic"] == rep["ergodic"]
             assert got["per_generator"][name]["free"] == rep["free"]
 
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 6),
+        st.integers(2, 3),
+        st.sampled_from(["mixed", "sparse", "split"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_global_flags_match_oracle(self, seed, size, rank, style):
+        """ergodic, read at once when some restriction is ergodic and from the
+        union of the supports otherwise, and properly_ergodic are the oracle's."""
+        spec = random_spec(seed, size, rank, style=style)
+        c, want = classify(spec), oracle_classify(spec)
+        assert (c.ergodic, c.properly_ergodic) == (want["ergodic"], want["properly_ergodic"])
+
     def test_global_flags_built_on_first_read(self, m1):
         """The union graph is built only when a global flag is read."""
         c = classify(m1)
