@@ -45,10 +45,10 @@ fills the window in place from the successor rows, and the function reads
 on.  A function may defer its last read of a word one step outside the
 window (_read_last): it then runs once for all the windows that fill that
 word, and the scan adds one window per successor of the word's row, each
-still counted as one window.  The law it collects stays on ints too, as
-weights over one common denominator, so callers sum marginals on ints;
-covering_scan checks that a scan covers the space, and enumerate_cylinders
-is the scan's form on a fixed domain, its last word a deferred read.
+still counted as one window.  The law stays on ints: one flat dict sums num
+per (value, den), put over the lcm of the dens at the end; covering_scan
+checks on ints that a scan covers the space, and enumerate_cylinders is the
+scan's form on a fixed domain, its last word a deferred read.
 """
 
 from __future__ import annotations
@@ -548,8 +548,9 @@ def cylinder_measure(spec: MarkovSpec, phi: Configuration) -> Fraction:
 @dataclass
 class WindowScan:
     """A scan's window count, law and failures.  The law {value of fn: total
-    weight of the windows giving it} is held as weights over one denominator,
-    law[value] = weights[value] / den; a law given as Fractions has den 1."""
+    weight of the windows giving it}, values in the order first seen, is held
+    as int weights over one denominator, law[value] = weights[value] / den,
+    which sum to den on a covering scan; a law given as Fractions has den 1."""
 
     windows: int
     weights: dict  # {value of fn: its total weight times den}
@@ -660,17 +661,19 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
     A window's weight is carried as ints num / den: num is the product of its
     scaled pi and kernel entries (spec.pi_successors, spec.letter_successors)
     and den the product of their denominators D, one per coordinate.  The
-    scan sums num per (value, den) and at the end puts the whole law over one
-    int, the lcm of all dens (WindowScan.weights and .den), so callers sum and
-    compare it on ints.  Its Fractions (WindowScan.law) are the same, in the
-    same key order, as summing each window's weight as a Fraction.  The spec
-    must pass require_form; its kernels' laws are not checked.  An fn that
-    is not callable raises InputError before any table is read.
+    scan sums num in one flat dict keyed by (value, den), and a closing pass
+    puts each value's sum over the lcm of all dens, values in the order first
+    seen (WindowScan.weights and .den), so callers sum and compare on ints.
+    Its Fractions (WindowScan.law) are those of summing each window's weight
+    as a Fraction, in the same key order.  The spec must pass require_form;
+    its kernels' laws are not checked.  An fn that is not callable raises
+    InputError before any table is read.
     """
     require_form(spec)
     if not callable(fn):
         raise InputError(f"window function must be callable, got {fn!r}")
-    sums: dict = {}  # {value: {den: sum of num}}, values in the order first seen
+    sums: dict = {}  # {(value, den): sum of num}, values in the order first seen
+    get = sums.get
     failures: list = []
     windows = 0
     window = _Window(spec)
@@ -689,17 +692,12 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
                     den *= d
                     windows += len(succ)
                     for b, p in succ:
-                        key = head + (b,)
-                        by_den = sums.get(key)
-                        if by_den is None:
-                            by_den = sums[key] = {}
-                        by_den[den] = by_den.get(den, 0) + num * p
+                        key = head + (b,), den
+                        sums[key] = get(key, 0) + num * p
                 else:
                     windows += 1
-                    by_den = sums.get(value)
-                    if by_den is None:
-                        by_den = sums[value] = {}
-                    by_den[den] = by_den.get(den, 0) + num
+                    key = value, den
+                    sums[key] = get(key, 0) + num
             except TypeError:
                 raise InputError(f"window function value {value!r} is not hashable") from None
             if windows > _MAX_WINDOWS:
@@ -720,17 +718,17 @@ def scan_positive_windows(spec: MarkovSpec, fn) -> WindowScan:
         stack[-1] = h, succ, i, num, den, n
         window[h] = b
         window.num, window.den = num * p, den
-    den = lcm(*{d for by_den in sums.values() for d in by_den})
-    weights = {
-        value: sum(num * (den // d) for d, num in by_den.items()) for value, by_den in sums.items()
-    }
+    den = lcm(*{d for _, d in sums})
+    weights: dict = {}  # a value's first (value, den) key comes first: first-seen order
+    for (value, d), num in sums.items():
+        weights[value] = weights.get(value, 0) + num * (den // d)
     return WindowScan(windows, weights, tuple(failures), den)
 
 
 def covering_scan(spec: MarkovSpec, fn) -> WindowScan:
-    """scan_positive_windows, which must cover the space (total weight 1)."""
+    """scan_positive_windows, which must cover the space: its int weights sum to den."""
     scan = scan_positive_windows(spec, fn)
-    if scan.total_weight != 1:
+    if sum(scan.weights.values()) != scan.den:
         raise InputError("window enumeration did not cover the space")
     return scan
 

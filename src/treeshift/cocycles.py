@@ -43,9 +43,11 @@ class RewriteRule:
     the translate offset.x (whose coordinate h is x[multiply(h, offset)]), read
     within ball(window_radius): one of the images, reduced words whose lengths
     are checked against max_output_length once, here.  Other codes are their
-    own images.  The rank must be an int >= 1, each key a code below 2 rank
-    and each image a reduced word of codes (words._is_word), and letter_image
-    takes a code below 2 rank; anything else raises InputError.
+    own images.  The rank must be an int >= 1, window_radius and
+    max_output_length ints >= 0, steps a mapping whose keys are codes below
+    2 rank and whose steps are callable, images an iterable of reduced words
+    of codes (words._is_word), and letter_image takes a code below 2 rank;
+    anything else raises InputError.
     """
 
     __slots__ = ("rank", "window_radius", "max_output_length", "steps")
@@ -54,10 +56,18 @@ class RewriteRule:
         self, rank: int, window_radius: int, max_output_length: int,
         steps: Mapping[int, Callable[[object, Word], Word]], images: Iterable[Word],
     ):
-        if type(rank) is not int or rank < 1:
-            raise InputError(f"rank must be an int >= 1, got {rank!r}")
-        for c in steps:
+        for name, n, least in (
+            ("rank", rank, 1), ("window_radius", window_radius, 0),
+            ("max_output_length", max_output_length, 0),
+        ):
+            if type(n) is not int or n < least:
+                raise InputError(f"{name} must be an int >= {least}, got {n!r}")
+        if not (isinstance(steps, Mapping) and isinstance(images, Iterable)):
+            raise InputError(f"steps must be a mapping, images an iterable: {steps!r}, {images!r}")
+        for c, step in steps.items():
             _code(c, rank)
+            if not callable(step):
+                raise InputError(f"step of letter code {c} is not callable: {step!r}")
         for w in images:
             if not _is_word(w):
                 raise InputError(f"image {w!r} is not a reduced word of letter codes")

@@ -57,10 +57,23 @@ class SlideParams:
     def n_max(self) -> int:
         return max((data.n for _, data in self.branch), default=0)
 
+    def _check_form(self) -> None:
+        """InputError unless edges is an edge set (graphs._edge_set) and branch
+        a tuple or list of (int, BranchData) pairs, the form that rule and
+        params_to_json read."""
+        _edge_set(self.edges)
+        if not isinstance(self.branch, (tuple, list)) or not all(
+            type(e) is tuple and len(e) == 2 and type(e[0]) is int and isinstance(e[1], BranchData)
+            for e in self.branch
+        ):
+            raise InputError(f"slide branch must be (int, BranchData) pairs, got {self.branch!r}")
+
     @cached_property
     def rule(self) -> RewriteRule:
-        """The slide's rewrite rule, built from the parameters alone: ParamsError
-        unless the branch targets are exactly the edges' targets."""
+        """The slide's rewrite rule, built from the parameters alone: InputError
+        unless its fields have their form (_check_form), ParamsError unless the
+        branch targets are exactly the edges' targets."""
+        self._check_form()
         if {b for b, _ in self.branch} != {b for _, b in self.edges}:
             raise ParamsError("slide branch targets are not the slide edges' targets")
         if not self.edges:
@@ -461,8 +474,9 @@ def replay(
     Sequence, such as a list, tuple, str or bytes, is no coordinate map).
     rank is taken from the slides when present; every slide must have that
     rank, and slides must be a list or tuple of SlideParams (InputError
-    otherwise, as for x).  Parameters whose branch targets are not their
-    edges' targets raise ParamsError (SlideParams.rule).
+    otherwise, as for x).  Parameters with malformed edges or branch raise
+    InputError, and parameters whose branch targets are not their edges'
+    targets ParamsError (SlideParams.rule).
     """
     if not isinstance(slides, (list, tuple)) or not all(
         isinstance(params, SlideParams) for params in slides
@@ -489,12 +503,14 @@ def replay(
 
 def params_to_json(spec: MarkovSpec, params: SlideParams) -> dict:
     """The parameters by generator name and symbol.  The spec must pass the
-    gate chains.require_form, and the parameters must be SlideParams
-    (InputError otherwise) that fit it: its rank, u and t generators of it,
-    and every edge and branch symbol one of its symbols (ParamsError otherwise)."""
+    gate chains.require_form, and the parameters must be SlideParams whose
+    fields have their form (InputError otherwise: SlideParams._check_form)
+    that fit it: its rank, u and t generators of it, and every edge and
+    branch symbol one of its symbols (ParamsError otherwise)."""
     require_form(spec)
     if not isinstance(params, SlideParams):
         raise InputError(f"slide parameters must be SlideParams, got {params!r}")
+    params._check_form()
     symbols = [v for edge in params.edges for v in edge]
     symbols += [v for b, data in params.branch for v in (b, *data.path, data.eta)]
     if not (

@@ -58,9 +58,6 @@ class Word(tuple):
         if not _is_word(self):
             raise InputError(f"not a reduced word of letter codes: {'.'.join(map(_name, self))}")
 
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
     def __invert__(self) -> "Word":
         return inverse(self)
 

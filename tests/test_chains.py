@@ -88,7 +88,7 @@ class TestFractions:
         assert frac_from_str("0") == 0
 
     def test_rejects_bad_input(self):
-        for bad in ["2/4", "-1/2", "1/-2", "1/0", "0/2", "1.5", "1/2/3", " 1/2", "01/2"]:
+        for bad in ["2/4", "-1/2", "1/-2", "1/0", "0/2", "1.5", "1/2/3", " 1/2", "01/2", 1, None]:
             with pytest.raises(InputError):
                 frac_from_str(bad)
 

@@ -23,6 +23,7 @@ from treeshift import chains
 from treeshift.chains import (
     Configuration,
     SampledTree,
+    covering_scan,
     derive_seed,
     enumerate_cylinders,
     sample_ball,
@@ -343,6 +344,18 @@ class TestWindowScan:
         assert (scan.windows, scan.failures) == (oracle.windows, oracle.failures)
         assert 0 < scan.windows < scan_positive_windows(m3, fn).windows
         assert scan.total_weight < 1
+
+    def test_covering_scan_rejects_a_scan_that_misses_mass(self, m3):
+        """covering_scan holds a scan's int weights to its den: with the s2
+        row of symbol 0 halved, a spec that require_form accepts, a scan that
+        reads s2 weighs 1 - pi(0) / 2 and raises InputError."""
+        k = m3.kernels[1]
+        spec = chains.require_form(m3.with_kernel(1, (tuple(p / 2 for p in k[0]),) + k[1:]))
+        fn = lambda win: win[W("s2")]  # noqa: E731
+        assert covering_scan(m3, fn).total_weight == 1
+        assert scan_positive_windows(spec, fn).total_weight == 1 - m3.pi[0] / 2
+        with pytest.raises(InputError, match="did not cover the space"):
+            covering_scan(spec, fn)
 
 
 class _ReadThrough:

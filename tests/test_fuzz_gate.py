@@ -21,7 +21,8 @@ from treeshift import chains, graphs, slides
 from treeshift.chains import Configuration, MarkovSpec, SampledTree, covering_scan
 from treeshift.chains import cylinder_measure, enumerate_cylinders, kernel_for_letter
 from treeshift.chains import problem_entries, require_form, require_valid, reverse_kernel
-from treeshift.chains import sample_ball, scan_positive_windows, spec_to_json, validate
+from treeshift.chains import sample_ball, scan_positive_windows, spec_from_json, spec_to_json
+from treeshift.chains import validate
 from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle, identity_rule
 from treeshift.cocycles import recode_on
 from treeshift.errors import InputError, TreeshiftError
@@ -163,6 +164,16 @@ def _step(x, offset):
     return IDENTITY
 
 
+def _spec_json(spec, **fields):
+    """spec_to_json(spec) with the given fields replaced, those given as None dropped."""
+    obj = {**spec_to_json(spec), **fields}
+    return {key: value for key, value in obj.items() if value is not None}
+
+
+def _slide(edges, branch):
+    return slides.SlideParams(2, 0, 1, edges, branch)
+
+
 NON_SPEC_ARGUMENTS = {
     "enumerate_cylinders-list": lambda spec: list(enumerate_cylinders(spec, [IDENTITY])),
     "enumerate_cylinders-None": lambda spec: list(enumerate_cylinders(spec, None)),
@@ -226,6 +237,37 @@ NON_SPEC_ARGUMENTS = {
     "RewriteRule-int-image": lambda spec: RewriteRule(2, 0, 1, {}, [5]),
     "RewriteRule-step-past-rank": lambda spec: RewriteRule(2, 0, 1, {4: _step}, []),
     "RewriteRule-bool-step": lambda spec: RewriteRule(2, 0, 1, {True: _step}, []),
+    "RewriteRule-None-length": lambda spec: RewriteRule(2, 0, None, {}, [Word((0,))]),
+    "RewriteRule-str-length": lambda spec: RewriteRule(2, 0, "2", {}, [Word((0,))]),
+    "RewriteRule-None-images": lambda spec: RewriteRule(2, 0, 1, {}, None),
+    "RewriteRule-int-step": lambda spec: RewriteRule(2, 0, 1, {0: 5}, []),
+    "RewriteRule-str-radius": lambda spec: RewriteRule(2, "x", 1, {}, []),
+    "RewriteRule-negative-radius": lambda spec: RewriteRule(2, -1, 1, {}, []),
+    "replay-None-edges": lambda spec: replay([_slide(None, ())], SampledTree(spec, 1), 1),
+    "replay-None-branch-data": lambda spec: replay(
+        [_slide(frozenset({(0, 1)}), ((1, None),))], SampledTree(spec, 1), 1
+    ),
+    "params_to_json-None-edges": lambda spec: params_to_json(spec, _slide(None, ())),
+    "params_to_json-None-branch-data": lambda spec: params_to_json(
+        spec, _slide(frozenset({(0, 1)}), ((1, None),))
+    ),
+    "spec_from_json-missing-key": lambda spec: spec_from_json(_spec_json(spec, kernels=None)),
+    "spec_from_json-no-generators": lambda spec: spec_from_json(_spec_json(spec, generators=[])),
+    "spec_from_json-no-alphabet": lambda spec: spec_from_json(_spec_json(spec, alphabet=[])),
+    "spec_from_json-symbols-collide": lambda spec: spec_from_json(
+        _spec_json(spec, alphabet=[0, "0", 2])
+    ),
+    "spec_from_json-kernel-keys": lambda spec: spec_from_json(_spec_json(spec, kernels={"s1": []})),
+    "spec_from_json-non-square-kernel": lambda spec: spec_from_json(
+        _spec_json(spec, kernels={"s1": [["1"]], "s2": []})
+    ),
+    "params_from_json-list": lambda spec: params_from_json(spec, ["s1", "s2", []]),
+    "params_from_json-unknown-generator": lambda spec: params_from_json(
+        spec, {"u": "s9", "t": "s2", "E": []}
+    ),
+    "params_from_json-unknown-symbol": lambda spec: params_from_json(
+        spec, {"u": "s1", "t": "s2", "E": [[0, 9]]}
+    ),
     "identity_rule-str-rank": lambda spec: identity_rule("x"),
     "identity_rule-negative-rank": lambda spec: identity_rule(-1),
     "letter_image-past-rank": lambda spec: base(0)[1].rule.letter_image(4, {}),
@@ -250,11 +292,16 @@ def test_bad_non_spec_argument_raises_input_error(entry):
     domain), a letter code or a generator index that is a bool or past the
     rank (a rule's step key, letter_image's, kernel_for_letter's,
     reverse_kernel's, support_edges'), a rank that is not an int >= 1, a
-    rule that is not a RewriteRule, a coordinate map that is None or a sequence, a window
+    rule's window radius or output length that is not an int >= 0, its images
+    that are not an iterable or a step that is not callable, a rule that is
+    not a RewriteRule, a coordinate map that is None or a sequence, a window
     function that is not callable or gives an unhashable value (plain, or
-    deferred to the scan by chains._read_last), a graph that is not a TransitionGraph, a
-    vertex that is not one of its ints and an edge set that is not a set of
-    int pairs raise InputError, whether they would raise a bare error or pass."""
+    deferred to the scan by chains._read_last), a graph that is not a
+    TransitionGraph, a vertex that is not one of its ints, an edge set that
+    is not a set of int pairs (a SlideParams' too, read by replay and
+    params_to_json, as is its branch of (int, BranchData) pairs) and a
+    spec's or a slide's JSON that lacks a field or names what the spec does
+    not have raise InputError, whether they would raise a bare error or pass."""
     with pytest.raises(InputError):
         NON_SPEC_ARGUMENTS[entry](base(0)[0])
 

@@ -721,6 +721,32 @@ class TestVerifySlide:
         assert not oracle_orbit_covered(rule, x, 2)
         assert not _orbit_covered(CocycleTable(rule, x), ball(2, 2), ball(2, 4))
 
+    @pytest.mark.parametrize(
+        "images, double_ok, orbit_ok",
+        [
+            # s2 -> s1.s2: an automorphism of infinite order, so recoding twice reads
+            # x at s1.s1.s2 for x at s2, and its words still cover ball(2, 2)
+            ({2: "s1.s2", 3: "s2^-1.s1^-1"}, False, True),
+            # s1 -> s1.s1: no word cancels down to s1 (test_non_surjective_rule_not_covered)
+            ({0: "s1.s1"}, False, False),
+        ],
+    )
+    def test_swapped_rule_fails_the_map_level_checks(
+        self, m3, m3_slide, images, double_ok, orbit_ok
+    ):
+        """verify_slide reads both sampled checks off the parameters' rule: a
+        checked slide whose rule is swapped for a constant-image one that is
+        not an involution reports double_recode_identity False, and one whose
+        cocycle words miss part of ball(2, 2) reports orbit_surjective False."""
+        images = {c: W(text) for c, text in images.items()}
+        vars(m3_slide)["rule"] = RewriteRule(
+            rank=2, window_radius=0, max_output_length=2,
+            steps={c: lambda x, offset, w=w: w for c, w in images.items()},
+            images=images.values(),
+        )
+        report = verify_slide(m3, m3_slide, samples=2)
+        assert (report.double_recode_identity, report.orbit_surjective) == (double_ok, orbit_ok)
+
     def test_dropped_transition_caught(self, m3, m3_slide):
         """A candidate that gives a reachable transition measure 0 (rows left
         unnormalised) fails: cylinders of candidate measure 0 are compared too."""
