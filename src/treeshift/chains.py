@@ -567,11 +567,6 @@ class WindowScan:
         """Whether every value was truthy."""
         return all(self.weights)
 
-    @property
-    def total_weight(self) -> Fraction:
-        """The weights' int sum over den, one Fraction."""
-        return Fraction(sum(self.weights.values()), self.den)
-
 
 class _DeadEnd(Exception):
     """A window's fill reached a row with no successor: the branch is dropped."""

@@ -187,12 +187,20 @@ class BranchData:
 
     path is (b_0, ..., b_n) with b_0 the start vertex, every step a support
     edge, and b_{n-1} the first vertex along the way with out-degree >= 2;
-    eta is an out-neighbor of b_{n-1} different from b_n.
+    eta is an out-neighbor of b_{n-1} different from b_n.  The fields are
+    checked once, when the instance is built: n an int >= 1, path a tuple of
+    ints with n == len(path) - 1 and eta an int, or InputError.
     """
 
     n: int
     path: tuple[int, ...]
     eta: int
+
+    def __post_init__(self):
+        n, path = self.n, self.path
+        form = type(n) is int and n >= 1 and type(path) is tuple and len(path) == n + 1
+        if not (form and {*map(type, path), type(self.eta)} == {int}):
+            raise InputError(f"branch data needs int n >= 1, n + 1 path ints, int eta: {self!r}")
 
 
 def branch_data(g: TransitionGraph, b: int) -> BranchData:

@@ -1,7 +1,8 @@
 """Edge slides: recodings that transfer support edges between directions.
 
 A slide is parameterized by two distinct generators u, t and a special set
-of u-support edges.  Its rewrite rule replaces a t-step by ut or u^-1 t on
+of u-support edges, checked once, when SlideParams and graphs.BranchData are
+built.  Its rewrite rule replaces a t-step by ut or u^-1 t on
 configurations flagged by a local detector, so the recoded chain keeps every
 restriction except the one along t, whose support gains the slid edges (and
 with them aperiodicity).  The flag reads the symbol one u-step behind, the
@@ -45,7 +46,13 @@ from .words import IDENTITY, LeftConnectedSet, Word, _is_index, ball, inverse, m
 
 @dataclass(frozen=True)
 class SlideParams:
-    """One slide: its parameters, and the rewrite rule they define (rule)."""
+    """One slide: its parameters, and the rewrite rule they define (rule).
+
+    The parameters alone are checked once, when an instance is built (also by
+    dataclasses.replace and unpickling), so every reader trusts them: u, t
+    distinct ints in [0, rank) and branch targets the edges' targets, else
+    ParamsError; edges that pass graphs._edge_set and branch (int, BranchData)
+    pairs whose paths start at their targets, else InputError."""
 
     rank: int
     u: int
@@ -57,25 +64,24 @@ class SlideParams:
     def n_max(self) -> int:
         return max((data.n for _, data in self.branch), default=0)
 
-    def _check_form(self) -> None:
-        """InputError unless edges is an edge set (graphs._edge_set) and branch
-        a tuple or list of (int, BranchData) pairs, the form that rule and
-        params_to_json read."""
+    def __post_init__(self):
+        rank, u, t, branch = self.rank, self.u, self.t, self.branch
+        if type(rank) is not int or not (_is_index(u, rank) and _is_index(t, rank) and u != t):
+            raise ParamsError(f"slide u, t must be distinct in [0, {rank!r}), got {u!r}, {t!r}")
         _edge_set(self.edges)
-        if not isinstance(self.branch, (tuple, list)) or not all(
+        if not isinstance(branch, (tuple, list)) or not all(
             type(e) is tuple and len(e) == 2 and type(e[0]) is int and isinstance(e[1], BranchData)
-            for e in self.branch
+            for e in branch
         ):
-            raise InputError(f"slide branch must be (int, BranchData) pairs, got {self.branch!r}")
+            raise InputError(f"slide branch must be (int, BranchData) pairs, got {branch!r}")
+        if {b for b, _ in branch} != {b for _, b in self.edges}:
+            raise ParamsError("slide branch targets are not the slide edges' targets")
+        if any(data.path[0] != b for b, data in branch):
+            raise InputError(f"slide branch paths must start at their targets, got {branch!r}")
 
     @cached_property
     def rule(self) -> RewriteRule:
-        """The slide's rewrite rule, built from the parameters alone: InputError
-        unless its fields have their form (_check_form), ParamsError unless the
-        branch targets are exactly the edges' targets."""
-        self._check_form()
-        if {b for b, _ in self.branch} != {b for _, b in self.edges}:
-            raise ParamsError("slide branch targets are not the slide edges' targets")
+        """The slide's rewrite rule, built from the (checked) parameters alone."""
         if not self.edges:
             return identity_rule(self.rank)
         u, t = 2 * self.u, 2 * self.t
@@ -106,11 +112,8 @@ def build_slide_params(
     unless (int, int) tuples: graphs._edge_set), ParamsError on any misfit."""
     require_valid(spec)
     edge_set = _edge_set(edges)
-    for gi in (u, t):
-        if not _is_index(gi, spec.rank):
-            raise ParamsError(f"generator index {gi!r} is not an int in [0, {spec.rank})")
-    if u == t:
-        raise ParamsError("slide directions u and t must be distinct generators")
+    if not _is_index(u, spec.rank):  # t is checked with the rest when SlideParams is built
+        raise ParamsError(f"generator index {u!r} is not an int in [0, {spec.rank})")
     g = support_edges(spec, u)
     if not edge_set <= g.edges:
         raise ParamsError("slide edges must be u-support edges")
@@ -474,9 +477,8 @@ def replay(
     Sequence, such as a list, tuple, str or bytes, is no coordinate map).
     rank is taken from the slides when present; every slide must have that
     rank, and slides must be a list or tuple of SlideParams (InputError
-    otherwise, as for x).  Parameters with malformed edges or branch raise
-    InputError, and parameters whose branch targets are not their edges'
-    targets ParamsError (SlideParams.rule).
+    otherwise, as for x); each slide's own fields were checked when it was
+    built (SlideParams).
     """
     if not isinstance(slides, (list, tuple)) or not all(
         isinstance(params, SlideParams) for params in slides
@@ -503,21 +505,16 @@ def replay(
 
 def params_to_json(spec: MarkovSpec, params: SlideParams) -> dict:
     """The parameters by generator name and symbol.  The spec must pass the
-    gate chains.require_form, and the parameters must be SlideParams whose
-    fields have their form (InputError otherwise: SlideParams._check_form)
-    that fit it: its rank, u and t generators of it, and every edge and
-    branch symbol one of its symbols (ParamsError otherwise)."""
+    gate chains.require_form and the parameters must be SlideParams
+    (InputError otherwise), whose own fields were checked when they were
+    built, that fit the spec: its rank, and every edge and branch symbol one
+    of its symbols (ParamsError otherwise)."""
     require_form(spec)
     if not isinstance(params, SlideParams):
         raise InputError(f"slide parameters must be SlideParams, got {params!r}")
-    params._check_form()
     symbols = [v for edge in params.edges for v in edge]
-    symbols += [v for b, data in params.branch for v in (b, *data.path, data.eta)]
-    if not (
-        params.rank == spec.rank
-        and all(_is_index(gi, spec.rank) for gi in (params.u, params.t))
-        and all(_is_index(v, spec.size) for v in symbols)
-    ):
+    symbols += [v for _, data in params.branch for v in (*data.path, data.eta)]
+    if params.rank != spec.rank or not all(_is_index(v, spec.size) for v in symbols):
         raise ParamsError("slide parameters do not fit the spec's rank and alphabet")
     alpha = spec.alphabet
     return {

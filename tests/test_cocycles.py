@@ -191,7 +191,7 @@ class TestWindowScan:
             return True
 
         scan = scan_positive_windows(m1, fn)
-        assert scan.ok and scan.windows == 4 and scan.total_weight == 1
+        assert scan.ok and scan.windows == 4 and sum(scan.weights.values()) == scan.den
 
     def test_adaptive_reads(self, m1):
         def fn(win):
@@ -201,7 +201,7 @@ class TestWindowScan:
 
         scan = scan_positive_windows(m1, fn)
         # swap kernel: from symbol 0 the s2 coordinate is forced, one branch
-        assert scan.windows == 2 and scan.total_weight == 1
+        assert scan.windows == 2 and sum(scan.weights.values()) == scan.den
 
     def test_budget(self, m1, monkeypatch):
         def fn(win):
@@ -238,7 +238,7 @@ class TestWindowScan:
 
     def test_no_reads(self, m1):
         scan = scan_positive_windows(m1, lambda win: True)
-        assert scan.windows == 1 and scan.total_weight == 1
+        assert scan.windows == 1 and sum(scan.weights.values()) == scan.den
 
     @given(
         st.integers(0, 10**6),
@@ -297,7 +297,7 @@ class TestWindowScan:
 
         scan = scan_positive_windows(spec, fn)
         assert len(calls) == scan.windows > 20
-        assert scan.total_weight == 1
+        assert sum(scan.weights.values()) == scan.den
 
     def test_enumerate_cylinders_runs_its_function_once_per_head_cylinder(self, m3, monkeypatch):
         """enumerate_cylinders' function misses on every domain word and defers
@@ -343,7 +343,7 @@ class TestWindowScan:
         assert list(scan.law.items()) == list(oracle.law.items())
         assert (scan.windows, scan.failures) == (oracle.windows, oracle.failures)
         assert 0 < scan.windows < scan_positive_windows(m3, fn).windows
-        assert scan.total_weight < 1
+        assert sum(scan.weights.values()) < scan.den
 
     def test_covering_scan_rejects_a_scan_that_misses_mass(self, m3):
         """covering_scan holds a scan's int weights to its den: with the s2
@@ -352,8 +352,9 @@ class TestWindowScan:
         k = m3.kernels[1]
         spec = chains.require_form(m3.with_kernel(1, (tuple(p / 2 for p in k[0]),) + k[1:]))
         fn = lambda win: win[W("s2")]  # noqa: E731
-        assert covering_scan(m3, fn).total_weight == 1
-        assert scan_positive_windows(spec, fn).total_weight == 1 - m3.pi[0] / 2
+        scan = covering_scan(m3, fn)
+        assert sum(scan.weights.values()) == scan.den
+        assert sum(scan_positive_windows(spec, fn).law.values()) == 1 - m3.pi[0] / 2
         with pytest.raises(InputError, match="did not cover the space"):
             covering_scan(spec, fn)
 

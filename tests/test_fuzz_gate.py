@@ -9,6 +9,7 @@ spec).  The kinds, the entry points and the example count are fixed here,
 and the examples are derandomized.
 """
 
+import dataclasses
 import inspect
 from fractions import Fraction
 from functools import cache
@@ -25,7 +26,7 @@ from treeshift.chains import sample_ball, scan_positive_windows, spec_from_json,
 from treeshift.chains import validate
 from treeshift.cocycles import CocycleTable, RecodedView, RewriteRule, cocycle, identity_rule
 from treeshift.cocycles import recode_on
-from treeshift.errors import InputError, TreeshiftError
+from treeshift.errors import InputError, ParamsError, TreeshiftError
 from treeshift.graphs import branch_data, classify, is_special, special_sets, support_edges
 from treeshift.randspec import random_properly_ergodic_spec
 from treeshift.slides import build_slide_params, generator_ergodic_pipeline, params_from_json
@@ -174,6 +175,11 @@ def _slide(edges, branch):
     return slides.SlideParams(2, 0, 1, edges, branch)
 
 
+def _branch_to_1(n, path, eta):
+    """A slide on the edge (0, 1) whose branch data for target 1 is built from n, path and eta."""
+    return _slide(frozenset({(0, 1)}), ((1, graphs.BranchData(n, path, eta)),))
+
+
 NON_SPEC_ARGUMENTS = {
     "enumerate_cylinders-list": lambda spec: list(enumerate_cylinders(spec, [IDENTITY])),
     "enumerate_cylinders-None": lambda spec: list(enumerate_cylinders(spec, None)),
@@ -251,6 +257,15 @@ NON_SPEC_ARGUMENTS = {
     "params_to_json-None-branch-data": lambda spec: params_to_json(
         spec, _slide(frozenset({(0, 1)}), ((1, None),))
     ),
+    "BranchData-None-n": lambda spec: params_to_json(spec, _branch_to_1(None, (1, 0), 2)),
+    "BranchData-n-past-path": lambda spec: replay(
+        [_branch_to_1(2, (1, 0), 2)], SampledTree(spec, 1), 1
+    ),
+    "BranchData-None-path": lambda spec: _branch_to_1(1, None, 2),
+    "BranchData-str-eta": lambda spec: replay(
+        [_branch_to_1(1, (1, 0), "x")], SampledTree(spec, 1), 1
+    ),
+    "SlideParams-path-off-target": lambda spec: _branch_to_1(1, (0, 1), 2),
     "spec_from_json-missing-key": lambda spec: spec_from_json(_spec_json(spec, kernels=None)),
     "spec_from_json-no-generators": lambda spec: spec_from_json(_spec_json(spec, generators=[])),
     "spec_from_json-no-alphabet": lambda spec: spec_from_json(_spec_json(spec, alphabet=[])),
@@ -298,12 +313,28 @@ def test_bad_non_spec_argument_raises_input_error(entry):
     function that is not callable or gives an unhashable value (plain, or
     deferred to the scan by chains._read_last), a graph that is not a
     TransitionGraph, a vertex that is not one of its ints, an edge set that
-    is not a set of int pairs (a SlideParams' too, read by replay and
-    params_to_json, as is its branch of (int, BranchData) pairs) and a
-    spec's or a slide's JSON that lacks a field or names what the spec does
-    not have raise InputError, whether they would raise a bare error or pass."""
+    is not a set of int pairs (a SlideParams' too, as is its branch of
+    (int, BranchData) pairs whose paths start at their targets, and each
+    BranchData's int n >= 1, n + 1 int path symbols and int eta, all checked
+    when they are built) and a spec's or a slide's JSON that lacks a field or
+    names what the spec does not have raise InputError, whether they would
+    raise a bare error or pass."""
     with pytest.raises(InputError):
         NON_SPEC_ARGUMENTS[entry](base(0)[0])
+
+
+BAD_SLIDE_DIRECTIONS = {
+    "SlideParams-u-is-t": lambda: dataclasses.replace(base(0)[1], t=base(0)[1].u),
+    "SlideParams-u-past-rank": lambda: dataclasses.replace(base(0)[1], u=2),
+}
+
+
+@pytest.mark.parametrize("entry", BAD_SLIDE_DIRECTIONS)
+def test_bad_slide_directions_raise_params_error(entry):
+    """SlideParams whose u and t are not distinct generators of its rank raise
+    ParamsError when they are built, before any reader sees them."""
+    with pytest.raises(ParamsError, match="distinct"):
+        BAD_SLIDE_DIRECTIONS[entry]()
 
 
 def test_words_pass_as_words_or_plain_tuples():

@@ -171,6 +171,18 @@ class TestParams:
         assert obj["u"] == "s1" and obj["t"] == "s2" and obj["E"] == [[0, 1]]
         assert params_from_json(m3, {"u": "s1", "t": "s2", "E": [[0, 1]]}) == m3_slide
 
+    @given(sliding_specs())
+    @settings(max_examples=25, deadline=None)
+    def test_every_pipeline_slide_round_trips(self, drawn):
+        """Every pipeline slide p_k comes back from params_to_json and
+        params_from_json at the spec it was built on, spec_k (the iterated
+        pushforward), and from pickle."""
+        spec, slides = drawn
+        for params in slides:
+            assert params_from_json(spec, params_to_json(spec, params)) == params
+            assert pickle.loads(pickle.dumps(params)) == params
+            spec = pushforward(spec, params)
+
     def test_json_writer_checks_the_params_fit_the_spec(self, m1, m3, m3_slide):
         """params_to_json gates the spec and checks that the parameters fit it:
         a rank-3 pipeline's last slide (t = s3, symbols up to 3) with a rank-2
@@ -178,14 +190,14 @@ class TestParams:
         beyond the rank raise ParamsError instead of a bare IndexError."""
         last = generator_ergodic_pipeline(random_properly_ergodic_spec(1, 4, 3))[1][-1]
         for spec, params in (
-            (random_properly_ergodic_spec(0, 3, 2), last),
-            (m1, m3_slide),
-            (m3, dataclasses.replace(m3_slide, t=2)),
-            (m3, dataclasses.replace(m3_slide, u=-1)),
-            (m3, dataclasses.replace(m3_slide, t=True)),
+            (random_properly_ergodic_spec(0, 3, 2), lambda: last),
+            (m1, lambda: m3_slide),
+            (m3, lambda: dataclasses.replace(m3_slide, t=2)),
+            (m3, lambda: dataclasses.replace(m3_slide, u=-1)),
+            (m3, lambda: dataclasses.replace(m3_slide, t=True)),
         ):
             with pytest.raises(ParamsError):
-                params_to_json(spec, params)
+                params_to_json(spec, params())
         with pytest.raises(InputError):
             params_to_json(m3, None)
         with pytest.raises(InputError):
@@ -274,14 +286,14 @@ class TestParams:
 
     def test_rule_needs_a_branch_per_edge_target(self):
         """Parameters whose branch data misses a slide-edge target (or names a
-        vertex that is none) raise ParamsError when their rule is built, so
-        replay does not fail on a bare KeyError inside the flag test."""
+        vertex that is none) raise ParamsError when they are built, so replay
+        never reaches a bare KeyError inside the flag test."""
         spec = random_properly_ergodic_spec(0, 3, 2)
         p = generator_ergodic_pipeline(spec)[1][0]
         extra = (*p.branch, (9, p.branch[0][1]))
         for branch in ((), extra):
-            bad = SlideParams(p.rank, p.u, p.t, p.edges, branch)
             with pytest.raises(ParamsError, match="branch"):
+                bad = SlideParams(p.rank, p.u, p.t, p.edges, branch)
                 replay([bad], SampledTree(spec, 1), 3)
 
 
@@ -353,17 +365,13 @@ class TestSlideRule:
 
     def test_params_not_built_from_spec_rejected(self, m3, m3_slide):
         wrong_branch = ((1, BranchData(n=2, path=(1, 0, 1), eta=2)),)
-        for bad in (
-            dataclasses.replace(m3_slide, branch=wrong_branch),
-            dataclasses.replace(m3_slide, t=0),
-            dataclasses.replace(m3_slide, t=7),
-        ):
+        for change in (dict(branch=wrong_branch), dict(t=0), dict(t=7)):
             with pytest.raises(ParamsError):
-                _checked(m3, bad).rule
+                _checked(m3, dataclasses.replace(m3_slide, **change)).rule
             with pytest.raises(ParamsError):
-                pushforward(m3, bad)
+                pushforward(m3, dataclasses.replace(m3_slide, **change))
             with pytest.raises(ParamsError):
-                verify_slide(m3, bad, samples=1)
+                verify_slide(m3, dataclasses.replace(m3_slide, **change), samples=1)
 
 
     @given(sliding_specs(), st.integers(0, 10**6), st.integers(1, 4))
